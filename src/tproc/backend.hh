@@ -19,7 +19,6 @@
 #define TPRE_TPROC_BACKEND_HH
 
 #include <array>
-#include <deque>
 #include <vector>
 
 #include "cache/set_assoc.hh"
@@ -53,7 +52,29 @@ struct BackendConfig
     Cycle divLatency = 20;
 };
 
-/** The trace-processor execution engine. */
+/**
+ * The trace-processor execution engine.
+ *
+ * The engine is event-driven: tick(now) costs work only for PEs
+ * that can issue at @p now, and nextEvent(now) names the next cycle
+ * at which tick() or the head's retirement can change anything, so
+ * a caller may skip the cycles in between. tick() keeps its
+ * cycle-level contract: driven every cycle, or only at event
+ * cycles, it produces the same completion times and statistics.
+ *
+ * Three facts make this cheap and exact:
+ *  - handles are dense and retire in order, so the in-flight and
+ *    retained traces form one contiguous handle range kept in a
+ *    ring indexed by handle (O(1) lookup, no per-dispatch
+ *    allocation: a slot's instruction storage is reused);
+ *  - each operand's producer is resolved once, at dispatch, and a
+ *    PE whose next instruction waits on an unissued producer is
+ *    parked on that producer and woken when it issues;
+ *  - an in-order PE only ever issues at its first unissued
+ *    instruction, so each PE keeps an issue cursor and the earliest
+ *    cycle that instruction's operands and not-before constraint
+ *    allow.
+ */
 class TimingBackend
 {
   public:
@@ -69,7 +90,7 @@ class TimingBackend
     explicit TimingBackend(BackendConfig config = {});
 
     /** Is a processing element free for dispatch? */
-    bool hasFreePe() const;
+    bool hasFreePe() const { return inflightTraces() < config_.numPes; }
 
     /**
      * Dispatch a trace into a free PE at cycle @p now. @p dyn are
@@ -85,6 +106,15 @@ class TimingBackend
     /** Advance execution by one cycle. */
     void tick(Cycle now);
 
+    /**
+     * The earliest cycle after @p now at which tick() can issue an
+     * instruction or the oldest trace completes; noCompletion when
+     * neither can happen without another dispatch. Every cycle
+     * strictly between @p now and the result is a no-op for tick()
+     * and for retirement.
+     */
+    Cycle nextEvent(Cycle now) const;
+
     /** Is the oldest in-flight trace fully executed? */
     bool headDone() const;
     /**
@@ -97,8 +127,12 @@ class TimingBackend
     /** Retire the oldest trace, freeing its PE. */
     void retireHead();
 
-    bool empty() const { return inflight_.empty(); }
-    std::size_t inflightTraces() const { return inflight_.size(); }
+    bool empty() const { return inflightTraces() == 0; }
+    std::size_t
+    inflightTraces() const
+    {
+        return static_cast<std::size_t>(nextHandle_ - headHandle_);
+    }
 
     /**
      * Completion cycle of instruction @p idx (position in the
@@ -119,49 +153,105 @@ class TimingBackend
     const Stats &stats() const { return stats_; }
     const BackendConfig &config() const { return config_; }
 
+    /**
+     * Retired traces whose completion times stay visible to
+     * completionOf() and to consumers; older producers read as
+     * complete at cycle 0.
+     */
+    static constexpr unsigned retainedTraces = 16;
+
   private:
-    /** Producer info for register values. */
+    /** Last writer of an architectural register. */
     struct WriterInfo
     {
-        std::uint64_t handle = 0;
+        std::uint64_t handle = 0; ///< 0: no writer yet
         unsigned idx = 0;
         unsigned pe = 0;
-        bool valid = false;
+    };
+
+    /** A source operand, resolved to its producer at dispatch. */
+    struct Operand
+    {
+        std::uint64_t handle = 0; ///< producer trace; 0: none
+        std::uint8_t idx = 0;     ///< producer position
+        bool cross = false;       ///< produced on another PE
     };
 
     struct InflightInst
     {
-        Instruction inst;
+        Opcode op = Opcode::Add;
+        bool isMem = false;
+        /** Operands produced on another PE (bus transfers). */
+        std::uint8_t crossOps = 0;
+        Operand src[2];
         Addr effAddr = 0;
-        /** In-flight producers of rs1/rs2 at dispatch time. */
-        WriterInfo producers[2];
         Cycle notBefore = 0;    ///< frontend-imposed constraint
-        Cycle completion = noCompletion;
-        bool issued = false;
+        Cycle completion = noCompletion; ///< set at issue
+        /** PEs parked on this instruction (bit per PE). */
+        std::uint64_t waiters = 0;
     };
 
     struct InflightTrace
     {
-        std::uint64_t handle = 0;
         unsigned pe = 0;
-        Cycle dispatched = 0;
-        std::vector<InflightInst> insts;
         unsigned remaining = 0;
+        /** In-order PEs: position of the first unissued instruction. */
+        unsigned cursor = 0;
+        /**
+         * In-order PEs: earliest cycle the cursor instruction's
+         * operands and not-before constraint allow it to issue;
+         * noCompletion while it waits on an unissued producer or
+         * when every instruction has issued.
+         */
+        Cycle wakeAt = noCompletion;
+        /** Running max of the issued instructions' completions. */
+        Cycle lastCompletion = 0;
+        std::vector<InflightInst> insts;
     };
 
-    InflightTrace *findTrace(std::uint64_t handle);
+    InflightTrace &slot(std::uint64_t handle)
+    { return ring_[handle & ringMask_]; }
+    const InflightTrace &slot(std::uint64_t handle) const
+    { return ring_[handle & ringMask_]; }
+    /** The in-flight or retained trace @p handle, or nullptr. */
     const InflightTrace *findTrace(std::uint64_t handle) const;
-    /** Completion cycle of a producer; 0 when long retired. */
-    Cycle producerCompletion(const WriterInfo &writer) const;
+    /**
+     * Cycle from which @p op's value is usable on its consumer's PE
+     * (a producer no longer retained completed at cycle 0);
+     * noCompletion while the producer is unissued.
+     */
+    Cycle availableAt(const Operand &op) const;
+    /** Recompute @p t's wakeAt, parking it on an unissued producer. */
+    void refreshWake(InflightTrace &t);
+    bool operandsReady(const InflightInst &inst, Cycle now) const;
+    /**
+     * Claim result buses and data-cache ports for @p inst; false
+     * (a structural stall) when either is exhausted this cycle.
+     */
+    bool claimResources(const InflightInst &inst, unsigned &busNow,
+                        unsigned &portsUsed, unsigned &pePortsUsed);
+    void issue(InflightTrace &t, InflightInst &inst, Cycle now);
+    void tickInOrder(InflightTrace &t, Cycle now, unsigned &busNow,
+                     unsigned &portsUsed);
+    void tickOutOfOrder(InflightTrace &t, Cycle now, unsigned &busNow,
+                        unsigned &portsUsed);
+    void rollBusRing(Cycle now);
 
     BackendConfig config_;
     SetAssocCache dcache_;
-    std::deque<InflightTrace> inflight_;
-    /** Completion times of recently retired traces (bounded). */
-    std::deque<InflightTrace> retired_;
+    /**
+     * In-flight traces are handles [headHandle_, nextHandle_); the
+     * retainedCount_ traces before them are retired but retained.
+     */
+    std::vector<InflightTrace> ring_;
+    std::uint64_t ringMask_ = 0;
+    std::uint64_t headHandle_ = 1;
+    std::uint64_t nextHandle_ = 1;
+    unsigned retainedCount_ = 0;
     std::array<WriterInfo, numArchRegs> lastWriter_;
     std::vector<bool> peBusy_;
-    std::uint64_t nextHandle_ = 1;
+    /** The trace each busy PE holds (wakeup targets). */
+    std::vector<std::uint64_t> peTrace_;
     /** Result-bus usage per cycle (small ring buffer). */
     std::array<unsigned, 64> busUse_ = {};
     Cycle busRingBase_ = 0;

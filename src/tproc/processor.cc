@@ -39,16 +39,27 @@ TraceProcessor::prepared(Trace trace)
 }
 
 void
+TraceProcessor::pushPending(Trace &&trace)
+{
+    PendingTrace &pending = oracle_.back();
+    pending.trace = std::move(trace);
+    // Hand the filled window over and take the slot's old storage.
+    std::swap(pending.window, window_);
+    window_.clear();
+    oracle_.push();
+}
+
+void
 TraceProcessor::advanceOracle()
 {
-    while (oracle_.size() < 4 && !oracleDone_) {
+    while (!oracle_.full() && !oracleDone_) {
         if (core_.halted()) {
             if (auto t = segmenter_.flush()) {
                 tpre_check_run(check::enforce(
                     check::traceWellFormed(*t, config_.selection,
                                            true),
                     "TraceProcessor flushed trace"));
-                oracle_.push_back({std::move(*t), window_});
+                pushPending(std::move(*t));
             }
             window_.clear();
             oracleDone_ = true;
@@ -60,8 +71,7 @@ TraceProcessor::advanceOracle()
             tpre_check_run(check::enforce(
                 check::traceWellFormed(*t, config_.selection, false),
                 "TraceProcessor segmented trace"));
-            oracle_.push_back({std::move(*t), std::move(window_)});
-            window_.clear();
+            pushPending(std::move(*t));
         }
     }
 }
@@ -135,6 +145,7 @@ void
 TraceProcessor::doLookup()
 {
     tpre_assert(!oracle_.empty());
+    syncEngine(now_ - 1);
     const PendingTrace &front = oracle_.front();
     const TraceId &id = front.trace.id;
 
@@ -192,8 +203,10 @@ void
 TraceProcessor::dispatchFront()
 {
     tpre_assert(!oracle_.empty());
-    PendingTrace front = std::move(oracle_.front());
-    oracle_.pop_front();
+    syncEngine(now_ - 1);
+    // Nothing is queued before this function returns, so the popped
+    // slot stays intact throughout.
+    const PendingTrace &front = oracle_.pop();
 
     const std::uint64_t handle =
         backend_.dispatch(dispatchTrace_, front.window, now_);
@@ -333,20 +346,74 @@ TraceProcessor::fetchAndDispatch()
     }
 }
 
+Cycle
+TraceProcessor::nextCycle() const
+{
+    Cycle next = backend_.nextEvent(now_);
+    if (!oracle_.empty()) {
+        switch (fetchState_) {
+          case FetchState::Lookup:
+            return now_ + 1;
+          case FetchState::WaitReady:
+            // With every PE busy, dispatch waits for a retirement,
+            // which is a backend event.
+            if (backend_.hasFreePe())
+                next = std::min(next, std::max(fetchReadyAt_, now_ + 1));
+            break;
+          case FetchState::WaitResolve: {
+            // An unissued resolving instruction issues at a backend
+            // event; after that its completion is known.
+            const Cycle done =
+                backend_.completionOf(resolveHandle_, resolveIdx_);
+            if (done != TimingBackend::noCompletion) {
+                next = std::min(
+                    next,
+                    std::max(done + config_.redirectPenalty, now_ + 1));
+            }
+            break;
+          }
+        }
+    }
+    return next == TimingBackend::noCompletion ? now_ + 1 : next;
+}
+
+void
+TraceProcessor::syncEngine(Cycle upTo)
+{
+    if (!engine_ || upTo <= engineNow_)
+        return;
+    // The I-cache port is free for the engine in cycle c iff
+    // c >= slowBusyUntil_, which only doLookup() moves, after a
+    // sync: split the span there so every cycle sees the flag the
+    // cycle-by-cycle loop gave it.
+    if (engineNow_ + 1 < slowBusyUntil_) {
+        const Cycle busy_end = std::min(upTo, slowBusyUntil_ - 1);
+        engine_->tick(busy_end - engineNow_, false);
+        engineNow_ = busy_end;
+    }
+    if (upTo > engineNow_) {
+        engine_->tick(upTo - engineNow_, true);
+        engineNow_ = upTo;
+    }
+}
+
 const ProcessorStats &
 TraceProcessor::run(InstCount maxInsts)
 {
     advanceOracle();
     while (stats_.instructions < maxInsts &&
            (!oracle_.empty() || !backend_.empty())) {
-        ++now_;
+        // Jump to the next cycle in which the backend, commit or
+        // fetch can act; the cycles in between are no-ops. The jump
+        // is taken only after the loop condition, so the run never
+        // moves past the cycle of its final commit.
+        now_ = nextCycle();
         backend_.tick(now_);
         commitCompleted();
         fetchAndDispatch();
-        if (engine_)
-            engine_->tick(1, now_ >= slowBusyUntil_);
         advanceOracle();
     }
+    syncEngine(now_);
     stats_.cycles = now_;
     stats_.icache = icache_.stats();
     stats_.backend = backend_.stats();

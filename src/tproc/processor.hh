@@ -21,6 +21,7 @@
 #ifndef TPRE_TPROC_PROCESSOR_HH
 #define TPRE_TPROC_PROCESSOR_HH
 
+#include <array>
 #include <deque>
 #include <memory>
 
@@ -118,6 +119,39 @@ class TraceProcessor
         std::vector<DynInst> window;
     };
 
+    /**
+     * The oracle lookahead: a fixed ring of pending traces whose
+     * slots (window storage included) are reused, so segmenting and
+     * dispatching a trace allocates nothing.
+     */
+    class OracleQueue
+    {
+      public:
+        static constexpr std::size_t capacity = 4;
+
+        bool empty() const { return size_ == 0; }
+        bool full() const { return size_ == capacity; }
+        PendingTrace &front() { return slots_[head_]; }
+        /** The slot the next push() publishes. */
+        PendingTrace &back()
+        { return slots_[(head_ + size_) % capacity]; }
+        void push() { ++size_; }
+        /** Pop the front; its slot stays intact until the next push(). */
+        PendingTrace &
+        pop()
+        {
+            PendingTrace &front = slots_[head_];
+            head_ = (head_ + 1) % capacity;
+            --size_;
+            return front;
+        }
+
+      private:
+        std::array<PendingTrace, capacity> slots_;
+        std::size_t head_ = 0;
+        std::size_t size_ = 0;
+    };
+
     /** Fetch pipeline state. */
     enum class FetchState : std::uint8_t
     {
@@ -127,6 +161,16 @@ class TraceProcessor
     };
 
     void advanceOracle();
+    /** Queue segmented trace @p trace with the window that built it. */
+    void pushPending(Trace &&trace);
+    /** The next cycle in which anything can happen. */
+    Cycle nextCycle() const;
+    /**
+     * Bring the precon engine up to cycle @p upTo. The engine is
+     * ticked lazily, before the frontend touches state it shares
+     * (TC/PB, I-cache, bimodal) and at the end of a run.
+     */
+    void syncEngine(Cycle upTo);
     void commitCompleted();
     void fetchAndDispatch();
     void doLookup();
@@ -149,7 +193,7 @@ class TraceProcessor
     std::unique_ptr<PreconstructionEngine> engine_;
     std::unique_ptr<Preprocessor> prep_;
 
-    std::deque<PendingTrace> oracle_;
+    OracleQueue oracle_;
     std::vector<DynInst> window_;
     bool oracleDone_ = false;
     /** The trace image to dispatch for the front pending trace. */
@@ -160,6 +204,8 @@ class TraceProcessor
     bool afterResolve_ = false;
 
     Cycle now_ = 0;
+    /** Last cycle the precon engine has been ticked through. */
+    Cycle engineNow_ = 0;
     FetchState fetchState_ = FetchState::Lookup;
     Cycle fetchReadyAt_ = 0;
     bool fetchWasSlow_ = false;

@@ -10,6 +10,11 @@
  * 50k-instruction budget — small enough to run in a normal test
  * cycle, large enough to exercise the trace cache, the
  * preconstruction engine and the stats plumbing end to end.
+ *
+ * A second table pins timing mode the same way: every
+ * ProcessorStats counter of the TraceProcessor on the Figure 6/8
+ * configurations, so the event-driven timing loop stays
+ * cycle-for-cycle identical to the loop that ticked every cycle.
  */
 
 #include <gtest/gtest.h>
@@ -18,7 +23,9 @@
 #include <string>
 #include <vector>
 
+#include "sim/simulator.hh"
 #include "sim/sweep.hh"
+#include "tproc/processor.hh"
 
 namespace tpre
 {
@@ -137,6 +144,109 @@ TEST(GoldenTest, Fig5GridBitIdenticalToPreOverhaulCapture)
         }
     }
     EXPECT_EQ(row, std::size(kGolden));
+}
+
+// ---------------------------------------------------------------
+// Timing mode: every ProcessorStats counter of the TraceProcessor
+// on the Figure 6/8 configurations (256TC vs 128TC+128PB, prep off
+// and on) at a 50k-instruction budget, captured from the
+// cycle-by-cycle loop before the event-driven backend and loop
+// replaced it. Any change to a simulated cycle shows up here.
+// ---------------------------------------------------------------
+
+const char *const kTimingFields[] = {
+    "instructions", "cycles", "traces", "tcHits", "pbHits",
+    "tcMisses", "ntpCorrect", "ntpWrong", "ntpNone",
+    "slowPathInsts", "slowMispredicts",
+    "icache.demandAccesses", "icache.demandMisses",
+    "icache.preconAccesses", "icache.preconMisses",
+    "backend.instsIssued", "backend.dcacheAccesses",
+    "backend.dcacheMisses", "backend.busTransfers",
+    "backend.busStalls",
+    "precon.startPointsPushed", "precon.regionsStarted",
+    "precon.regionsCompleted", "precon.regionsCaughtUp",
+    "precon.regionsPrefetchFull", "precon.regionsBuffersFull",
+    "precon.regionsWarm", "precon.tracesConstructed",
+    "precon.tracesBuffered", "precon.tracesAlreadyInTc",
+    "precon.bufferHits", "precon.linesFetched",
+    "prep.tracesProcessed", "prep.constsPropagated",
+    "prep.opsFused", "prep.instsMoved",
+};
+constexpr std::size_t kTimingFieldCount = std::size(kTimingFields);
+
+/** The counters of @p s in kTimingFields order. */
+std::vector<std::uint64_t>
+timingCounters(const ProcessorStats &s)
+{
+    return {
+        s.instructions, s.cycles, s.traces, s.tcHits, s.pbHits,
+        s.tcMisses, s.ntpCorrect, s.ntpWrong, s.ntpNone,
+        s.slowPathInsts, s.slowMispredicts,
+        s.icache.demandAccesses, s.icache.demandMisses,
+        s.icache.preconAccesses, s.icache.preconMisses,
+        s.backend.instsIssued, s.backend.dcacheAccesses,
+        s.backend.dcacheMisses, s.backend.busTransfers,
+        s.backend.busStalls,
+        s.precon.startPointsPushed, s.precon.regionsStarted,
+        s.precon.regionsCompleted, s.precon.regionsCaughtUp,
+        s.precon.regionsPrefetchFull, s.precon.regionsBuffersFull,
+        s.precon.regionsWarm, s.precon.tracesConstructed,
+        s.precon.tracesBuffered, s.precon.tracesAlreadyInTc,
+        s.precon.bufferHits, s.precon.linesFetched,
+        s.prep.tracesProcessed, s.prep.constsPropagated,
+        s.prep.opsFused, s.prep.instsMoved,
+    };
+}
+
+struct TimingGoldenRow
+{
+    const char *benchmark;
+    bool precon; ///< 128TC+128PB instead of 256TC
+    bool prep;
+    std::uint64_t counters[kTimingFieldCount];
+};
+
+const TimingGoldenRow kTimingGolden[] = {
+    {"gcc", false, false, {50003, 52870, 3554, 1758, 0, 1797, 1688, 733, 1133, 28399, 688, 4679, 538, 0, 0, 50018, 12278, 109, 30303, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
+    {"gcc", false, true, {50003, 48860, 3554, 1758, 0, 1797, 1688, 733, 1133, 28399, 688, 4679, 538, 0, 0, 49054, 12278, 109, 30278, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1797, 242, 1071, 11133}},
+    {"gcc", true, false, {50003, 50890, 3554, 1519, 673, 1363, 1688, 733, 1133, 25390, 589, 4158, 323, 3686, 246, 50018, 12278, 108, 30832, 3, 509, 507, 227, 130, 77, 70, 2, 9615, 8695, 500, 673, 3686, 0, 0, 0, 0}},
+    {"gcc", true, true, {50003, 46361, 3554, 1519, 667, 1369, 1688, 733, 1133, 25477, 590, 4165, 328, 3667, 240, 48931, 12278, 108, 30734, 2, 508, 506, 223, 135, 79, 66, 2, 9465, 8568, 493, 667, 3667, 2036, 242, 1222, 12711}},
+    {"go", false, false, {50005, 53768, 3535, 1828, 0, 1707, 1567, 765, 1203, 27794, 751, 4687, 572, 0, 0, 50006, 12137, 99, 29316, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
+    {"go", false, true, {50005, 49532, 3535, 1828, 0, 1707, 1567, 765, 1203, 27794, 751, 4687, 572, 0, 0, 49038, 12138, 99, 29196, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1707, 186, 981, 10522}},
+    {"go", true, false, {50005, 51899, 3535, 1653, 576, 1306, 1567, 765, 1203, 24893, 609, 4175, 353, 3347, 280, 50006, 12137, 100, 29732, 0, 475, 473, 210, 133, 67, 61, 2, 8372, 7449, 528, 576, 3347, 0, 0, 0, 0}},
+    {"go", true, true, {50005, 47079, 3535, 1653, 578, 1304, 1567, 765, 1203, 24908, 611, 4176, 354, 3290, 277, 48875, 12138, 100, 29731, 2, 473, 471, 205, 137, 67, 60, 2, 8217, 7318, 511, 578, 3290, 1882, 186, 1070, 11666}},
+    {"perl", false, false, {50000, 48224, 3541, 2354, 0, 1187, 2228, 666, 647, 18589, 469, 3061, 272, 0, 0, 50011, 11968, 62, 31083, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
+    {"perl", false, true, {50000, 42989, 3541, 2354, 0, 1187, 2228, 666, 647, 18589, 469, 3061, 272, 0, 0, 48472, 11968, 62, 31201, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1187, 256, 773, 7437}},
+    {"perl", true, false, {50000, 46954, 3541, 2019, 576, 946, 2228, 666, 647, 17282, 390, 2854, 142, 3185, 152, 50011, 11968, 62, 31424, 0, 433, 432, 226, 88, 73, 40, 5, 7679, 6678, 699, 576, 3185, 0, 0, 0, 0}},
+    {"perl", true, true, {50000, 41492, 3541, 2019, 570, 952, 2228, 666, 647, 17344, 390, 2866, 142, 3143, 152, 48424, 11968, 62, 31454, 0, 432, 431, 220, 95, 68, 43, 5, 7490, 6520, 673, 570, 3143, 1522, 256, 1035, 9521}},
+    {"vortex", false, false, {50012, 53046, 3489, 1774, 0, 1716, 1924, 583, 982, 27118, 519, 4415, 497, 0, 0, 50025, 12999, 96, 31877, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
+    {"vortex", false, true, {50012, 47353, 3489, 1774, 0, 1716, 1924, 583, 982, 27118, 519, 4415, 497, 0, 0, 49121, 13001, 96, 31769, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1716, 210, 984, 11782}},
+    {"vortex", true, false, {50012, 51099, 3489, 1559, 836, 1095, 1924, 583, 982, 21531, 381, 3517, 258, 3488, 267, 50025, 12999, 98, 32398, 0, 461, 458, 203, 125, 88, 40, 2, 8440, 7613, 454, 836, 3488, 0, 0, 0, 0}},
+    {"vortex", true, true, {50012, 44373, 3489, 1559, 828, 1103, 1924, 583, 982, 21618, 381, 3529, 258, 3421, 267, 48905, 13001, 98, 32304, 3, 461, 458, 192, 142, 82, 40, 2, 8107, 7308, 431, 828, 3421, 1931, 210, 1109, 13269}},
+};
+
+TEST(GoldenTest, TimingGridBitIdenticalToCycleLoopCapture)
+{
+    Simulator sim;
+    for (const TimingGoldenRow &g : kTimingGolden) {
+        SimConfig cfg;
+        cfg.benchmark = g.benchmark;
+        cfg.mode = SimMode::Timing;
+        cfg.maxInsts = 50000;
+        cfg.traceCacheEntries = g.precon ? 128 : 256;
+        cfg.preconBufferEntries = g.precon ? 128 : 0;
+        cfg.prepEnabled = g.prep;
+        SCOPED_TRACE(std::string(g.benchmark) +
+                     (g.precon ? " 128TC+128PB" : " 256TC") +
+                     (g.prep ? " prep" : ""));
+        const auto wl = sim.workload(cfg.benchmark, cfg.workloadSeed);
+        TraceProcessor proc(wl->program, cfg.toProcessorConfig());
+        const std::vector<std::uint64_t> got =
+            timingCounters(proc.run(cfg.maxInsts));
+        ASSERT_EQ(got.size(), kTimingFieldCount);
+        for (std::size_t i = 0; i < kTimingFieldCount; ++i)
+            EXPECT_EQ(got[i], g.counters[i]) << kTimingFields[i];
+    }
 }
 
 } // namespace

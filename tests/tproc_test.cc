@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "check/stats_check.hh"
+#include "common/random.hh"
 #include "isa/builder.hh"
 #include "tproc/backend.hh"
 #include "tproc/fast_sim.hh"
@@ -68,8 +71,10 @@ runUntilRetired(TimingBackend &be, Cycle start = 0)
                 break;
             be.retireHead();
         }
-        if (now > start + 100000)
+        if (now > start + 100000) {
             ADD_FAILURE() << "backend did not drain";
+            break;
+        }
     }
     return now;
 }
@@ -129,8 +134,10 @@ TEST(BackendTest, CrossPeCommunicationCostsExtra)
     // mul completes at 1 + 5 = 6; cross-PE adds 2 -> issue at 8,
     // complete at 9.
     Cycle now = 2;
-    while (be.completionOf(2, 0) == TimingBackend::noCompletion)
+    while (be.completionOf(2, 0) == TimingBackend::noCompletion) {
         be.tick(++now);
+        ASSERT_LT(now, 1000u) << "consumer never issued";
+    }
     EXPECT_EQ(be.completionOf(2, 0), 9u);
 }
 
@@ -236,6 +243,295 @@ TEST(BackendTest, DelayInstHoldsIssue)
     EXPECT_EQ(be.completionOf(h, 0), TimingBackend::noCompletion);
     be.tick(10);
     EXPECT_NE(be.completionOf(h, 0), TimingBackend::noCompletion);
+}
+
+TEST(BackendTest, CompletionOfLongRetiredHandleReadsZero)
+{
+    TimingBackend be;
+    auto [t, dyn] = traceAndDyn({makeInst(Opcode::Mul, 1, 1, 0)});
+    std::vector<std::uint64_t> handles;
+    std::vector<Cycle> done;
+    Cycle now = 0;
+    for (unsigned i = 0; i < TimingBackend::retainedTraces + 4; ++i) {
+        handles.push_back(be.dispatch(t, dyn, now));
+        now = runUntilRetired(be, now);
+        done.push_back(be.completionOf(handles.back(), 0));
+        ASSERT_NE(done.back(), TimingBackend::noCompletion);
+        ASSERT_GT(done.back(), 0u);
+    }
+    // The newest retainedTraces retirements keep their completion
+    // times; anything older reads as complete at cycle 0.
+    for (std::size_t i = 0; i < handles.size(); ++i) {
+        const bool retained =
+            i + TimingBackend::retainedTraces >= handles.size();
+        EXPECT_EQ(be.completionOf(handles[i], 0),
+                  retained ? done[i] : 0u)
+            << "handle " << handles[i];
+    }
+    // A handle never dispatched reads 0 too, and delaying a long
+    // retired instruction is a no-op.
+    EXPECT_EQ(be.completionOf(handles.back() + 1, 0), 0u);
+    be.delayInst(handles.front(), 0, now + 100);
+    EXPECT_EQ(be.completionOf(handles.front(), 0), 0u);
+}
+
+TEST(BackendTest, ProducerDroppedFromRetentionReadsAsLongComplete)
+{
+    // Enough PEs that a consumer can still wait while its producer
+    // and retainedTraces younger traces retire in one cycle: the
+    // producer then reads as complete at cycle 0, as any long
+    // retired one does, and the consumer's wait shrinks to the
+    // cross-PE latency.
+    BackendConfig cfg;
+    cfg.numPes = TimingBackend::retainedTraces + 4;
+    cfg.crossPeLatency = 5;
+    TimingBackend be(cfg);
+    auto [p, pd] = traceAndDyn({makeInst(Opcode::Mul, 1, 2, 3)});
+    auto [f, fd] = traceAndDyn({makeInst(Opcode::Addi, 5, 0, 0, 1)});
+    auto [c, cd] = traceAndDyn({makeInst(Opcode::Addi, 4, 1, 0, 1)});
+    const std::uint64_t producer = be.dispatch(p, pd, 0);
+    for (unsigned i = 0; i < TimingBackend::retainedTraces; ++i)
+        be.dispatch(f, fd, 0);
+    const std::uint64_t consumer = be.dispatch(c, cd, 0);
+    // The mul issues at 1 and completes at 6, when the producer and
+    // every filler retire; the consumer would wait for 6 + 5 = 11
+    // but issues at 7 instead.
+    Cycle now = 0;
+    while (be.completionOf(consumer, 0) == TimingBackend::noCompletion) {
+        be.tick(++now);
+        while (be.headHandle() != consumer &&
+               be.headCompletionTime() <= now)
+            be.retireHead();
+        ASSERT_LT(now, 100u);
+    }
+    EXPECT_EQ(be.completionOf(producer, 0), 0u);
+    EXPECT_EQ(be.completionOf(consumer, 0), 8u);
+}
+
+TEST(BackendTest, BusAccountingSurvivesGapLongerThanRing)
+{
+    // One result bus, and a consumer trace on PE1 whose two
+    // instructions read values produced on PE0, so they contend for
+    // the bus in the same cycle: one transfers, one stalls.
+    BackendConfig cfg;
+    cfg.resultBuses = 1;
+    auto [p, pd] = traceAndDyn({makeInst(Opcode::Addi, 1, 0, 0, 1),
+                                makeInst(Opcode::Addi, 2, 0, 0, 1)});
+    auto [d, dd] = traceAndDyn({makeInst(Opcode::Addi, 9, 0, 0, 1)});
+    auto [c, cd] = traceAndDyn({makeInst(Opcode::Addi, 3, 1, 0, 1),
+                                makeInst(Opcode::Addi, 4, 2, 0, 1)});
+    // Round one: the producers issue at 1 and complete at 2; the
+    // consumers use the bus at 4 and 5. Round two re-dispatches the
+    // consumers (behind a filler on PE0) after an idle gap, so they
+    // are ready in the first cycle after it. A gap of 64k + 3 lands
+    // that cycle on the ring entries round one used.
+    for (const Cycle gap : {Cycle{643}, Cycle{700}, Cycle{6403}}) {
+        SCOPED_TRACE("gap " + std::to_string(gap));
+        TimingBackend jumped(cfg), ticked(cfg);
+        for (TimingBackend *be : {&jumped, &ticked}) {
+            be->dispatch(p, pd, 0);
+            be->dispatch(c, cd, 0);
+            Cycle now = runUntilRetired(*be);
+            while (be == &ticked && now < gap)
+                be->tick(++now);
+            be->dispatch(d, dd, gap);
+            be->dispatch(c, cd, gap);
+            runUntilRetired(*be, gap);
+        }
+        EXPECT_EQ(jumped.stats().busTransfers, 4u);
+        EXPECT_EQ(jumped.stats().busStalls, 2u);
+        EXPECT_EQ(ticked.stats().busStalls, 2u);
+        for (std::uint64_t h = 1; h <= 4; ++h) {
+            const unsigned len = h == 3 ? 1 : 2;
+            for (unsigned i = 0; i < len; ++i)
+                EXPECT_EQ(jumped.completionOf(h, i),
+                          ticked.completionOf(h, i));
+        }
+        EXPECT_EQ(jumped.completionOf(4, 0), gap + 2);
+        EXPECT_EQ(jumped.completionOf(4, 1), gap + 3);
+    }
+}
+
+// ---------------------------------------------------------------
+// Event skipping: a backend driven only at nextEvent() cycles must
+// be indistinguishable from one ticked every cycle.
+// ---------------------------------------------------------------
+
+/** A random dependent trace stream plus frontend timing. */
+struct SkipWorkload
+{
+    std::vector<std::pair<Trace, std::vector<DynInst>>> traces;
+    /** Earliest dispatch cycle of each trace. */
+    std::vector<Cycle> arrival;
+    /**
+     * Per dispatch: delay instruction idx of the trace dispatched
+     * `back` traces earlier (when still in flight) by `extra`.
+     */
+    struct Delay
+    {
+        bool enabled;
+        unsigned back;
+        unsigned idx;
+        Cycle extra;
+    };
+    std::vector<Delay> delays;
+};
+
+SkipWorkload
+randomSkipWorkload(std::uint64_t seed, unsigned count)
+{
+    static const Opcode ops[] = {Opcode::Add, Opcode::Addi,
+                                 Opcode::Sub, Opcode::Mul,
+                                 Opcode::Div, Opcode::Ld,
+                                 Opcode::Sd};
+    Rng rng(seed);
+    SkipWorkload w;
+    Cycle at = 0;
+    for (unsigned n = 0; n < count; ++n) {
+        // Few registers, so operands chain within and across
+        // traces (and so across PEs).
+        const auto reg = [&] { return RegIndex(rng.nextBelow(6)); };
+        std::vector<Instruction> insts;
+        const unsigned len = 1 + rng.nextBelow(maxTraceLen);
+        for (unsigned i = 0; i < len; ++i) {
+            insts.push_back(makeInst(ops[rng.nextBelow(std::size(ops))],
+                                     reg(), reg(), reg(), 8));
+        }
+        auto trace = traceAndDyn(insts);
+        for (DynInst &d : trace.second)
+            d.effAddr = 0x100000 + rng.nextBelow(1024) * 64;
+        w.traces.push_back(std::move(trace));
+        // Mostly back to back; sometimes a gap longer than the bus
+        // ring.
+        at += rng.nextBool(0.05) ? 64 + rng.nextBelow(200)
+                                 : rng.nextBelow(3);
+        w.arrival.push_back(at);
+        w.delays.push_back({rng.nextBool(0.3),
+                            static_cast<unsigned>(rng.nextBelow(4)),
+                            static_cast<unsigned>(rng.nextBelow(16)),
+                            rng.nextBelow(40)});
+    }
+    return w;
+}
+
+struct SkipRun
+{
+    std::vector<Cycle> completions; ///< every instruction, at retire
+    std::vector<Cycle> retireCycles;
+    TimingBackend::Stats stats;
+    Cycle end = 0;
+    std::uint64_t ticks = 0;
+};
+
+SkipRun
+driveBackend(const BackendConfig &cfg, const SkipWorkload &w,
+             bool skip)
+{
+    TimingBackend be(cfg);
+    SkipRun run;
+    std::size_t next = 0;
+    std::size_t retired = 0;
+    Cycle now = 0;
+    while (next < w.traces.size() || !be.empty()) {
+        if (skip) {
+            Cycle at = be.nextEvent(now);
+            if (next < w.traces.size() && be.hasFreePe())
+                at = std::min(at, std::max(w.arrival[next], now + 1));
+            if (at == TimingBackend::noCompletion) {
+                ADD_FAILURE() << "no next event at cycle " << now;
+                break;
+            }
+            EXPECT_GT(at, now);
+            now = at;
+        } else {
+            ++now;
+        }
+        be.tick(now);
+        ++run.ticks;
+        while (!be.empty()) {
+            const Cycle done = be.headCompletionTime();
+            if (done == TimingBackend::noCompletion || done > now)
+                break;
+            const unsigned len = w.traces[retired].first.len();
+            for (unsigned i = 0; i < len; ++i)
+                run.completions.push_back(
+                    be.completionOf(be.headHandle(), i));
+            run.retireCycles.push_back(now);
+            be.retireHead();
+            ++retired;
+        }
+        if (next < w.traces.size() && be.hasFreePe() &&
+            now >= w.arrival[next]) {
+            const auto &[trace, dyn] = w.traces[next];
+            be.dispatch(trace, dyn, now);
+            // Handles are dense from 1: trace k has handle k + 1.
+            const SkipWorkload::Delay &d = w.delays[next];
+            if (d.enabled && d.back <= next &&
+                next - d.back >= retired) {
+                const std::size_t target = next - d.back;
+                be.delayInst(target + 1,
+                             d.idx % w.traces[target].first.len(),
+                             now + d.extra);
+            }
+            ++next;
+        }
+        if (now > 2'000'000) {
+            ADD_FAILURE() << "backend did not drain";
+            break;
+        }
+    }
+    run.stats = be.stats();
+    run.end = now;
+    return run;
+}
+
+TEST(BackendTest, EventSkippingMatchesTickingEveryCycle)
+{
+    BackendConfig in_order;
+    BackendConfig out_of_order;
+    out_of_order.inOrderPe = false;
+    // Scarce buses and ports: structural stalls on most cycles (two
+    // buses, the fewest an instruction with two cross-PE operands
+    // can ever issue with).
+    BackendConfig tight;
+    tight.numPes = 2;
+    tight.issuePerPe = 1;
+    tight.resultBuses = 2;
+    tight.dcachePorts = 1;
+    tight.dcachePortsPerPe = 1;
+    tight.crossPeLatency = 3;
+    BackendConfig wide;
+    wide.numPes = 8;
+    wide.issuePerPe = 4;
+    wide.crossPeLatency = 1;
+    const std::pair<const char *, BackendConfig> configs[] = {
+        {"in-order", in_order},
+        {"out-of-order", out_of_order},
+        {"tight", tight},
+        {"wide", wide},
+    };
+    for (const auto &[name, cfg] : configs) {
+        for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+            SCOPED_TRACE(std::string(name) + " seed " +
+                         std::to_string(seed));
+            const SkipWorkload w = randomSkipWorkload(seed, 300);
+            const SkipRun full = driveBackend(cfg, w, false);
+            const SkipRun skip = driveBackend(cfg, w, true);
+            ASSERT_EQ(full.retireCycles.size(), w.traces.size());
+            EXPECT_EQ(skip.completions, full.completions);
+            EXPECT_EQ(skip.retireCycles, full.retireCycles);
+            EXPECT_EQ(skip.end, full.end);
+            EXPECT_EQ(skip.stats.instsIssued, full.stats.instsIssued);
+            EXPECT_EQ(skip.stats.dcacheAccesses,
+                      full.stats.dcacheAccesses);
+            EXPECT_EQ(skip.stats.dcacheMisses, full.stats.dcacheMisses);
+            EXPECT_EQ(skip.stats.busTransfers, full.stats.busTransfers);
+            EXPECT_EQ(skip.stats.busStalls, full.stats.busStalls);
+            if (cfg.inOrderPe) {
+                EXPECT_LT(skip.ticks, full.ticks);
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------

@@ -367,6 +367,39 @@ def test_new_benchmark_skips_with_warning():
     assert "no baseline" in msg
 
 
+# --- the committed baseline -------------------------------------
+
+def _committed_baseline():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "bench", "BASELINE.json")) as f:
+        return json.load(f)
+
+
+def test_committed_baseline_gates_timing_benches():
+    # fig6/fig8 (timing mode) are gated, not skipped as new benches.
+    baseline = _committed_baseline()
+    for name in ("fig6_speedup", "fig8_extended_pipeline"):
+        entry = baseline[name]
+        code, msg = evaluate(good_report(name=name, mips=entry["mips"]),
+                             baseline)
+        assert code == 0 and "[PASS]" in msg, msg
+        code, msg = evaluate(
+            good_report(name=name, mips=entry["mips_floor"] * 0.99),
+            baseline)
+        assert code == 1 and "[FAIL]" in msg, msg
+
+
+def test_committed_baseline_skips_report_without_entry():
+    # A real bench with no committed entry warns and passes.
+    baseline = _committed_baseline()
+    name = "table3_miss_supply"
+    assert name not in baseline
+    code, msg = evaluate(good_report(name=name), baseline)
+    assert code == 0
+    assert f"new benchmark '{name}'" in msg
+    assert "no baseline" in msg
+
+
 # --- malformed inputs never raise -------------------------------
 
 def test_baseline_entry_without_mips_is_an_error():
