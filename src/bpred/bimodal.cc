@@ -5,9 +5,8 @@
 namespace tpre
 {
 
-BimodalPredictor::BimodalPredictor(std::size_t entries,
-                                   mem::ArenaRef arena)
-    : table_(entries, 2, mem::ArenaAllocator<std::uint8_t>(arena)),
+BimodalPredictor::BimodalPredictor(std::size_t entries)
+    : table_(entries, 2),
       mask_(entries - 1)
 {
     tpre_assert(entries > 0 && (entries & (entries - 1)) == 0,

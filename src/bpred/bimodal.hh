@@ -12,9 +12,9 @@
 #define TPRE_BPRED_BIMODAL_HH
 
 #include <cstdint>
+#include <vector>
 
 #include "common/types.hh"
-#include "mem/arena.hh"
 #include "mem/checkpoint.hh"
 
 namespace tpre
@@ -34,8 +34,7 @@ class BimodalPredictor
 {
   public:
     /** @param entries Table size; must be a power of two. */
-    explicit BimodalPredictor(std::size_t entries = 16 * 1024,
-                              mem::ArenaRef arena = {});
+    explicit BimodalPredictor(std::size_t entries = 16 * 1024);
 
     // Predict, train and classify are all single table reads;
     // inline so the per-branch hot paths (slow-path training,
@@ -89,7 +88,7 @@ class BimodalPredictor
         return static_cast<std::size_t>(pc / instBytes) & mask_;
     }
 
-    mem::ArenaVector<std::uint8_t> table_;
+    std::vector<std::uint8_t> table_;
     std::size_t mask_;
 };
 

@@ -3,8 +3,8 @@
 namespace tpre
 {
 
-ICache::ICache(ICacheConfig config, mem::ArenaRef arena)
-    : config_(config), tags_(config.geometry, arena)
+ICache::ICache(ICacheConfig config)
+    : config_(config), tags_(config.geometry)
 {
 }
 

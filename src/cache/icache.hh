@@ -45,8 +45,7 @@ class ICache
         { return demandMisses + preconMisses; }
     };
 
-    explicit ICache(ICacheConfig config = {},
-                    mem::ArenaRef arena = {});
+    explicit ICache(ICacheConfig config = {});
 
     /**
      * Fetch the line containing @p addr. @p for_precon marks

@@ -7,10 +7,8 @@
 namespace tpre
 {
 
-PrefetchCache::PrefetchCache(unsigned capacityInsts,
-                             mem::ArenaRef arena)
-    : capacityLines_(capacityInsts / instsPerLine),
-      lines_(mem::ArenaAllocator<Addr>(arena))
+PrefetchCache::PrefetchCache(unsigned capacityInsts)
+    : capacityLines_(capacityInsts / instsPerLine)
 {
     tpre_assert(capacityInsts >= instsPerLine &&
                 capacityInsts % instsPerLine == 0,

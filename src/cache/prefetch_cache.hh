@@ -11,8 +11,9 @@
 #ifndef TPRE_CACHE_PREFETCH_CACHE_HH
 #define TPRE_CACHE_PREFETCH_CACHE_HH
 
+#include <vector>
+
 #include "common/types.hh"
-#include "mem/arena.hh"
 #include "mem/checkpoint.hh"
 
 namespace tpre
@@ -23,8 +24,7 @@ class PrefetchCache
 {
   public:
     /** @param capacityInsts Capacity in instructions (paper: 256). */
-    explicit PrefetchCache(unsigned capacityInsts = 256,
-                           mem::ArenaRef arena = {});
+    explicit PrefetchCache(unsigned capacityInsts = 256);
 
     Addr lineAddr(Addr addr) const
     { return addr & ~static_cast<Addr>(lineBytes - 1); }
@@ -67,7 +67,7 @@ class PrefetchCache
   private:
     unsigned capacityLines_;
     /** Small (<= 16 entries): linear search beats hashing here. */
-    mem::ArenaVector<Addr> lines_;
+    std::vector<Addr> lines_;
 };
 
 } // namespace tpre

@@ -6,10 +6,8 @@
 namespace tpre
 {
 
-SetAssocCache::SetAssocCache(CacheGeometry geometry,
-                             mem::ArenaRef arena)
-    : geometry_(geometry),
-      lines_(mem::ArenaAllocator<Line>(arena))
+SetAssocCache::SetAssocCache(CacheGeometry geometry)
+    : geometry_(geometry)
 {
     tpre_assert(geometry_.assoc >= 1);
     tpre_assert(geometry_.lineBytes > 0 &&

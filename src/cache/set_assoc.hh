@@ -10,9 +10,9 @@
 #define TPRE_CACHE_SET_ASSOC_HH
 
 #include <cstddef>
+#include <vector>
 
 #include "common/types.hh"
-#include "mem/arena.hh"
 #include "mem/checkpoint.hh"
 
 namespace tpre
@@ -33,8 +33,7 @@ struct CacheGeometry
 class SetAssocCache
 {
   public:
-    explicit SetAssocCache(CacheGeometry geometry,
-                           mem::ArenaRef arena = {});
+    explicit SetAssocCache(CacheGeometry geometry);
 
     /** Line-aligned address of the line containing @p addr. */
     Addr lineAddr(Addr addr) const
@@ -75,7 +74,7 @@ class SetAssocCache
 
     CacheGeometry geometry_;
     std::size_t numSets_;
-    mem::ArenaVector<Line> lines_;
+    std::vector<Line> lines_;
     std::uint64_t useClock_ = 0;
 };
 

@@ -5,7 +5,6 @@
 
 #include "check/stats_check.hh"
 #include "isa/disasm.hh"
-#include "mem/arena.hh"
 #include "mem/checkpoint.hh"
 #include "trace/fill_unit.hh"
 #include "tracefmt/reader.hh"
@@ -338,48 +337,6 @@ diffModels(const Program &program, const DiffConfig &cfg)
                               statsConserved(stats))) {
             result.failure = f;
             return result;
-        }
-    }
-
-    // --- Arena allocation ---------------------------------------
-    // Re-run the same configuration hookless with every container
-    // backed by a run-local arena. The arena is a pure allocation
-    // strategy: every statistic must come out bit-identical to the
-    // global-allocator run, and the run must still reconcile and
-    // conserve. The arena is destroyed on scope exit, after the
-    // simulator.
-    {
-        mem::Arena arena;
-        FastSimConfig acfg;
-        acfg.traceCacheEntries = cfg.traceCacheEntries;
-        acfg.traceCacheAssoc = cfg.traceCacheAssoc;
-        acfg.selection = cfg.selection;
-        acfg.preconEnabled = cfg.preconEnabled;
-        acfg.precon = cfg.precon;
-        acfg.arena = arena;
-
-        {
-            FastSim sim(program, acfg);
-            const ObsCounters before = ObsCounters::captureThread();
-            const FastSimStats &stats = sim.run(cfg.maxInsts);
-            const ObsCounters delta =
-                ObsCounters::captureThread() - before;
-
-            if (auto f = prefixed("arena",
-                                  obsReconcilesFast(delta, stats))) {
-                result.failure = f;
-                return result;
-            }
-            if (auto f = prefixed("arena",
-                                  fastStatsEqual(liveStats,
-                                                 stats))) {
-                result.failure = f;
-                return result;
-            }
-            if (auto f = prefixed("arena", statsConserved(stats))) {
-                result.failure = f;
-                return result;
-            }
         }
     }
 

@@ -68,6 +68,19 @@ parsePort(const char *text, const char *what)
 }
 
 bool
+parseFlag(const char *name, bool unsetDefault)
+{
+    const char *env = std::getenv(name);
+    if (!env)
+        return unsetDefault;
+    if (std::strcmp(env, "0") == 0)
+        return false;
+    if (std::strcmp(env, "1") == 0)
+        return true;
+    fatal("%s: '%s' is not 0 or 1", name, env);
+}
+
+bool
 isBenchmarkOutFlag(const char *arg)
 {
     if (!arg)

@@ -1,9 +1,10 @@
 /**
  * @file
- * Strict numeric parsing for environment variables and command-line
- * flags. The helpers reject garbage instead of letting atoll-style
- * parsing silently turn "2e8" into 2 or "fast" into 0, which later
- * surfaces as a misleading failure far from the bad input.
+ * Strict numeric and on/off parsing for environment variables
+ * and command-line flags. The helpers reject garbage instead of
+ * letting atoll-style parsing silently turn "2e8" into 2 or "fast"
+ * into 0, which later surfaces as a misleading failure far from the
+ * bad input.
  */
 
 #ifndef TPRE_COMMON_PARSE_HH
@@ -50,6 +51,15 @@ unsigned parseJobs(const char *text, const char *what);
  * values above 65535 — never silently truncates.
  */
 int parsePort(const char *text, const char *what);
+
+/**
+ * Read the on/off environment variable @p name: @p unsetDefault
+ * when it is unset, false for exactly "0", true for exactly "1".
+ * Anything else — "true", "on", an empty string, " 1" — calls
+ * fatal() naming the variable, so a misspelt switch fails loudly
+ * instead of silently picking a side.
+ */
+bool parseFlag(const char *name, bool unsetDefault);
 
 /**
  * Does @p arg name google-benchmark's output-file flag — exactly

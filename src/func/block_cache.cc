@@ -1,8 +1,7 @@
 #include "func/block_cache.hh"
 
-#include <cstdlib>
-
 #include "common/logging.hh"
+#include "common/parse.hh"
 #include "common/random.hh"
 
 namespace tpre
@@ -11,14 +10,7 @@ namespace tpre
 bool
 blockCacheDefaultEnabled()
 {
-    const char *env = std::getenv("TPRE_BLOCK_CACHE");
-    if (!env)
-        return true;
-    if (env[0] == '0' && env[1] == '\0')
-        return false;
-    if (env[0] == '1' && env[1] == '\0')
-        return true;
-    fatal("TPRE_BLOCK_CACHE: '%s' is not 0 or 1", env);
+    return parseFlag("TPRE_BLOCK_CACHE", true);
 }
 
 namespace
@@ -120,9 +112,7 @@ BlockCache::rehash(std::size_t newCapacity)
 {
     tpre_assert((newCapacity & (newCapacity - 1)) == 0,
                 "block table capacity must be a power of two");
-    // Stay on the owning allocator (arena or global) across growth.
-    mem::ArenaVector<Slot> fresh(newCapacity,
-                                 slots_.get_allocator());
+    std::vector<Slot> fresh(newCapacity);
     const std::size_t mask = newCapacity - 1;
     for (const Slot &slot : slots_) {
         if (slot.leader == kEmptySlot)

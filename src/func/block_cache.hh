@@ -25,9 +25,10 @@
 #define TPRE_FUNC_BLOCK_CACHE_HH
 
 #include <cstdint>
+#include <deque>
+#include <vector>
 
 #include "isa/program.hh"
-#include "mem/arena.hh"
 
 namespace tpre
 {
@@ -112,12 +113,7 @@ class BlockCache
         std::uint64_t invalidations = 0;
     };
 
-    explicit BlockCache(const Program &program,
-                        mem::ArenaRef arena = {})
-        : program_(&program),
-          pool_(mem::ArenaAllocator<DecodedBlock>(arena)),
-          slots_(mem::ArenaAllocator<Slot>(arena))
-    {}
+    explicit BlockCache(const Program &program) : program_(&program) {}
 
     BlockCache(const BlockCache &) = delete;
     BlockCache &operator=(const BlockCache &) = delete;
@@ -168,9 +164,9 @@ class BlockCache
 
     const Program *program_;
     /** Block storage; deque keeps addresses stable on growth. */
-    mem::ArenaDeque<DecodedBlock> pool_;
+    std::deque<DecodedBlock> pool_;
     /** Open-addressing leader table (linear probing). */
-    mem::ArenaVector<Slot> slots_;
+    std::vector<Slot> slots_;
     std::size_t slotMask_ = 0;
     Stats stats_;
 };

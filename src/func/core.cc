@@ -5,9 +5,8 @@
 namespace tpre
 {
 
-FunctionalCore::FunctionalCore(const Program &program,
-                               mem::ArenaRef arena)
-    : program_(program), state_(arena)
+FunctionalCore::FunctionalCore(const Program &program)
+    : program_(program)
 {
     reset();
 }

@@ -21,9 +21,6 @@ namespace tpre
 /** Architectural register file plus data memory. */
 struct ArchState
 {
-    ArchState() = default;
-    explicit ArchState(mem::ArenaRef arena) : mem(arena) {}
-
     std::array<RegValue, numArchRegs> regs = {};
     Memory mem;
 
@@ -208,8 +205,7 @@ class FunctionalCore
     /** Initial stack pointer handed to programs on reset. */
     static constexpr Addr initialStack = 0x8000'0000;
 
-    explicit FunctionalCore(const Program &program,
-                            mem::ArenaRef arena = {});
+    explicit FunctionalCore(const Program &program);
 
     /** Restart execution from the program entry with cleared state. */
     void reset();

@@ -68,11 +68,7 @@ Memory::rehash(std::size_t newCapacity)
 {
     tpre_assert((newCapacity & (newCapacity - 1)) == 0,
                 "page table capacity must be a power of two");
-    // The replacement table must come from the same allocator as
-    // the one it replaces, or an arena-backed Memory would silently
-    // migrate its hottest structure to the global heap on growth.
-    mem::ArenaVector<Slot> fresh(newCapacity,
-                                 slots_.get_allocator());
+    std::vector<Slot> fresh(newCapacity);
     const std::size_t mask = newCapacity - 1;
     for (const Slot &slot : slots_) {
         if (slot.pageNum == kEmptySlot)

@@ -19,9 +19,10 @@
 #define TPRE_FUNC_MEMORY_HH
 
 #include <cstdint>
+#include <deque>
+#include <vector>
 
 #include "common/types.hh"
-#include "mem/arena.hh"
 #include "mem/checkpoint.hh"
 
 namespace tpre
@@ -37,10 +38,7 @@ class Memory
     /** Page-table slots allocated on first write (power of two). */
     static constexpr std::size_t initialSlots = 64;
 
-    explicit Memory(mem::ArenaRef arena = {})
-        : pool_(mem::ArenaAllocator<Page>(arena)),
-          slots_(mem::ArenaAllocator<Slot>(arena))
-    {}
+    Memory() = default;
 
     // Pages live in a stable pool; moving is fine, copying is not
     // meaningful for a simulation component.
@@ -127,9 +125,9 @@ class Memory
     void rehash(std::size_t newCapacity);
 
     /** Page storage; deque keeps page addresses stable on growth. */
-    mem::ArenaDeque<Page> pool_;
+    std::deque<Page> pool_;
     /** Open-addressing page table (linear probing). */
-    mem::ArenaVector<Slot> slots_;
+    std::vector<Slot> slots_;
     std::size_t slotMask_ = 0;
 
     /** One-entry MRU cache (kEmptySlot = invalid). */

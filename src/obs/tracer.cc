@@ -119,10 +119,8 @@ traceRingCapacityFromEnv()
 Tracer::Tracer()
 {
     capacity_ = traceRingCapacityFromEnv();
-    if (const char *env = std::getenv("TPRE_TRACE")) {
-        if (env[0] == '1' && env[1] == '\0')
-            enabled_.store(true, std::memory_order_relaxed);
-    }
+    enabled_.store(parseFlag("TPRE_TRACE", false),
+                   std::memory_order_relaxed);
 }
 
 Tracer &

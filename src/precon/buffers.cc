@@ -8,9 +8,8 @@ namespace tpre
 {
 
 PreconstructionBuffers::PreconstructionBuffers(std::size_t numEntries,
-                                               unsigned assoc,
-                                               mem::ArenaRef arena)
-    : assoc_(assoc), entries_(mem::ArenaAllocator<Entry>(arena))
+                                               unsigned assoc)
+    : assoc_(assoc)
 {
     tpre_assert(assoc >= 1);
     tpre_assert(numEntries >= assoc && numEntries % assoc == 0);

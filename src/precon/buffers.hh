@@ -13,8 +13,8 @@
 #define TPRE_PRECON_BUFFERS_HH
 
 #include <functional>
+#include <vector>
 
-#include "mem/arena.hh"
 #include "mem/checkpoint.hh"
 #include "trace/trace.hh"
 
@@ -49,8 +49,7 @@ class PreconStore
 class PreconstructionBuffers : public PreconStore
 {
   public:
-    PreconstructionBuffers(std::size_t numEntries, unsigned assoc = 2,
-                           mem::ArenaRef arena = {});
+    PreconstructionBuffers(std::size_t numEntries, unsigned assoc = 2);
 
     /**
      * Probe for a trace (accessed in parallel with the trace
@@ -104,7 +103,7 @@ class PreconstructionBuffers : public PreconStore
 
     unsigned assoc_;
     std::size_t numSets_;
-    mem::ArenaVector<Entry> entries_;
+    std::vector<Entry> entries_;
 };
 
 } // namespace tpre

@@ -10,12 +10,9 @@ namespace tpre
 PreconConstructor::PreconConstructor(const Program &program,
                                      const BimodalPredictor &bimodal,
                                      const PreconPolicy &policy,
-                                     bool bulkWalk,
-                                     mem::ArenaRef arena)
+                                     bool bulkWalk)
     : program_(program), bimodal_(bimodal), policy_(policy),
-      bulkWalk_(bulkWalk), builder_(policy.selection),
-      pendingPaths_(mem::ArenaAllocator<DecisionPath>(arena)),
-      callStack_(mem::ArenaAllocator<Addr>(arena))
+      bulkWalk_(bulkWalk), builder_(policy.selection)
 {
 }
 

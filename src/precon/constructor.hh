@@ -12,9 +12,10 @@
 #ifndef TPRE_PRECON_CONSTRUCTOR_HH
 #define TPRE_PRECON_CONSTRUCTOR_HH
 
+#include <vector>
+
 #include "bpred/bimodal.hh"
 #include "isa/program.hh"
-#include "mem/arena.hh"
 #include "mem/checkpoint.hh"
 #include "precon/region.hh"
 
@@ -83,8 +84,7 @@ class PreconConstructor
     PreconConstructor(const Program &program,
                       const BimodalPredictor &bimodal,
                       const PreconPolicy &policy,
-                      bool bulkWalk = false,
-                      mem::ArenaRef arena = {});
+                      bool bulkWalk = false);
 
     bool idle() const { return region_ == nullptr; }
     Region *region() const { return region_; }
@@ -140,11 +140,11 @@ class PreconConstructor
     /** How many of decisions_ are replayed prescriptions. */
     std::size_t decIndex_ = 0;
     /** Alternative paths to explore (decision-stack backtracking). */
-    mem::ArenaVector<DecisionPath> pendingPaths_;
+    std::vector<DecisionPath> pendingPaths_;
     /** Remaining forks allowed for this start point. */
     unsigned forkBudget_ = 0;
     /** Intra-path call stack for resolving returns. */
-    mem::ArenaVector<Addr> callStack_;
+    std::vector<Addr> callStack_;
     bool callStackBroken_ = false;
     unsigned tracesFromStart_ = 0;
     bool pathActive_ = false;

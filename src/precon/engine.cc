@@ -28,10 +28,8 @@ PreconstructionEngine::PreconstructionEngine(
     PreconConfig config)
     : program_(program), icache_(icache), bimodal_(bimodal),
       traceCache_(traceCache), config_(config),
-      buffers_(config.bufferEntries, config.bufferAssoc,
-               config.arena),
-      stack_(config.stackDepth, config.completedSlots, config.arena),
-      regionPool_(config.arena)
+      buffers_(config.bufferEntries, config.bufferAssoc),
+      stack_(config.stackDepth, config.completedSlots)
 {
     tpre_assert(config_.numConstructors >= 1);
     tpre_assert(config_.numPrefetchCaches >= 1);
@@ -39,8 +37,7 @@ PreconstructionEngine::PreconstructionEngine(
     for (unsigned i = 0; i < config_.numConstructors; ++i)
         constructors_.emplace_back(program_, bimodal_,
                                    config_.policy,
-                                   config_.blockWalk,
-                                   config_.arena);
+                                   config_.blockWalk);
 }
 
 PreconstructionEngine::~PreconstructionEngine() = default;
@@ -372,9 +369,9 @@ PreconstructionEngine::startRegion()
         const StartPoint sp = stack_.pop();
         if (!program_.contains(sp.addr))
             continue;
-        regions_.push_back(regionPool_.make(
+        regions_.push_back(std::make_unique<Region>(
             nextRegionSeq_++, sp, config_.prefetchCacheInsts,
-            config_.policy, config_.arena));
+            config_.policy));
         regionSig_ |= addrSigBit(sp.addr);
         regions_.back()->obsStartCycle = now_;
         ++stats_.regionsStarted;
@@ -504,9 +501,8 @@ PreconstructionEngine::restore(mem::ByteReader &r)
     for (std::uint32_t i = 0; i < numRegions; ++i) {
         const auto seq = r.get<std::uint64_t>();
         const auto origin = r.get<StartPoint>();
-        regions_.push_back(regionPool_.make(
-            seq, origin, config_.prefetchCacheInsts, config_.policy,
-            config_.arena));
+        regions_.push_back(std::make_unique<Region>(
+            seq, origin, config_.prefetchCacheInsts, config_.policy));
         regions_.back()->restore(r);
     }
     const auto numConstructors = r.get<std::uint32_t>();

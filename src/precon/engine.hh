@@ -20,7 +20,6 @@
 #include "cache/icache.hh"
 #include "func/block_cache.hh"
 #include "func/core.hh"
-#include "mem/arena.hh"
 #include "mem/checkpoint.hh"
 #include "precon/buffers.hh"
 #include "precon/constructor.hh"
@@ -68,13 +67,6 @@ struct PreconConfig
      * blockCache knob; the default honours TPRE_BLOCK_CACHE.
      */
     bool blockWalk = blockCacheDefaultEnabled();
-    /**
-     * Per-run arena all engine-internal state (buffers, regions,
-     * constructor stacks) draws from; null keeps the global
-     * allocator. Set by the owning simulator rather than a ctor
-     * parameter so existing construction sites stay unchanged.
-     */
-    mem::ArenaRef arena;
     PreconPolicy policy;
 };
 
@@ -228,14 +220,7 @@ class PreconstructionEngine : public PreconTraceSink
     PreconStore *externalStore_ = nullptr;
     std::function<bool(const TraceId &)> primaryProbe_;
     StartPointStack stack_;
-    /**
-     * Per-object-class pool the regions are carved from: region
-     * start/retire churn stays off the global allocator when the
-     * run owns an arena. Declared before regions_ so the pool
-     * outlives the owning pointers.
-     */
-    mem::ArenaPool<Region> regionPool_;
-    std::vector<mem::ArenaPool<Region>::Ptr> regions_;
+    std::vector<std::unique_ptr<Region>> regions_;
     std::vector<PreconConstructor> constructors_;
     std::uint64_t nextRegionSeq_ = 1;
     /**

@@ -8,14 +8,9 @@ namespace tpre
 {
 
 Region::Region(std::uint64_t seq, StartPoint origin,
-               unsigned prefetchCapacity, const PreconPolicy &policy,
-               mem::ArenaRef arena)
-    : pendingFetches(mem::ArenaAllocator<PendingFetch>(arena)),
-      neededLines(mem::ArenaAllocator<Addr>(arena)),
-      seq_(seq), origin_(origin), policy_(policy),
-      prefetch_(prefetchCapacity, arena),
-      worklist_(mem::ArenaAllocator<Addr>(arena)),
-      seenStarts_(arena)
+               unsigned prefetchCapacity, const PreconPolicy &policy)
+    : seq_(seq), origin_(origin), policy_(policy),
+      prefetch_(prefetchCapacity)
 {
     addStartPoint(origin.addr);
     if (origin.kind == StartPointKind::LoopExit) {

@@ -9,8 +9,9 @@
 #ifndef TPRE_PRECON_REGION_HH
 #define TPRE_PRECON_REGION_HH
 
+#include <vector>
+
 #include "cache/prefetch_cache.hh"
-#include "mem/arena.hh"
 #include "mem/checkpoint.hh"
 #include "precon/start_point_stack.hh"
 #include "trace/selector.hh"
@@ -30,11 +31,6 @@ namespace tpre
 class AddrSet
 {
   public:
-    AddrSet() = default;
-    explicit AddrSet(mem::ArenaRef arena)
-        : slots_(mem::ArenaAllocator<Addr>(arena))
-    {}
-
     bool
     contains(Addr addr) const
     {
@@ -99,9 +95,7 @@ class AddrSet
     void
     grow()
     {
-        // Move keeps the allocator, so the rebuilt table stays on
-        // the owning arena (or the global heap) across growth.
-        mem::ArenaVector<Addr> old = std::move(slots_);
+        std::vector<Addr> old = std::move(slots_);
         slots_.assign(old.size() * 2, invalidAddr);
         count_ = 0;
         for (Addr a : old) {
@@ -110,7 +104,7 @@ class AddrSet
         }
     }
 
-    mem::ArenaVector<Addr> slots_;
+    std::vector<Addr> slots_;
     std::size_t count_ = 0;
 };
 
@@ -165,8 +159,7 @@ class Region
      * @param prefetchCapacity Prefetch cache capacity in insts.
      */
     Region(std::uint64_t seq, StartPoint origin,
-           unsigned prefetchCapacity, const PreconPolicy &policy,
-           mem::ArenaRef arena = {});
+           unsigned prefetchCapacity, const PreconPolicy &policy);
 
     std::uint64_t seq() const { return seq_; }
     Addr startAddr() const { return origin_.addr; }
@@ -199,12 +192,12 @@ class Region
         Addr line = invalidAddr;
         Cycle readyAt = 0;
     };
-    mem::ArenaVector<PendingFetch> pendingFetches;
+    std::vector<PendingFetch> pendingFetches;
 
     bool hasPending(Addr line) const;
 
     /** Lines the constructors are stalled on (deduplicated). */
-    mem::ArenaVector<Addr> neededLines;
+    std::vector<Addr> neededLines;
 
     void noteNeededLine(Addr line);
 
@@ -238,7 +231,7 @@ class Region
     StartPoint origin_;
     PreconPolicy policy_;
     PrefetchCache prefetch_;
-    mem::ArenaVector<Addr> worklist_;
+    std::vector<Addr> worklist_;
     AddrSet seenStarts_;
     RegionState state_ = RegionState::Active;
     RegionEndReason endReason_ = RegionEndReason::Completed;

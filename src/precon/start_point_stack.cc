@@ -8,11 +8,8 @@ namespace tpre
 {
 
 StartPointStack::StartPointStack(unsigned depth,
-                                 unsigned completedSlots,
-                                 mem::ArenaRef arena)
-    : depth_(depth), completedSlots_(completedSlots),
-      stack_(mem::ArenaAllocator<StartPoint>(arena)),
-      completed_(mem::ArenaAllocator<Addr>(arena))
+                                 unsigned completedSlots)
+    : depth_(depth), completedSlots_(completedSlots)
 {
     tpre_assert(depth >= 1);
     stack_.reserve(depth);

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "common/types.hh"
-#include "mem/arena.hh"
 #include "mem/checkpoint.hh"
 
 namespace tpre
@@ -39,8 +38,7 @@ struct StartPoint
 class StartPointStack
 {
   public:
-    StartPointStack(unsigned depth = 16, unsigned completedSlots = 4,
-                    mem::ArenaRef arena = {});
+    StartPointStack(unsigned depth = 16, unsigned completedSlots = 4);
 
     /**
      * Push a candidate start point observed in the dispatch
@@ -127,11 +125,11 @@ class StartPointStack
     unsigned depth_;
     unsigned completedSlots_;
     /** Newest entry at the back. */
-    mem::ArenaVector<StartPoint> stack_;
+    std::vector<StartPoint> stack_;
     /** Superset signature of the addresses on the stack. */
     std::uint64_t sig_ = 0;
     /** Recently completed region starts, newest at the back. */
-    mem::ArenaVector<Addr> completed_;
+    std::vector<Addr> completed_;
 };
 
 } // namespace tpre

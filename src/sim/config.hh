@@ -48,14 +48,6 @@ struct SimConfig
      */
     bool blockCache = blockCacheDefaultEnabled();
     /**
-     * Per-run arena allocation for Fast mode: every run draws its
-     * component heaps from a worker-private bump arena freed
-     * wholesale at run end. Bit-identical statistics either way —
-     * only the host allocator changes. Default honours TPRE_ARENA
-     * (on when unset).
-     */
-    bool arena = mem::arenaDefaultEnabled();
-    /**
      * Warm-state reuse (Fast mode): functionally warm the first
      * this-many instructions once per workload, checkpoint, and
      * fork every compatible run from the shared checkpoint instead

@@ -229,7 +229,6 @@ BenchReport::render(double wallSeconds) const
         out += "\"prep\": " + boolWord(c.prepEnabled) + ", ";
         out += "\"workload_seed\": " + u64(c.workloadSeed) + ", ";
         out += "\"max_insts\": " + u64(c.maxInsts) + ", ";
-        out += "\"arena\": " + boolWord(c.arena) + ", ";
         // Warm-state reuse: whether this row was forked from a
         // shared warm-up checkpoint, how many instructions the
         // warm-up covered, and — for rows that requested warm but

@@ -221,12 +221,8 @@ Simulator::warmCheckpoint(const SimConfig &config,
     std::call_once(entry->once, [&] {
         TPRE_OBS_WALL_SPAN("sim", "warmup");
         TPRE_OBS_COUNT("sim.warmups");
-        // The warm-up simulator deliberately uses the global
-        // allocator (null arena): the checkpoint must stay valid
-        // after any per-run arena resets, and its payload is a
-        // plain relocatable byte vector either way. Only the
-        // stream-shaping knobs matter for a functional checkpoint;
-        // everything else stays at defaults.
+        // Only the stream-shaping knobs matter for a functional
+        // checkpoint; everything else stays at defaults.
         FastSimConfig wcfg;
         wcfg.selection = config.selection;
         FastSim warmSim(wl.program, wcfg);
@@ -288,15 +284,7 @@ Simulator::run(const SimConfig &config)
     const auto start = std::chrono::steady_clock::now();
 
     if (config.mode == SimMode::Fast) {
-        // One bump arena per worker thread, reused (chunks
-        // retained) across the runs it executes, reset wholesale
-        // after each. The simulator must be destroyed before the
-        // reset — hence the inner scope.
-        thread_local mem::Arena runArena;
-
         FastSimConfig fcfg = config.toFastConfig();
-        if (config.arena)
-            fcfg.arena = mem::ArenaRef(runArena);
 
         // Trace dump: tap the commit hook so the file records
         // exactly the stream the frontend processed.
@@ -315,34 +303,29 @@ Simulator::run(const SimConfig &config)
             };
         }
 
-        {
-            FastSim sim(wl->program, fcfg);
-            if (warmRun)
-                sim.forkFrom(*warmCp);
-            const InstCount budget =
-                warmRun ? config.maxInsts - config.warmupInsts
-                        : config.maxInsts;
-            if (sampleRun) {
-                result = makeSampledResult(
-                    config,
-                    sample::runSampled(sim, sampleSpec, budget));
-            } else {
-                result = makeFastResult(config, sim.run(budget));
-            }
-
-            if (dump) {
-                if (!tracefmt::writeFileBytes(config.tptDump,
-                                              dump->finish()))
-                    fatal("cannot write trace dump %s",
-                          config.tptDump.c_str());
-                inform("wrote %llu-instruction trace to %s",
-                       static_cast<unsigned long long>(
-                           result.instructions),
-                       config.tptDump.c_str());
-            }
+        FastSim sim(wl->program, fcfg);
+        if (warmRun)
+            sim.forkFrom(*warmCp);
+        const InstCount budget =
+            warmRun ? config.maxInsts - config.warmupInsts
+                    : config.maxInsts;
+        if (sampleRun) {
+            result = makeSampledResult(
+                config, sample::runSampled(sim, sampleSpec, budget));
+        } else {
+            result = makeFastResult(config, sim.run(budget));
         }
-        if (config.arena)
-            runArena.reset();
+
+        if (dump) {
+            if (!tracefmt::writeFileBytes(config.tptDump,
+                                          dump->finish()))
+                fatal("cannot write trace dump %s",
+                      config.tptDump.c_str());
+            inform("wrote %llu-instruction trace to %s",
+                   static_cast<unsigned long long>(
+                       result.instructions),
+                   config.tptDump.c_str());
+        }
     } else {
         if (!config.tptDump.empty())
             warn("tptDump is only supported in Fast mode; "

@@ -32,11 +32,10 @@ runSweep(Simulator &sim, const SimConfig &base,
     results.reserve(points.size());
     for (const SizePoint &point : points) {
         // The base config is copied whole, so warm-state reuse
-        // (base.warmupInsts) and the arena knob apply to every
-        // point of the sweep: all rows fork from the same shared
-        // warm-up checkpoint, which is valid because the grid only
-        // varies frontend shape (tc/pb entries), not the committed
-        // stream.
+        // (base.warmupInsts) applies to every point of the sweep:
+        // all rows fork from the same shared warm-up checkpoint,
+        // which is valid because the grid only varies frontend
+        // shape (tc/pb entries), not the committed stream.
         SimConfig config = base;
         config.traceCacheEntries = point.tcEntries;
         config.preconBufferEntries = point.pbEntries;

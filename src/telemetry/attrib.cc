@@ -1,9 +1,9 @@
 #include "telemetry/attrib.hh"
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "common/logging.hh"
+#include "common/parse.hh"
 
 namespace tpre
 {
@@ -199,14 +199,7 @@ renderAttribJson(const AttribTable &table)
 bool
 attribDefaultEnabled()
 {
-    const char *env = std::getenv("TPRE_ATTRIB");
-    if (!env)
-        return true;
-    if (env[0] == '0' && env[1] == '\0')
-        return false;
-    if (env[0] == '1' && env[1] == '\0')
-        return true;
-    fatal("TPRE_ATTRIB: '%s' is not 0 or 1", env);
+    return parseFlag("TPRE_ATTRIB", true);
 }
 
 } // namespace tpre

@@ -180,8 +180,8 @@ std::string renderAttribJson(const AttribTable &table);
 
 /**
  * The TPRE_ATTRIB knob: unset or "1" enables attribution, "0"
- * disables it, anything else is fatal (same strict convention as
- * TPRE_ARENA / TPRE_BLOCK_CACHE). Parsed on every call — callers
+ * disables it, anything else is fatal (parseFlag, like
+ * TPRE_BLOCK_CACHE). Parsed on every call — callers
  * that need a stable answer (the TraceCache) sample it once at
  * construction.
  */

@@ -3,11 +3,11 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 #include <unistd.h>
 
 #include "common/logging.hh"
+#include "common/parse.hh"
 #include "obs/metrics.hh"
 #include "obs/tracer.hh"
 #include "sim/json_report.hh"
@@ -136,10 +136,8 @@ installFlightRecorder(const std::string &tag)
     static bool installed = false;
     if (installed)
         return;
-    if (const char *env = std::getenv("TPRE_FLIGHT_RECORDER")) {
-        if (!std::strcmp(env, "0"))
-            return;
-    }
+    if (!parseFlag("TPRE_FLIGHT_RECORDER", true))
+        return;
     installed = true;
     gFlightTag = tag;
 

@@ -23,7 +23,6 @@
 #include "check/hooks.hh"
 #include "func/block_cache.hh"
 #include "func/core.hh"
-#include "mem/arena.hh"
 #include "mem/checkpoint.hh"
 #include "precon/engine.hh"
 #include "trace/fill_unit.hh"
@@ -67,15 +66,6 @@ struct FastSimConfig
      * to the TPRE_BLOCK_CACHE environment override (on when unset).
      */
     bool blockCache = blockCacheDefaultEnabled();
-    /**
-     * Per-run arena every component heap (trace cache, predictor
-     * table, I-cache tags, memory pages, precon state, decoded
-     * blocks) draws from. Null (the default) keeps the global
-     * allocator; behaviour is bit-identical either way. The owner
-     * of the arena must outlive the simulator and reset it only
-     * after the simulator is destroyed.
-     */
-    mem::ArenaRef arena;
     /** Commit/trace taps for the tpre::check differential oracle. */
     check::SimHooks hooks;
 };
@@ -191,7 +181,7 @@ class FastSim
 
     /**
      * Signature of the configuration fields a checkpoint of @p kind
-     * depends on. Host-side knobs (blockCache, arena, hooks) are
+     * depends on. Host-side knobs (blockCache, hooks) are
      * excluded: they never change simulated behaviour.
      */
     std::uint64_t configSignature(mem::CheckpointKind kind) const;
@@ -245,6 +235,14 @@ class FastSim
   private:
     void processTrace(const std::vector<DynInst> &window,
                       Trace &&trace, bool partial);
+    /**
+     * Commit one instruction on the scalar paths (run, runUntil,
+     * replay): extend the commit window, feed the segmenter and
+     * process the trace it completes, if any.
+     */
+    void commitScalar(const DynInst &dyn);
+    /** Process the segmenter's partial trace, if any (run end). */
+    void flushPartial();
     /** Block-granular main loop (see run()). */
     void runBlocks(InstCount maxInsts);
     /** Shared run()/replay() epilogue: copy stats, check them. */

@@ -8,9 +8,8 @@
 namespace tpre
 {
 
-TraceCache::TraceCache(std::size_t numEntries, unsigned assoc,
-                       mem::ArenaRef arena)
-    : assoc_(assoc), entries_(mem::ArenaAllocator<Entry>(arena)),
+TraceCache::TraceCache(std::size_t numEntries, unsigned assoc)
+    : assoc_(assoc),
       // Parse the knob unconditionally (junk stays fatal in every
       // build), then force the gate off when obs is compiled out.
       attribOn_(attribDefaultEnabled() && obs::kEnabled)

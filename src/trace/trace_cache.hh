@@ -11,8 +11,8 @@
 #define TPRE_TRACE_TRACE_CACHE_HH
 
 #include <cstddef>
+#include <vector>
 
-#include "mem/arena.hh"
 #include "telemetry/attrib.hh"
 #include "trace/trace.hh"
 
@@ -29,8 +29,7 @@ class TraceCache
      *        instruction storage, matching the paper's sizing).
      * @param assoc Set associativity (paper: 2).
      */
-    TraceCache(std::size_t numEntries, unsigned assoc = 2,
-               mem::ArenaRef arena = {});
+    TraceCache(std::size_t numEntries, unsigned assoc = 2);
 
     /** Look up a trace; updates LRU on hit. nullptr on miss. */
     const Trace *lookup(const TraceId &id);
@@ -138,7 +137,7 @@ class TraceCache
   private:
     unsigned assoc_;
     std::size_t numSets_;
-    mem::ArenaVector<Entry> entries_;
+    std::vector<Entry> entries_;
     std::uint64_t useClock_ = 0;
     /** Provenance clock (simulated cycles); see advanceTo(). */
     Cycle now_ = 0;

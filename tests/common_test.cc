@@ -1,13 +1,15 @@
 /**
  * @file
  * Unit tests for the common module: PRNG, hashing, statistics,
- * strict numeric parsing, logging thread tags, and the InlineVec
- * fixed-capacity container the hot paths store trace bodies in.
+ * strict numeric and on/off parsing, logging thread tags, and the
+ * InlineVec fixed-capacity container the hot paths store trace
+ * bodies in.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <set>
 #include <utility>
 
@@ -16,6 +18,8 @@
 #include "common/parse.hh"
 #include "common/random.hh"
 #include "common/stats.hh"
+#include "obs/tracer.hh"
+#include "telemetry/flight_recorder.hh"
 
 namespace tpre
 {
@@ -132,6 +136,71 @@ TEST(ParseTest, BenchmarkOutFlagMatchesExactFlagOnly)
     EXPECT_FALSE(isBenchmarkOutFlag("--benchmark_out_format"));
     EXPECT_FALSE(isBenchmarkOutFlag("--benchmark_filter=x"));
     EXPECT_FALSE(isBenchmarkOutFlag(nullptr));
+}
+
+/** A variable no other code reads, so the tests own it outright. */
+constexpr const char *kFlagVar = "TPRE_PARSE_FLAG_TEST";
+
+TEST(ParseFlagTest, UnsetGivesTheDefault)
+{
+    unsetenv(kFlagVar);
+    EXPECT_TRUE(parseFlag(kFlagVar, true));
+    EXPECT_FALSE(parseFlag(kFlagVar, false));
+}
+
+TEST(ParseFlagTest, ZeroAndOneOverrideEitherDefault)
+{
+    setenv(kFlagVar, "0", 1);
+    EXPECT_FALSE(parseFlag(kFlagVar, true));
+    EXPECT_FALSE(parseFlag(kFlagVar, false));
+    setenv(kFlagVar, "1", 1);
+    EXPECT_TRUE(parseFlag(kFlagVar, true));
+    EXPECT_TRUE(parseFlag(kFlagVar, false));
+    unsetenv(kFlagVar);
+}
+
+TEST(ParseFlagDeathTest, AnythingElseIsFatalNamingTheVariable)
+{
+    for (const char *bad : {"true", "", " 1", "on", "01", "no"}) {
+        EXPECT_EXIT(
+            {
+                setenv(kFlagVar, bad, 1);
+                parseFlag(kFlagVar, true);
+            },
+            testing::ExitedWithCode(1),
+            "TPRE_PARSE_FLAG_TEST: '.*' is not 0 or 1")
+            << "'" << bad << "' accepted";
+    }
+}
+
+// The two knobs that used to parse laxly. Both read their variable
+// once per process (the tracer singleton, the install-once flight
+// recorder), so each case runs in a freshly exec'd child.
+
+TEST(ParseFlagDeathTest, TraceKnobRejectsTrue)
+{
+    // Regression: "true" was read as off.
+    testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_EXIT(
+        {
+            setenv("TPRE_TRACE", "true", 1);
+            obs::Tracer::instance();
+        },
+        testing::ExitedWithCode(1),
+        "TPRE_TRACE: 'true' is not 0 or 1");
+}
+
+TEST(ParseFlagDeathTest, FlightRecorderKnobRejectsNo)
+{
+    // Regression: "no" was read as on.
+    testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_EXIT(
+        {
+            setenv("TPRE_FLIGHT_RECORDER", "no", 1);
+            telemetry::installFlightRecorder("parse_flag_test");
+        },
+        testing::ExitedWithCode(1),
+        "TPRE_FLIGHT_RECORDER: 'no' is not 0 or 1");
 }
 
 TEST(LoggingTest, ThreadTagPrefixesAndRestores)

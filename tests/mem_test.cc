@@ -1,10 +1,7 @@
 /**
  * @file
- * Tests for tpre::mem: the per-run arena (bump allocation, chunk
- * retention across reset, cap exhaustion, oversized requests), the
- * std-allocator bridge, the typed free-list pool (slot recycling,
- * double-release detection), the checkpoint byte codec, and the
- * FastSim checkpoint/fork contract — restore-then-run must equal an
+ * Tests for tpre::mem: the checkpoint byte codec and the FastSim
+ * checkpoint/fork contract — restore-then-run must equal an
  * uninterrupted run field by field for arbitrary (mid-block,
  * mid-trace) snapshot points over fuzz-shaped programs. Also holds
  * the Simulator workload-cache LRU regression test.
@@ -14,12 +11,10 @@
 
 #include <cstdint>
 #include <cstring>
-#include <utility>
 #include <vector>
 
 #include "check/fuzz.hh"
 #include "check/stats_check.hh"
-#include "mem/arena.hh"
 #include "mem/checkpoint.hh"
 #include "sim/simulator.hh"
 #include "tproc/fast_sim.hh"
@@ -28,145 +23,6 @@ namespace tpre
 {
 namespace
 {
-
-// --- Arena ------------------------------------------------------
-
-TEST(ArenaTest, BumpAllocationIsAlignedAndCounted)
-{
-    mem::Arena arena;
-    void *a = arena.allocate(24, 8);
-    void *b = arena.allocate(1, 1);
-    void *c = arena.allocate(64, 64);
-    ASSERT_NE(a, nullptr);
-    ASSERT_NE(b, nullptr);
-    ASSERT_NE(c, nullptr);
-    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(a) % 8, 0u);
-    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(c) % 64, 0u);
-    EXPECT_EQ(arena.stats().allocCount, 3u);
-    EXPECT_GE(arena.stats().allocBytes, 24u + 1u + 64u);
-    EXPECT_EQ(arena.stats().chunkCount, 1u);
-}
-
-TEST(ArenaTest, ResetRetainsChunksForTheNextRun)
-{
-    mem::Arena arena(1024);
-    // Force several chunk refills...
-    for (int i = 0; i < 8; ++i)
-        arena.allocate(512, 8);
-    const std::uint64_t chunks = arena.stats().chunkCount;
-    ASSERT_GE(chunks, 2u);
-    const std::size_t reserved = arena.reservedBytes();
-
-    // ... then the same workload after reset() must be served
-    // entirely from retained chunks.
-    arena.reset();
-    for (int i = 0; i < 8; ++i)
-        arena.allocate(512, 8);
-    EXPECT_EQ(arena.stats().chunkCount, chunks);
-    EXPECT_EQ(arena.reservedBytes(), reserved);
-    EXPECT_EQ(arena.stats().resets, 1u);
-}
-
-TEST(ArenaTest, LargeRequestGetsDedicatedChunk)
-{
-    mem::Arena arena(256);
-    void *p = arena.allocate(4000, 16);
-    ASSERT_NE(p, nullptr);
-    EXPECT_GE(arena.stats().chunkBytes, 4000u);
-}
-
-TEST(ArenaDeathTest, OversizedAllocationIsFatal)
-{
-    mem::Arena arena;
-    EXPECT_DEATH(arena.allocate(mem::Arena::kMaxAllocBytes + 1, 8),
-                 "oversized allocation");
-}
-
-TEST(ArenaDeathTest, ExhaustingTheCapIsFatal)
-{
-    // 1 KB chunks under a 2 KB cap: the third chunk refill must
-    // trip the exhaustion check rather than grow without bound.
-    mem::Arena arena(1024, 2048);
-    arena.allocate(1024, 8);
-    arena.allocate(1024, 8);
-    EXPECT_DEATH(arena.allocate(1024, 8), "Arena exhausted");
-}
-
-// --- ArenaAllocator ---------------------------------------------
-
-TEST(ArenaAllocatorTest, VectorDrawsFromTheArena)
-{
-    mem::Arena arena;
-    mem::ArenaVector<int> v{mem::ArenaAllocator<int>(arena)};
-    for (int i = 0; i < 1000; ++i)
-        v.push_back(i);
-    EXPECT_GT(arena.stats().allocCount, 0u);
-    EXPECT_GE(arena.stats().allocBytes, 1000 * sizeof(int));
-    for (int i = 0; i < 1000; ++i)
-        ASSERT_EQ(v[i], i);
-}
-
-TEST(ArenaAllocatorTest, NullRefFallsBackToGlobalAllocator)
-{
-    mem::ArenaVector<int> v; // default-constructed: null ref
-    for (int i = 0; i < 100; ++i)
-        v.push_back(i);
-    EXPECT_EQ(v.size(), 100u);
-}
-
-TEST(ArenaAllocatorTest, MoveKeepsTheAllocator)
-{
-    mem::Arena arena;
-    mem::ArenaVector<int> v{mem::ArenaAllocator<int>(arena)};
-    v.push_back(7);
-    mem::ArenaVector<int> moved = std::move(v);
-    EXPECT_EQ(moved.get_allocator().arena(), &arena);
-    EXPECT_EQ(moved.at(0), 7);
-}
-
-// --- ArenaPool --------------------------------------------------
-
-struct PoolItem
-{
-    explicit PoolItem(int v) : value(v) {}
-    int value;
-};
-
-TEST(ArenaPoolTest, DestroyRecyclesSlotsInLifoOrder)
-{
-    mem::Arena arena;
-    mem::ArenaPool<PoolItem> pool{arena};
-    PoolItem *a = pool.create(1);
-    pool.destroy(a);
-    PoolItem *b = pool.create(2);
-    // The freed slot is recycled, not re-bumped.
-    EXPECT_EQ(static_cast<void *>(a), static_cast<void *>(b));
-    EXPECT_EQ(b->value, 2);
-    pool.destroy(b);
-}
-
-TEST(ArenaPoolTest, MakeGivesScopedOwnership)
-{
-    mem::ArenaPool<PoolItem> pool; // global-allocator mode
-    void *slot = nullptr;
-    {
-        mem::ArenaPool<PoolItem>::Ptr p = pool.make(9);
-        EXPECT_EQ(p->value, 9);
-        slot = p.get();
-    }
-    // The unique_ptr released its slot back to the free list.
-    mem::ArenaPool<PoolItem>::Ptr q = pool.make(10);
-    EXPECT_EQ(static_cast<void *>(q.get()), slot);
-}
-
-TEST(ArenaPoolDeathTest, DoubleReleaseIsFatal)
-{
-    mem::Arena arena;
-    mem::ArenaPool<PoolItem> pool{arena};
-    PoolItem *p = pool.create(3);
-    pool.destroy(p);
-    EXPECT_DEATH(pool.destroy(p), "double release");
-}
 
 // --- Checkpoint byte codec --------------------------------------
 
@@ -327,38 +183,6 @@ TEST(CheckpointForkDeathTest, ForkIntoUsedSimulatorIsFatal)
     FastSim used(program, cfg);
     used.run(200);
     EXPECT_DEATH(used.forkFrom(ck), "already");
-}
-
-TEST(CheckpointForkTest, ArenaBackedForkAlsoMatches)
-{
-    // The checkpoint wire format is allocator-agnostic: a snapshot
-    // of a global-allocator run restored into an arena-backed
-    // simulator (and vice versa) must still reproduce the
-    // uninterrupted run.
-    constexpr InstCount kBudget = 5000;
-    const check::FuzzCase fuzzCase =
-        check::makeFuzzCase(9, kBudget);
-    const Program program = fuzzCase.program();
-    const FastSimConfig cfg = configFor(fuzzCase);
-
-    FastSim uninterrupted(program, cfg);
-    const FastSimStats ref = uninterrupted.run(kBudget);
-
-    FastSim donor(program, cfg);
-    donor.runUntil(kBudget / 2 + 1);
-    const mem::Checkpoint ck =
-        donor.checkpoint(mem::CheckpointKind::Full);
-
-    mem::Arena arena;
-    FastSimConfig arenaCfg = cfg;
-    arenaCfg.arena = arena;
-    {
-        FastSim forked(program, arenaCfg);
-        forked.forkFrom(ck);
-        const FastSimStats &got = forked.run(kBudget);
-        const check::Violation v = check::fastStatsEqual(ref, got);
-        EXPECT_FALSE(v) << *v;
-    }
 }
 
 // --- Warm-state reuse through the Simulator ---------------------
