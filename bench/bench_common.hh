@@ -26,7 +26,6 @@
 #include "sim/simulator.hh"
 #include "sim/sweep.hh"
 #include "telemetry/flight_recorder.hh"
-#include "telemetry/heartbeat.hh"
 #include "telemetry/server.hh"
 
 namespace tpre::bench
@@ -86,12 +85,10 @@ verified(const SimResult &r)
  * trace through the fast frontend instead of running the binary's
  * own sweep) and --sample (SMARTS-style sampled simulation: apply
  * sample::defaultSpec to every Fast-mode row via applySample(),
- * unless TPRE_SAMPLE_* pins an explicit regime).
- * TPRE_HEARTBEAT_SECS=N publishes a progress
- * heartbeat every N seconds, and the crash flight recorder is
- * always installed (opt out with TPRE_FLIGHT_RECORDER=0). Times
- * the run, collects verified result rows, and writes
- * BENCH_<name>.json on finish(). Intended use:
+ * unless TPRE_SAMPLE_* pins an explicit regime). The crash flight
+ * recorder is always installed (opt out with
+ * TPRE_FLIGHT_RECORDER=0). Times the run, collects verified result
+ * rows, and writes BENCH_<name>.json on finish(). Intended use:
  *
  *   int main(int argc, char **argv) {
  *       bench::Harness harness("fig5_miss_rates", argc, argv);
@@ -116,10 +113,6 @@ class Harness
         if (opts_.telemetryPort >= 0)
             telemetry_.start(
                 static_cast<std::uint16_t>(opts_.telemetryPort));
-        if (const char *env = std::getenv("TPRE_HEARTBEAT_SECS"))
-            heartbeat_.start(static_cast<unsigned>(parseUnsigned(
-                env, "TPRE_HEARTBEAT_SECS",
-                std::numeric_limits<unsigned>::max())));
         benchStart_ = obs::wallMicros();
         TPRE_TRACE_INSTANT("bench", name, obs::Domain::Wall,
                            benchStart_);
@@ -215,7 +208,6 @@ class Harness
     int
     finish()
     {
-        heartbeat_.stop();
         telemetry_.stop();
         const double wall =
             std::chrono::duration<double>(
@@ -328,7 +320,6 @@ class Harness
     Options opts_;
     BenchReport report_;
     telemetry::TelemetryServer telemetry_;
-    telemetry::Heartbeat heartbeat_;
     /** obs::wallMicros() at harness construction (bench span). */
     std::uint64_t benchStart_ = 0;
     /** Total simulated instructions across recorded rows. */

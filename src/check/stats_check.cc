@@ -82,11 +82,6 @@ statsConserved(const FastSimStats &s)
         return fail("slow-path insts " + num(s.slowPathInsts) +
                     " exceed committed instructions " +
                     num(s.instructions));
-    if (s.missFirstSeen + s.missRepeat != 0 &&
-        s.missFirstSeen + s.missRepeat != s.tcMisses)
-        return fail("miss diagnostics " +
-                    num(s.missFirstSeen + s.missRepeat) +
-                    " do not partition tcMisses " + num(s.tcMisses));
     if (Violation v = icacheStatsSane(s.icache))
         return v;
     return preconStatsSane(s.precon);
@@ -115,11 +110,6 @@ fastStatsEqual(const FastSimStats &live,
              replayed.slowPathInstsFromMisses},
             {"traceWorkingSet", live.traceWorkingSet,
              replayed.traceWorkingSet},
-            {"missFirstSeen", live.missFirstSeen,
-             replayed.missFirstSeen},
-            {"missRepeat", live.missRepeat, replayed.missRepeat},
-            {"missEverConstructed", live.missEverConstructed,
-             replayed.missEverConstructed},
             {"icache.demandAccesses", live.icache.demandAccesses,
              replayed.icache.demandAccesses},
             {"icache.demandMisses", live.icache.demandMisses,

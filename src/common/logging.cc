@@ -94,31 +94,6 @@ logConfig()
     return config;
 }
 
-/** Append @p s JSON-escaped (no quotes) to @p out. */
-void
-appendJsonEscaped(std::string &out, const char *s)
-{
-    for (; *s; ++s) {
-        const char c = *s;
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(c) & 0xff);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-}
-
 void
 vreport(LogLevel level, const char *tag, const char *fmt,
         va_list args)
@@ -146,11 +121,11 @@ vreport(LogLevel level, const char *tag, const char *fmt,
         }
         if (!tLogTag.empty()) {
             line += ", \"thread\": \"";
-            appendJsonEscaped(line, tLogTag.c_str());
+            line += jsonEscape(tLogTag);
             line += "\"";
         }
         line += ", \"msg\": \"";
-        appendJsonEscaped(line, buf);
+        line += jsonEscape(buf);
         line += "\"}";
         std::lock_guard<std::mutex> guard(logMutex());
         std::fprintf(stderr, "%s\n", line.c_str());
@@ -165,6 +140,34 @@ vreport(LogLevel level, const char *tag, const char *fmt,
 }
 
 } // namespace
+
+std::string
+jsonEscape(const std::string &text)
+{
+    std::string out;
+    out.reserve(text.size() + 2);
+    for (const char c : text) {
+        switch (c) {
+          case '"': out += "\\\""; break;
+          case '\\': out += "\\\\"; break;
+          case '\b': out += "\\b"; break;
+          case '\f': out += "\\f"; break;
+          case '\n': out += "\\n"; break;
+          case '\r': out += "\\r"; break;
+          case '\t': out += "\\t"; break;
+          default:
+            if (static_cast<unsigned char>(c) < 0x20) {
+                char buf[8];
+                std::snprintf(buf, sizeof(buf), "\\u%04x",
+                              static_cast<unsigned>(c) & 0xff);
+                out += buf;
+            } else {
+                out += c;
+            }
+        }
+    }
+    return out;
+}
 
 LogFormat
 logFormat()
@@ -211,19 +214,6 @@ logLevelName(LogLevel level)
       case LogLevel::Error: return "error";
     }
     return "info";
-}
-
-void
-logRawLine(const std::string &line)
-{
-    std::lock_guard<std::mutex> guard(logMutex());
-    std::fprintf(stderr, "%s\n", line.c_str());
-}
-
-const std::string &
-logThreadTag()
-{
-    return tLogTag;
 }
 
 void

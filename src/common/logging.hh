@@ -53,6 +53,13 @@ LogFormat logFormat();
 /** The active threshold (TPRE_LOG_LEVEL / setLogLevel). */
 LogLevel logLevel();
 
+/**
+ * RFC 8259 string escaping (quotes, backslash, control chars), the
+ * one escaper behind every JSON writer: NDJSON log records, the
+ * Chrome trace export and the BENCH/flight-record reports.
+ */
+std::string jsonEscape(const std::string &text);
+
 /** Override the wire format (tests, command-line flags). */
 void setLogFormat(LogFormat format);
 
@@ -64,17 +71,6 @@ bool logLevelEnabled(LogLevel level);
 
 /** Stable lowercase level name ("debug" .. "error"). */
 const char *logLevelName(LogLevel level);
-
-/**
- * Emit one preformatted line to the log stream under the log
- * mutex, so it cannot interleave with concurrent messages. The
- * telemetry heartbeat publisher uses this to write complete NDJSON
- * records with extra fields; @p line must not contain newlines.
- */
-void logRawLine(const std::string &line);
-
-/** The calling thread's current log tag ("" when unset). */
-const std::string &logThreadTag();
 
 /**
  * Report an internal simulator bug and abort. Use for conditions that

@@ -31,7 +31,7 @@ std::int64_t parsePositiveInt(const char *text, const char *what);
  * Parse @p text like parsePositiveInt and additionally require the
  * value to be at most @p max. The caller names the bound that makes
  * narrowing safe (e.g. UINT_MAX before a static_cast<unsigned>):
- * without it, TPRE_HEARTBEAT_SECS=2^33 truncated to 0 instead of
+ * without it, a value of 2^33 silently truncates to 0 instead of
  * failing. Calls fatal() naming @p what when out of range.
  */
 std::uint64_t parseUnsigned(const char *text, const char *what,

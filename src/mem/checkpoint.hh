@@ -96,6 +96,10 @@ class ByteReader
                   "requested at offset %zu of %zu)",
                   n, pos_, size_);
         }
+        // memcpy's pointers must be valid even for n == 0, and an
+        // empty vector's data() may be null.
+        if (n == 0)
+            return;
         std::memcpy(out, data_ + pos_, n);
         pos_ += n;
     }

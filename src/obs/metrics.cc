@@ -172,13 +172,6 @@ MetricsRegistry::snapshot() const
     return rows;
 }
 
-std::size_t
-MetricsRegistry::numMetrics() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return metrics_.size();
-}
-
 void
 MetricsRegistry::attachBlock(ThreadBlock *block)
 {

@@ -134,9 +134,6 @@ class MetricsRegistry
     /** Every registered metric, aggregated, sorted by name. */
     std::vector<MetricRow> snapshot() const;
 
-    /** Number of registered metric names. */
-    std::size_t numMetrics() const;
-
     // --- thread block lifecycle (ThreadBlock ctor/dtor only) ----
     void attachBlock(ThreadBlock *block);
     void detachBlock(ThreadBlock *block);

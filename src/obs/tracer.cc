@@ -192,60 +192,33 @@ Tracer::detachRing(EventRing *ring)
 namespace
 {
 
-/** Minimal JSON string escape (cat/name are ASCII literals). */
+/** Append @p s as a quoted JSON string. */
 void
-appendJsonString(std::string &out, const char *s)
+appendQuoted(std::string &out, const std::string &s)
 {
     out += '"';
-    for (; *s; ++s) {
-        char c = *s;
-        if (c == '"' || c == '\\') {
-            out += '\\';
-            out += c;
-        } else if (static_cast<unsigned char>(c) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-            out += buf;
-        } else {
-            out += c;
-        }
-    }
+    out += jsonEscape(s);
     out += '"';
-}
-
-void
-appendUint(std::string &out, std::uint64_t v)
-{
-    char buf[24];
-    std::snprintf(buf, sizeof(buf), "%llu",
-                  static_cast<unsigned long long>(v));
-    out += buf;
 }
 
 void
 appendEvent(std::string &out, const TraceEvent &e)
 {
-    out += "{\"pid\":";
-    appendUint(out, static_cast<std::uint32_t>(e.domain));
-    out += ",\"tid\":";
-    appendUint(out, e.tid);
+    out += "{\"pid\":" +
+           std::to_string(static_cast<std::uint32_t>(e.domain));
+    out += ",\"tid\":" + std::to_string(e.tid);
     out += ",\"ph\":\"";
     out += e.phase;
     out += "\",\"cat\":";
-    appendJsonString(out, e.cat);
+    appendQuoted(out, e.cat);
     out += ",\"name\":";
-    appendJsonString(out, e.name);
-    out += ",\"ts\":";
-    appendUint(out, e.ts);
-    if (e.phase == 'X') {
-        out += ",\"dur\":";
-        appendUint(out, e.dur);
-    }
+    appendQuoted(out, e.name);
+    out += ",\"ts\":" + std::to_string(e.ts);
+    if (e.phase == 'X')
+        out += ",\"dur\":" + std::to_string(e.dur);
     if (e.phase == 'i')
         out += ",\"s\":\"t\"";
-    out += ",\"args\":{\"v\":";
-    appendUint(out, e.value);
-    out += "}}";
+    out += ",\"args\":{\"v\":" + std::to_string(e.value) + "}}";
 }
 
 void
@@ -256,14 +229,12 @@ appendMetadata(std::string &out, std::uint32_t pid, std::uint32_t tid,
     if (!first)
         out += ",\n";
     first = false;
-    out += "{\"pid\":";
-    appendUint(out, pid);
-    out += ",\"tid\":";
-    appendUint(out, tid);
+    out += "{\"pid\":" + std::to_string(pid);
+    out += ",\"tid\":" + std::to_string(tid);
     out += ",\"ph\":\"M\",\"name\":";
-    appendJsonString(out, metaName);
+    appendQuoted(out, metaName);
     out += ",\"args\":{\"name\":";
-    appendJsonString(out, value.c_str());
+    appendQuoted(out, value);
     out += "}}";
 }
 

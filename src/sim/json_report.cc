@@ -31,32 +31,22 @@ boolWord(bool b)
     return b ? "true" : "false";
 }
 
+} // namespace
+
 std::string
-u64(std::uint64_t v)
+jsonNumber(double value)
 {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%llu",
-                  static_cast<unsigned long long>(v));
+    if (!std::isfinite(value))
+        return "null";
+    char buf[64];
+    // %.17g round-trips any double; JSON requires a plain number,
+    // which %g produces for finite inputs.
+    std::snprintf(buf, sizeof(buf), "%.17g", value);
     return buf;
 }
 
 std::string
-i64(std::int64_t v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%lld",
-                  static_cast<long long>(v));
-    return buf;
-}
-
-/**
- * The aggregated tpre::obs registry as a JSON object: counters and
- * gauges as name -> value maps, histograms with their bucket
- * layout. Empty maps (e.g. under TPRE_OBS_DISABLED) still render,
- * so consumers can rely on the keys existing.
- */
-std::string
-renderObsSection()
+renderObsJson()
 {
     const std::vector<obs::MetricRow> rows =
         obs::MetricsRegistry::instance().snapshot();
@@ -67,32 +57,34 @@ renderObsSection()
           case obs::MetricKind::Counter:
             if (!counters.empty())
                 counters += ", ";
-            counters += "\"" + jsonEscape(row.name) +
-                        "\": " + u64(static_cast<std::uint64_t>(
-                                    row.value));
+            counters += "\"" + jsonEscape(row.name) + "\": " +
+                        std::to_string(
+                            static_cast<std::uint64_t>(row.value));
             break;
           case obs::MetricKind::Gauge:
             if (!gauges.empty())
                 gauges += ", ";
             gauges += "\"" + jsonEscape(row.name) +
-                      "\": " + i64(row.value);
+                      "\": " + std::to_string(row.value);
             break;
           case obs::MetricKind::Histogram: {
             if (!histograms.empty())
                 histograms += ", ";
             histograms += "\"" + jsonEscape(row.name) +
-                          "\": {\"count\": " + u64(row.hist.count) +
-                          ", \"sum\": " + u64(row.hist.sum) +
+                          "\": {\"count\": " +
+                          std::to_string(row.hist.count) +
+                          ", \"sum\": " +
+                          std::to_string(row.hist.sum) +
                           ", \"bounds\": [";
             for (std::size_t i = 0; i < row.hist.bounds.size(); ++i) {
                 histograms += i ? ", " : "";
-                histograms += u64(row.hist.bounds[i]);
+                histograms += std::to_string(row.hist.bounds[i]);
             }
             histograms += "], \"buckets\": [";
             for (std::size_t i = 0; i < row.hist.buckets.size();
                  ++i) {
                 histograms += i ? ", " : "";
-                histograms += u64(row.hist.buckets[i]);
+                histograms += std::to_string(row.hist.buckets[i]);
             }
             histograms += "]}";
             break;
@@ -108,48 +100,6 @@ renderObsSection()
     out += "    \"histograms\": {" + histograms + "}\n";
     out += "  }";
     return out;
-}
-
-} // namespace
-
-std::string
-jsonEscape(const std::string &text)
-{
-    std::string out;
-    out.reserve(text.size() + 2);
-    for (const char c : text) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\b': out += "\\b"; break;
-          case '\f': out += "\\f"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(c) & 0xff);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-std::string
-jsonNumber(double value)
-{
-    if (!std::isfinite(value))
-        return "null";
-    char buf[64];
-    // %.17g round-trips any double; JSON requires a plain number,
-    // which %g produces for finite inputs.
-    std::snprintf(buf, sizeof(buf), "%.17g", value);
-    return buf;
 }
 
 BenchReport::BenchReport(std::string bench, unsigned jobs)
@@ -186,14 +136,14 @@ BenchReport::render(double wallSeconds) const
     out += "  \"bench\": \"" + jsonEscape(bench_) + "\",\n";
     out += "  \"git_ref\": \"" + jsonEscape(gitRef()) + "\",\n";
     out += "  \"wall_seconds\": " + jsonNumber(wallSeconds) + ",\n";
-    out += "  \"jobs\": " + u64(jobs_) + ",\n";
+    out += "  \"jobs\": " + std::to_string(jobs_) + ",\n";
     // True when any row's counters are sampled extrapolations: the
     // aggregate mips below then measures the mixed fast-forward +
     // detailed mode and must only be gated against sampled-mode
     // baselines (tools/perf_gate.py keys on this).
     out += "  \"sampled\": " + boolWord(any_sampled) + ",\n";
-    out += "  \"simulated_instructions\": " + u64(total_insts) +
-           ",\n";
+    out += "  \"simulated_instructions\": " +
+           std::to_string(total_insts) + ",\n";
     // Aggregate throughput: all simulated instructions over the
     // run's wall-clock. With jobs > 1 this measures the sharded
     // engine, not a single core.
@@ -203,7 +153,7 @@ BenchReport::render(double wallSeconds) const
                                 wallSeconds
                           : 0.0) +
            ",\n";
-    out += "  \"obs\": " + renderObsSection() + ",\n";
+    out += "  \"obs\": " + renderObsJson() + ",\n";
     if (attribActive) {
         // Whole-report attribution: the per-row tables summed
         // cell-wise, so one decanting table covers the bench.
@@ -223,18 +173,21 @@ BenchReport::render(double wallSeconds) const
         out += std::string("\"mode\": \"") +
                (c.mode == SimMode::Fast ? "fast" : "timing") +
                "\", ";
-        out += "\"tc_entries\": " + u64(c.traceCacheEntries) + ", ";
-        out += "\"pb_entries\": " + u64(c.preconBufferEntries) +
+        out += "\"tc_entries\": " + std::to_string(c.traceCacheEntries) +
                ", ";
+        out += "\"pb_entries\": " +
+               std::to_string(c.preconBufferEntries) + ", ";
         out += "\"prep\": " + boolWord(c.prepEnabled) + ", ";
-        out += "\"workload_seed\": " + u64(c.workloadSeed) + ", ";
-        out += "\"max_insts\": " + u64(c.maxInsts) + ", ";
+        out += "\"workload_seed\": " + std::to_string(c.workloadSeed) +
+               ", ";
+        out += "\"max_insts\": " + std::to_string(c.maxInsts) + ", ";
         // Warm-state reuse: whether this row was forked from a
         // shared warm-up checkpoint, how many instructions the
         // warm-up covered, and — for rows that requested warm but
         // fell back to a cold start — why.
         out += "\"warm\": " + boolWord(r.warm) + ", ";
-        out += "\"warmup_insts\": " + u64(r.warmupInsts) + ", ";
+        out += "\"warmup_insts\": " + std::to_string(r.warmupInsts) +
+               ", ";
         out += "\"warm_fallback\": \"" +
                jsonEscape(r.warmFallback) + "\", ";
         out += "\"combined_kb\": " + jsonNumber(c.combinedKb()) +
@@ -248,9 +201,11 @@ BenchReport::render(double wallSeconds) const
         out += "\"sampled\": " + boolWord(r.sampled) + ", ";
         out += "\"sample_fallback\": \"" +
                jsonEscape(r.sampleFallback) + "\", ";
-        out += "\"windows\": " + u64(r.sampleWindows) + ", ";
-        out += "\"sampled_insts\": " + u64(r.sampledInsts) + ", ";
-        out += "\"skipped_insts\": " + u64(r.skippedInsts) + ", ";
+        out += "\"windows\": " + std::to_string(r.sampleWindows) + ", ";
+        out += "\"sampled_insts\": " + std::to_string(r.sampledInsts) +
+               ", ";
+        out += "\"skipped_insts\": " + std::to_string(r.skippedInsts) +
+               ", ";
         out += "\"coverage\": " + jsonNumber(r.coverage) + ", ";
         out += "\"ci95_misses_per_ki\": " +
                jsonNumber(r.ci95MissesPerKi) + ", ";
@@ -258,14 +213,15 @@ BenchReport::render(double wallSeconds) const
                ", ";
         out += "\"ci95_icache_misses_per_ki\": " +
                jsonNumber(r.ci95IcacheMissesPerKi) + ", ";
-        out += "\"instructions\": " + u64(r.instructions) + ", ";
-        out += "\"cycles\": " + u64(r.cycles) + ", ";
+        out += "\"instructions\": " + std::to_string(r.instructions) +
+               ", ";
+        out += "\"cycles\": " + std::to_string(r.cycles) + ", ";
         out += "\"ipc\": " + jsonNumber(r.ipc) + ", ";
         out += "\"missesPerKi\": " + jsonNumber(r.missesPerKi) +
                ", ";
-        out += "\"traces\": " + u64(r.traces) + ", ";
-        out += "\"tc_misses\": " + u64(r.tcMisses) + ", ";
-        out += "\"pb_hits\": " + u64(r.pbHits) + ", ";
+        out += "\"traces\": " + std::to_string(r.traces) + ", ";
+        out += "\"tc_misses\": " + std::to_string(r.tcMisses) + ", ";
+        out += "\"pb_hits\": " + std::to_string(r.pbHits) + ", ";
         out += "\"icache_supply_per_ki\": " +
                jsonNumber(r.icacheSupplyPerKi) + ", ";
         out += "\"icache_misses_per_ki\": " +
@@ -273,19 +229,20 @@ BenchReport::render(double wallSeconds) const
         out += "\"icache_miss_supply_per_ki\": " +
                jsonNumber(r.icacheMissSupplyPerKi) + ", ";
         out += "\"precon_traces_constructed\": " +
-               u64(r.precon.tracesConstructed) + ", ";
+               std::to_string(r.precon.tracesConstructed) + ", ";
         out += "\"precon_buffer_hits\": " +
-               u64(r.precon.bufferHits) + ", ";
+               std::to_string(r.precon.bufferHits) + ", ";
         out += "\"provenance\": " +
                renderProvenanceJson(r.provenance) + ", ";
         if (attribActive) {
             out += "\"attrib\": " + renderAttribJson(r.attrib) +
                    ", ";
         }
-        out += "\"blocks_decoded\": " + u64(r.blocksDecoded) + ", ";
-        out += "\"block_hits\": " + u64(r.blockHits) + ", ";
+        out += "\"blocks_decoded\": " + std::to_string(r.blocksDecoded) +
+               ", ";
+        out += "\"block_hits\": " + std::to_string(r.blockHits) + ", ";
         out += "\"block_invalidations\": " +
-               u64(r.blockInvalidations) + ", ";
+               std::to_string(r.blockInvalidations) + ", ";
         out += "\"wall_seconds\": " + jsonNumber(r.wallSeconds) +
                ", ";
         out += "\"mips\": " + jsonNumber(r.mips) + "}";

@@ -71,8 +71,8 @@
  *   }
  *
  * Only dependency-free hand-rolled serialization is used (no JSON
- * library in the image); jsonEscape/jsonNumber are exposed for
- * tests.
+ * library in the image); jsonNumber is exposed for tests and the
+ * other JSON writers, and jsonEscape lives in common/logging.hh.
  */
 
 #ifndef TPRE_SIM_JSON_REPORT_HH
@@ -81,19 +81,27 @@
 #include <string>
 #include <vector>
 
+#include "common/logging.hh"
 #include "sim/simulator.hh"
 
 namespace tpre
 {
-
-/** RFC 8259 string escaping (quotes, backslash, control chars). */
-std::string jsonEscape(const std::string &text);
 
 /**
  * Render a double as a JSON number. NaN and infinities (not
  * representable in JSON) render as null.
  */
 std::string jsonNumber(double value);
+
+/**
+ * The aggregated tpre::obs registry as a JSON object (the "obs"
+ * section above): counters and gauges as name -> value maps,
+ * histograms with their bucket layout. Empty maps (e.g. under
+ * TPRE_OBS_DISABLED) still render, so consumers can rely on the
+ * keys existing. Shared by the BENCH report and the flight
+ * recorder, so both dumps carry the same fields.
+ */
+std::string renderObsJson();
 
 /** One bench binary's machine-readable result set. */
 class BenchReport

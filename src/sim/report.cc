@@ -34,10 +34,7 @@ TableReport::num(double value, int precision)
 std::string
 TableReport::num(std::uint64_t value)
 {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%llu",
-                  static_cast<unsigned long long>(value));
-    return buf;
+    return std::to_string(value);
 }
 
 std::string
@@ -69,37 +66,6 @@ TableReport::render() const
     out += rule.substr(0, rule.size() - 2) + '\n';
     for (const auto &row : rows_)
         out += emit_row(row);
-    return out;
-}
-
-std::string
-TableReport::renderCsv() const
-{
-    // RFC 4180: cells containing a separator, quote, or line break
-    // are quoted, with embedded quotes doubled.
-    auto field = [](const std::string &cell) {
-        if (cell.find_first_of(",\"\r\n") == std::string::npos)
-            return cell;
-        std::string quoted = "\"";
-        for (const char c : cell) {
-            quoted += c;
-            if (c == '"')
-                quoted += '"';
-        }
-        return quoted + '"';
-    };
-    auto join = [&field](const std::vector<std::string> &cells) {
-        std::string line;
-        for (std::size_t c = 0; c < cells.size(); ++c) {
-            if (c)
-                line += ',';
-            line += field(cells[c]);
-        }
-        return line + '\n';
-    };
-    std::string out = join(headers_);
-    for (const auto &row : rows_)
-        out += join(row);
     return out;
 }
 

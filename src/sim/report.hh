@@ -1,8 +1,8 @@
 /**
  * @file
- * Small text-report helpers used by the benchmark harnesses: a
- * fixed-width table printer and a CSV emitter, so every bench
- * binary prints the paper's rows in one consistent format.
+ * Small text-report helper used by the benchmark harnesses: a
+ * fixed-width table printer, so every bench binary prints the
+ * paper's rows in one consistent format.
  */
 
 #ifndef TPRE_SIM_REPORT_HH
@@ -29,9 +29,6 @@ class TableReport
 
     /** Render as an aligned table. */
     std::string render() const;
-
-    /** Render as CSV (headers + rows). */
-    std::string renderCsv() const;
 
   private:
     std::vector<std::string> headers_;

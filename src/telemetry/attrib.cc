@@ -1,7 +1,5 @@
 #include "telemetry/attrib.hh"
 
-#include <cstdio>
-
 #include "common/logging.hh"
 #include "common/parse.hh"
 
@@ -59,50 +57,38 @@ classifyTrace(const Trace &trace)
     return tc;
 }
 
+void
+AttribCell::add(const AttribCell &other)
+{
+    builds += other.builds;
+    hits += other.hits;
+    firstUses += other.firstUses;
+    firstUseLatencySum += other.firstUseLatencySum;
+    evictCapacity += other.evictCapacity;
+    evictRefresh += other.evictRefresh;
+    evictInvalidate += other.evictInvalidate;
+    evictClear += other.evictClear;
+    evictedUnused += other.evictedUnused;
+    for (std::size_t k = 0; k < kNumInstKinds; ++k) {
+        instBuilt[k] += other.instBuilt[k];
+        instServed[k] += other.instServed[k];
+    }
+}
+
 AttribCell
 AttribTable::originSum(TraceOrigin origin) const
 {
     AttribCell sum;
-    for (std::size_t c = 0; c < kNumLoopClasses; ++c) {
-        const AttribCell &cell =
-            of(origin, static_cast<LoopClass>(c));
-        sum.builds += cell.builds;
-        sum.hits += cell.hits;
-        sum.firstUses += cell.firstUses;
-        sum.firstUseLatencySum += cell.firstUseLatencySum;
-        sum.evictCapacity += cell.evictCapacity;
-        sum.evictRefresh += cell.evictRefresh;
-        sum.evictInvalidate += cell.evictInvalidate;
-        sum.evictClear += cell.evictClear;
-        sum.evictedUnused += cell.evictedUnused;
-        for (std::size_t k = 0; k < kNumInstKinds; ++k) {
-            sum.instBuilt[k] += cell.instBuilt[k];
-            sum.instServed[k] += cell.instServed[k];
-        }
-    }
+    for (std::size_t c = 0; c < kNumLoopClasses; ++c)
+        sum.add(of(origin, static_cast<LoopClass>(c)));
     return sum;
 }
 
 void
 AttribTable::add(const AttribTable &other)
 {
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        AttribCell &a = cells[i];
-        const AttribCell &b = other.cells[i];
-        a.builds += b.builds;
-        a.hits += b.hits;
-        a.firstUses += b.firstUses;
-        a.firstUseLatencySum += b.firstUseLatencySum;
-        a.evictCapacity += b.evictCapacity;
-        a.evictRefresh += b.evictRefresh;
-        a.evictInvalidate += b.evictInvalidate;
-        a.evictClear += b.evictClear;
-        a.evictedUnused += b.evictedUnused;
-        for (std::size_t k = 0; k < kNumInstKinds; ++k) {
-            a.instBuilt[k] += b.instBuilt[k];
-            a.instServed[k] += b.instServed[k];
-        }
-    }
+    for (std::size_t i = 0; i < cells.size(); ++i)
+        cells[i].add(other.cells[i]);
 }
 
 bool
@@ -126,15 +112,6 @@ namespace
 {
 
 std::string
-u64(std::uint64_t v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%llu",
-                  static_cast<unsigned long long>(v));
-    return buf;
-}
-
-std::string
 renderKindMap(const std::array<std::uint64_t, kNumInstKinds> &counts)
 {
     std::string out = "{";
@@ -143,7 +120,7 @@ renderKindMap(const std::array<std::uint64_t, kNumInstKinds> &counts)
             out += ", ";
         out += "\"";
         out += instKindName(static_cast<InstKind>(k));
-        out += "\": " + u64(counts[k]);
+        out += "\": " + std::to_string(counts[k]);
     }
     out += "}";
     return out;
@@ -170,20 +147,22 @@ renderAttribJson(const AttribTable &table)
             out += "\"";
             out += loopClassName(cls);
             out += "\": {";
-            out += "\"builds\": " + u64(cell.builds) + ", ";
-            out += "\"hits\": " + u64(cell.hits) + ", ";
-            out += "\"first_uses\": " + u64(cell.firstUses) + ", ";
+            out += "\"builds\": " + std::to_string(cell.builds) + ", ";
+            out += "\"hits\": " + std::to_string(cell.hits) + ", ";
+            out += "\"first_uses\": " + std::to_string(cell.firstUses) +
+                   ", ";
             out += "\"first_use_latency_sum\": " +
-                   u64(cell.firstUseLatencySum) + ", ";
-            out += "\"evict_capacity\": " + u64(cell.evictCapacity) +
-                   ", ";
-            out += "\"evict_refresh\": " + u64(cell.evictRefresh) +
-                   ", ";
+                   std::to_string(cell.firstUseLatencySum) + ", ";
+            out += "\"evict_capacity\": " +
+                   std::to_string(cell.evictCapacity) + ", ";
+            out += "\"evict_refresh\": " +
+                   std::to_string(cell.evictRefresh) + ", ";
             out += "\"evict_invalidate\": " +
-                   u64(cell.evictInvalidate) + ", ";
-            out += "\"evict_clear\": " + u64(cell.evictClear) + ", ";
-            out += "\"evicted_unused\": " + u64(cell.evictedUnused) +
+                   std::to_string(cell.evictInvalidate) + ", ";
+            out += "\"evict_clear\": " + std::to_string(cell.evictClear) +
                    ", ";
+            out += "\"evicted_unused\": " +
+                   std::to_string(cell.evictedUnused) + ", ";
             out += "\"inst_built\": " + renderKindMap(cell.instBuilt) +
                    ", ";
             out +=

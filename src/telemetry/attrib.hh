@@ -135,6 +135,9 @@ struct AttribCell
         return evictCapacity + evictRefresh + evictInvalidate +
                evictClear;
     }
+
+    /** Accumulate another cell field-wise. */
+    void add(const AttribCell &other);
 };
 
 /** The full (origin × loop-class) attribution ledger of one cache. */

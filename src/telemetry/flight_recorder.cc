@@ -6,9 +6,7 @@
 
 #include <unistd.h>
 
-#include "common/logging.hh"
 #include "common/parse.hh"
-#include "obs/metrics.hh"
 #include "obs/tracer.hh"
 #include "sim/json_report.hh"
 
@@ -42,41 +40,6 @@ benchDir()
     if (const char *env = std::getenv("TPRE_BENCH_DIR"))
         return std::string(env) + "/";
     return "";
-}
-
-/** The registry snapshot as one JSON object (counters/gauges/hists). */
-std::string
-registryJson()
-{
-    std::string counters, gauges, histograms;
-    for (const obs::MetricRow &row :
-         obs::MetricsRegistry::instance().snapshot()) {
-        switch (row.kind) {
-          case obs::MetricKind::Counter:
-            if (!counters.empty())
-                counters += ", ";
-            counters += "\"" + jsonEscape(row.name) +
-                        "\": " + std::to_string(row.value);
-            break;
-          case obs::MetricKind::Gauge:
-            if (!gauges.empty())
-                gauges += ", ";
-            gauges += "\"" + jsonEscape(row.name) +
-                      "\": " + std::to_string(row.value);
-            break;
-          case obs::MetricKind::Histogram:
-            if (!histograms.empty())
-                histograms += ", ";
-            histograms += "\"" + jsonEscape(row.name) +
-                          "\": {\"count\": " +
-                          std::to_string(row.hist.count) +
-                          ", \"sum\": " +
-                          std::to_string(row.hist.sum) + "}";
-            break;
-        }
-    }
-    return "{\"counters\": {" + counters + "}, \"gauges\": {" +
-           gauges + "}, \"histograms\": {" + histograms + "}}";
 }
 
 void
@@ -113,7 +76,7 @@ writeFlightRecord(const char *reason)
     doc += "  \"reason\": \"" + jsonEscape(reason) + "\",\n";
     doc += "  \"wall_micros\": " +
            std::to_string(obs::wallMicros()) + ",\n";
-    doc += "  \"obs\": " + registryJson() + "\n}\n";
+    doc += "  \"obs\": " + renderObsJson() + "\n}\n";
 
     std::FILE *f = std::fopen(path.c_str(), "w");
     if (!f)

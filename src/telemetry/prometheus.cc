@@ -1,6 +1,5 @@
 #include "telemetry/prometheus.hh"
 
-#include <cstdio>
 #include <mutex>
 
 namespace tpre::telemetry
@@ -8,24 +7,6 @@ namespace tpre::telemetry
 
 namespace
 {
-
-std::string
-u64(std::uint64_t v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%llu",
-                  static_cast<unsigned long long>(v));
-    return buf;
-}
-
-std::string
-i64(std::int64_t v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%lld",
-                  static_cast<long long>(v));
-    return buf;
-}
 
 /** HELP-line escaping: backslash and newline only (the spec). */
 std::string
@@ -86,11 +67,11 @@ renderPrometheus(const std::vector<obs::MetricRow> &rows)
         switch (row.kind) {
           case obs::MetricKind::Counter:
             out += family + " " +
-                   u64(static_cast<std::uint64_t>(row.value)) +
+                   std::to_string(static_cast<std::uint64_t>(row.value)) +
                    "\n";
             break;
           case obs::MetricKind::Gauge:
-            out += family + " " + i64(row.value) + "\n";
+            out += family + " " + std::to_string(row.value) + "\n";
             break;
           case obs::MetricKind::Histogram: {
             // The registry stores per-bucket counts with inclusive
@@ -103,13 +84,14 @@ renderPrometheus(const std::vector<obs::MetricRow> &rows)
                                   ? row.hist.buckets[i]
                                   : 0;
                 out += family + "_bucket{le=\"" +
-                       u64(row.hist.bounds[i]) + "\"} " +
-                       u64(cumulative) + "\n";
+                       std::to_string(row.hist.bounds[i]) + "\"} " +
+                       std::to_string(cumulative) + "\n";
             }
             out += family + "_bucket{le=\"+Inf\"} " +
-                   u64(row.hist.count) + "\n";
-            out += family + "_sum " + u64(row.hist.sum) + "\n";
-            out += family + "_count " + u64(row.hist.count) + "\n";
+                   std::to_string(row.hist.count) + "\n";
+            out += family + "_sum " + std::to_string(row.hist.sum) + "\n";
+            out += family + "_count " + std::to_string(row.hist.count) +
+                   "\n";
             break;
           }
         }
@@ -139,7 +121,8 @@ originSample(std::string &out, const char *family,
              TraceOrigin origin, std::uint64_t value)
 {
     out += std::string(family) + "{origin=\"" +
-           traceOriginName(origin) + "\"} " + u64(value) + "\n";
+           traceOriginName(origin) + "\"} " + std::to_string(value) +
+           "\n";
 }
 
 } // namespace
@@ -206,7 +189,7 @@ renderProvenancePrometheus(const ProvenanceTable &table)
             out += std::string("tpre_provenance_evictions_total") +
                    "{origin=\"" + traceOriginName(origin) +
                    "\",reason=\"" + r.reason + "\"} " +
-                   u64(r.get(table.of(origin))) + "\n";
+                   std::to_string(r.get(table.of(origin))) + "\n";
         }
     }
     return out;
@@ -251,7 +234,8 @@ renderAttribPrometheus(const AttribTable &table)
                 out += std::string(f.family) + "{origin=\"" +
                        traceOriginName(origin) + "\",loop_class=\"" +
                        loopClassName(cls) + "\"} " +
-                       u64(f.get(table.of(origin, cls))) + "\n";
+                       std::to_string(f.get(table.of(origin, cls))) +
+                       "\n";
             }
         }
     }
@@ -290,7 +274,7 @@ renderAttribPrometheus(const AttribTable &table)
                            "\",inst_type=\"" +
                            instKindName(
                                static_cast<InstKind>(k)) +
-                           "\"} " + u64(counts[k]) + "\n";
+                           "\"} " + std::to_string(counts[k]) + "\n";
                 }
             }
         }
@@ -328,19 +312,7 @@ publishRunLedgers(const ProvenanceTable &prov,
 {
     PublishedLedgers &pub = publishedLedgers();
     const std::lock_guard<std::mutex> lock(pub.mutex);
-    for (std::size_t i = 0; i < kNumOrigins; ++i) {
-        OriginProvenance &a = pub.prov.origins[i];
-        const OriginProvenance &b = prov.origins[i];
-        a.builds += b.builds;
-        a.hits += b.hits;
-        a.firstUses += b.firstUses;
-        a.firstUseLatencySum += b.firstUseLatencySum;
-        a.evictCapacity += b.evictCapacity;
-        a.evictRefresh += b.evictRefresh;
-        a.evictInvalidate += b.evictInvalidate;
-        a.evictClear += b.evictClear;
-        a.evictedUnused += b.evictedUnused;
-    }
+    pub.prov.add(prov);
     pub.attrib.add(attrib);
 }
 

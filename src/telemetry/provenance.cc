@@ -1,7 +1,5 @@
 #include "telemetry/provenance.hh"
 
-#include <cstdio>
-
 namespace tpre
 {
 
@@ -38,19 +36,23 @@ ProvenanceTable::totalEvictions() const
     return n;
 }
 
-namespace
+void
+ProvenanceTable::add(const ProvenanceTable &other)
 {
-
-std::string
-u64(std::uint64_t v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%llu",
-                  static_cast<unsigned long long>(v));
-    return buf;
+    for (std::size_t i = 0; i < kNumOrigins; ++i) {
+        OriginProvenance &a = origins[i];
+        const OriginProvenance &b = other.origins[i];
+        a.builds += b.builds;
+        a.hits += b.hits;
+        a.firstUses += b.firstUses;
+        a.firstUseLatencySum += b.firstUseLatencySum;
+        a.evictCapacity += b.evictCapacity;
+        a.evictRefresh += b.evictRefresh;
+        a.evictInvalidate += b.evictInvalidate;
+        a.evictClear += b.evictClear;
+        a.evictedUnused += b.evictedUnused;
+    }
 }
-
-} // namespace
 
 std::string
 renderProvenanceJson(const ProvenanceTable &table)
@@ -63,17 +65,20 @@ renderProvenanceJson(const ProvenanceTable &table)
         out += "\"";
         out += traceOriginName(static_cast<TraceOrigin>(i));
         out += "\": {";
-        out += "\"builds\": " + u64(o.builds) + ", ";
-        out += "\"hits\": " + u64(o.hits) + ", ";
-        out += "\"first_uses\": " + u64(o.firstUses) + ", ";
+        out += "\"builds\": " + std::to_string(o.builds) + ", ";
+        out += "\"hits\": " + std::to_string(o.hits) + ", ";
+        out += "\"first_uses\": " + std::to_string(o.firstUses) + ", ";
         out += "\"first_use_latency_sum\": " +
-               u64(o.firstUseLatencySum) + ", ";
-        out += "\"evict_capacity\": " + u64(o.evictCapacity) + ", ";
-        out += "\"evict_refresh\": " + u64(o.evictRefresh) + ", ";
-        out += "\"evict_invalidate\": " + u64(o.evictInvalidate) +
+               std::to_string(o.firstUseLatencySum) + ", ";
+        out += "\"evict_capacity\": " + std::to_string(o.evictCapacity) +
                ", ";
-        out += "\"evict_clear\": " + u64(o.evictClear) + ", ";
-        out += "\"evicted_unused\": " + u64(o.evictedUnused) + "}";
+        out += "\"evict_refresh\": " + std::to_string(o.evictRefresh) +
+               ", ";
+        out += "\"evict_invalidate\": " +
+               std::to_string(o.evictInvalidate) + ", ";
+        out += "\"evict_clear\": " + std::to_string(o.evictClear) + ", ";
+        out += "\"evicted_unused\": " + std::to_string(o.evictedUnused) +
+               "}";
     }
     out += "}";
     return out;

@@ -105,6 +105,9 @@ struct ProvenanceTable
     std::uint64_t totalHits() const;
     std::uint64_t totalEvictions() const;
 
+    /** Accumulate another table field-wise (run aggregation). */
+    void add(const ProvenanceTable &other);
+
     /**
      * Lines still resident: every build either was evicted (any
      * reason) or is still valid in the cache. The invariant
@@ -120,7 +123,7 @@ struct ProvenanceTable
 /**
  * The table as a JSON object keyed by origin name, e.g.
  *   {"fill": {"builds": N, "hits": N, ...}, "precon": {...}}
- * Used by the BENCH JSON rows and the /runs endpoint.
+ * Used by the BENCH JSON rows.
  */
 std::string renderProvenanceJson(const ProvenanceTable &table);
 

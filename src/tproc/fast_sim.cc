@@ -28,8 +28,6 @@ FastSim::FastSim(const Program &program, FastSimConfig config)
         engine_ = std::make_unique<PreconstructionEngine>(
             program_, icache_, bimodal_, traceCache_,
             config_.precon);
-        if (config_.diagnostics)
-            engine_->enableDiagLog();
     }
 }
 
@@ -46,12 +44,9 @@ FastSim::processTrace(const std::vector<DynInst> &window,
     ++stats_.traces;
     stats_.instructions += trace.len();
 
-    bool first_seen = false;
-    if (config_.trackTraceWorkingSet || config_.diagnostics) {
-        first_seen = seenTraces_.insert(trace.id).second;
-        if (first_seen)
-            ++stats_.traceWorkingSet;
-    }
+    if (config_.trackTraceWorkingSet &&
+        seenTraces_.insert(trace.id).second)
+        ++stats_.traceWorkingSet;
 
     traceCache_.advanceTo(stats_.cycles);
     const Trace *stored = traceCache_.lookup(trace.id);
@@ -122,14 +117,6 @@ FastSim::processTrace(const std::vector<DynInst> &window,
         ++stats_.tcMisses;
         TPRE_TRACE_INSTANT("tcache", "miss", obs::Domain::Cycles,
                            stats_.cycles, trace.len());
-        if (config_.diagnostics) {
-            if (first_seen)
-                ++stats_.missFirstSeen;
-            else
-                ++stats_.missRepeat;
-            if (everBuffered_.count(trace.id))
-                ++stats_.missEverConstructed;
-        }
         slow_path_busy = true;
 
         // Slow path: fetch the trace's instructions through the
@@ -182,22 +169,8 @@ FastSim::processTrace(const std::vector<DynInst> &window,
             config_.hooks.onCommit(dyn);
     }
 
-    if (engine_) {
+    if (engine_)
         engine_->tick(trace_cycles, !slow_path_busy);
-        if (config_.diagnostics) {
-            for (const TraceId &id : engine_->drainBufferedLog())
-                everBuffered_.insert(id);
-        }
-    }
-}
-
-std::pair<std::size_t, std::size_t>
-FastSim::bufferedSeenIntersection() const
-{
-    std::size_t both = 0;
-    for (const TraceId &id : everBuffered_)
-        both += seenTraces_.count(id);
-    return {both, everBuffered_.size()};
 }
 
 // Runs once per committed instruction of the scalar loops (every
@@ -371,7 +344,6 @@ FastSim::configSignature(mem::CheckpointKind kind) const
     chain(config_.precon.policy.loopExitAlignSeeds);
     chain(config_.precon.policy.callStackDepth);
     chain(config_.trackTraceWorkingSet);
-    chain(config_.diagnostics);
     return sig;
 }
 
@@ -396,10 +368,6 @@ FastSim::checkpoint(mem::CheckpointKind kind) const
         w.put<std::uint32_t>(
             static_cast<std::uint32_t>(seenTraces_.size()));
         for (const TraceId &id : seenTraces_)
-            w.put(id);
-        w.put<std::uint32_t>(
-            static_cast<std::uint32_t>(everBuffered_.size()));
-        for (const TraceId &id : everBuffered_)
             w.put(id);
     }
     mem::Checkpoint cp;
@@ -457,10 +425,6 @@ FastSim::forkFrom(const mem::Checkpoint &checkpoint)
     const auto numSeen = r.get<std::uint32_t>();
     for (std::uint32_t i = 0; i < numSeen; ++i)
         seenTraces_.insert(r.get<TraceId>());
-    everBuffered_.clear();
-    const auto numBuffered = r.get<std::uint32_t>();
-    for (std::uint32_t i = 0; i < numBuffered; ++i)
-        everBuffered_.insert(r.get<TraceId>());
     if (r.remaining() != 0) {
         fatal("FastSim::forkFrom: %zu trailing bytes in a full "
               "checkpoint", r.remaining());

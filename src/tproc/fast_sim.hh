@@ -15,7 +15,6 @@
 
 #include <memory>
 #include <unordered_set>
-#include <utility>
 #include <vector>
 
 #include "bpred/bimodal.hh"
@@ -53,8 +52,6 @@ struct FastSimConfig
     PreconConfig precon;
     /** Track the number of distinct trace identities seen. */
     bool trackTraceWorkingSet = false;
-    /** Extra (slower) miss-classification diagnostics. */
-    bool diagnostics = false;
     /**
      * Predecoded block dispatch (ROADMAP items 2a/2b): retire whole
      * basic blocks in bulk instead of stepping instruction by
@@ -89,14 +86,6 @@ struct FastSimStats
     PreconstructionEngine::Stats precon;
     /** Distinct trace identities (when tracking is enabled). */
     std::uint64_t traceWorkingSet = 0;
-    /** Diagnostics: misses on never-before-dispatched trace ids. */
-    std::uint64_t missFirstSeen = 0;
-    /** Diagnostics: misses on previously dispatched ids. */
-    std::uint64_t missRepeat = 0;
-    /** Diagnostics: misses whose id preconstruction had built at
-     *  some earlier point (so it was lost to churn, not never
-     *  constructed). */
-    std::uint64_t missEverConstructed = 0;
     /** Per-origin trace-cache line provenance (copied at run end). */
     ProvenanceTable provenance;
     /**
@@ -223,9 +212,6 @@ class FastSim
 
     const FastSimStats &stats() const { return stats_; }
 
-    /** Diagnostics: {|buffered ∩ dispatched|, |buffered|}. */
-    std::pair<std::size_t, std::size_t>
-    bufferedSeenIntersection() const;
     const TraceCache &traceCache() const { return traceCache_; }
     const PreconstructionEngine *engine() const
     { return engine_.get(); }
@@ -263,7 +249,6 @@ class FastSim
      * silently undercount traceWorkingSet.
      */
     std::unordered_set<TraceId> seenTraces_;
-    std::unordered_set<TraceId> everBuffered_;
     /**
      * Commit window of the in-flight trace (scalar paths). A member
      * rather than a run() local so checkpoints can capture it and a

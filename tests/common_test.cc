@@ -110,17 +110,17 @@ TEST(ParseTest, RejectsWhitespaceSignAndTrailingJunk)
 
 TEST(ParseTest, UnsignedEnforcesRangeInsteadOfTruncating)
 {
-    // Regression: TPRE_HEARTBEAT_SECS went through a plain cast to
-    // unsigned, so 2^33 truncated to 0 (heartbeat off) instead of
-    // failing loudly.
-    EXPECT_EQ(parseUnsigned("3600", "TPRE_HEARTBEAT_SECS", 86400),
+    // Regression: a knob parsed through a plain cast to unsigned
+    // truncated 2^33 to 0 instead of failing loudly. TPRE_TRACE_BUF
+    // now goes through parseUnsigned with an explicit bound.
+    EXPECT_EQ(parseUnsigned("3600", "TPRE_TRACE_BUF", 86400),
               3600u);
-    EXPECT_EQ(parseUnsigned("86400", "TPRE_HEARTBEAT_SECS", 86400),
+    EXPECT_EQ(parseUnsigned("86400", "TPRE_TRACE_BUF", 86400),
               86400u);
-    EXPECT_EXIT(parseUnsigned("8589934592", "TPRE_HEARTBEAT_SECS",
+    EXPECT_EXIT(parseUnsigned("8589934592", "TPRE_TRACE_BUF",
                               86400),
                 testing::ExitedWithCode(1), "exceeds the maximum");
-    EXPECT_EXIT(parseUnsigned("86401", "TPRE_HEARTBEAT_SECS", 86400),
+    EXPECT_EXIT(parseUnsigned("86401", "TPRE_TRACE_BUF", 86400),
                 testing::ExitedWithCode(1), "exceeds the maximum");
 }
 

@@ -44,6 +44,26 @@ TEST(ByteCodecTest, PodsAndBytesRoundTrip)
     EXPECT_EQ(r.remaining(), 0u);
 }
 
+TEST(ByteCodecTest, ZeroLengthBytesRestoreIntoEmptyVector)
+{
+    // Regression: restoring an empty vector passed its (null)
+    // data() to memcpy, which UBSan rejects even for a zero-byte
+    // copy.
+    const std::vector<std::uint64_t> empty;
+    mem::ByteWriter w;
+    w.put<std::uint32_t>(static_cast<std::uint32_t>(empty.size()));
+    w.putBytes(empty.data(), 0);
+    w.put<std::uint16_t>(7);
+    const std::vector<std::uint8_t> bytes = w.take();
+
+    mem::ByteReader r(bytes);
+    std::vector<std::uint64_t> back(r.get<std::uint32_t>());
+    r.getBytes(back.data(), back.size() * sizeof(std::uint64_t));
+    EXPECT_TRUE(back.empty());
+    EXPECT_EQ(r.get<std::uint16_t>(), 7);
+    EXPECT_EQ(r.remaining(), 0u);
+}
+
 TEST(ByteCodecDeathTest, ReadingPastTheEndIsFatal)
 {
     const std::vector<std::uint8_t> two(2, 0);

@@ -135,13 +135,6 @@ TEST(ReportTest, AlignedRendering)
     EXPECT_NE(text.find("-----"), std::string::npos);
 }
 
-TEST(ReportTest, CsvRendering)
-{
-    TableReport table({"a", "b"});
-    table.addRow({"1", "2"});
-    EXPECT_EQ(table.renderCsv(), "a,b\n1,2\n");
-}
-
 TEST(ReportTest, NumFormatting)
 {
     EXPECT_EQ(TableReport::num(3.14159, 3), "3.142");
@@ -152,26 +145,6 @@ TEST(ReportTest, MismatchedRowWidthDies)
 {
     TableReport table({"a", "b"});
     EXPECT_DEATH(table.addRow({"only-one"}), "row width");
-}
-
-TEST(ReportTest, CsvQuotesSeparatorsQuotesAndNewlines)
-{
-    // Regression: cells used to be emitted verbatim, so a comma in
-    // a config description shifted every following column.
-    TableReport table({"config", "note"});
-    table.addRow({"128TC, 128PB", "plain"});
-    table.addRow({"say \"hi\"", "line\nbreak"});
-    EXPECT_EQ(table.renderCsv(),
-              "config,note\n"
-              "\"128TC, 128PB\",plain\n"
-              "\"say \"\"hi\"\"\",\"line\nbreak\"\n");
-}
-
-TEST(ReportTest, CsvLeavesCleanCellsUnquoted)
-{
-    TableReport table({"a", "b"});
-    table.addRow({"1.5%", "2x"});
-    EXPECT_EQ(table.renderCsv(), "a,b\n1.5%,2x\n");
 }
 
 TEST(JsonReportTest, EscapesControlAndQuoteCharacters)

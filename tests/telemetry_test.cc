@@ -4,9 +4,9 @@
  * pinned against golden documents, the live HTTP endpoint
  * (including a scrape taken *during* a parallel batch), the run
  * registry, trace provenance reconciliation against the simulator
- * statistics, structured NDJSON logging, the heartbeat record
- * formats, strict TPRE_TRACE_BUF parsing, and the crash flight
- * recorder (as a death test whose child leaves a dump behind).
+ * statistics, structured NDJSON logging, strict TPRE_TRACE_BUF
+ * parsing, and the crash flight recorder (as a death test whose
+ * child leaves a dump behind).
  */
 
 #include <gtest/gtest.h>
@@ -31,7 +31,6 @@
 #include "par/parallel_sweep.hh"
 #include "sim/simulator.hh"
 #include "telemetry/flight_recorder.hh"
-#include "telemetry/heartbeat.hh"
 #include "telemetry/prometheus.hh"
 #include "telemetry/provenance.hh"
 #include "telemetry/run_registry.hh"
@@ -497,7 +496,7 @@ TEST(ProvenanceTest, JsonRenderingCarriesBothOrigins)
 }
 
 // ---------------------------------------------------------------
-// Structured logging + heartbeat.
+// Structured logging.
 // ---------------------------------------------------------------
 
 /** RAII: force a log format/level, restore the previous one. */
@@ -559,46 +558,6 @@ TEST(JsonLogTest, LevelThresholdSuppressesBelow)
     EXPECT_TRUE(logLevelEnabled(LogLevel::Error));
 }
 
-TEST(HeartbeatTest, FormatsJsonAndTextBeats)
-{
-    {
-        ScopedLogConfig scope(LogFormat::Json, LogLevel::Info);
-        const std::string beat = telemetry::Heartbeat::formatBeat(
-            2000000, 2.0, 1000, 600, 200);
-        EXPECT_EQ(beat.front(), '{');
-        EXPECT_EQ(beat.back(), '}');
-        EXPECT_NE(beat.find("\"event\": \"heartbeat\""),
-                  std::string::npos);
-        EXPECT_NE(beat.find("\"instructions\": 2000000"),
-                  std::string::npos);
-        EXPECT_NE(beat.find("\"mips\": 1"), std::string::npos);
-        // (600 + 200) / 1000 probes, 200 / 800 precon share.
-        EXPECT_NE(beat.find("\"tcache_hit_rate\": 0.8"),
-                  std::string::npos);
-        EXPECT_NE(beat.find("\"precon_coverage\": 0.25"),
-                  std::string::npos);
-    }
-    {
-        ScopedLogConfig scope(LogFormat::Text, LogLevel::Info);
-        const std::string beat = telemetry::Heartbeat::formatBeat(
-            2000000, 2.0, 1000, 600, 200);
-        EXPECT_NE(beat.find("heartbeat: 2000000 insts"),
-                  std::string::npos);
-        EXPECT_NE(beat.find("1.000 MIPS"), std::string::npos);
-    }
-}
-
-TEST(HeartbeatTest, StartsAndStopsCleanly)
-{
-    telemetry::Heartbeat heartbeat;
-    EXPECT_FALSE(heartbeat.running());
-    heartbeat.start(3600);  // no beat fires during the test
-    EXPECT_TRUE(heartbeat.running());
-    heartbeat.stop();
-    EXPECT_FALSE(heartbeat.running());
-    heartbeat.stop();  // idempotent
-}
-
 // ---------------------------------------------------------------
 // TPRE_TRACE_BUF strict parsing.
 // ---------------------------------------------------------------
@@ -643,6 +602,8 @@ TEST(FlightRecorderTest, WritesRegistryDump)
 {
     obs::Counter counter("telemetry_test.flight");
     counter.add(5);
+    obs::Histogram hist("telemetry_test.flight_hist", {8});
+    hist.record(3);
     const std::string dir = testing::TempDir();
     ASSERT_EQ(setenv("TPRE_BENCH_DIR", dir.c_str(), 1), 0);
     const std::string path =
@@ -659,6 +620,14 @@ TEST(FlightRecorderTest, WritesRegistryDump)
               std::string::npos);
     EXPECT_NE(doc.find("\"counters\": {"), std::string::npos);
     EXPECT_NE(doc.find("\"telemetry_test.flight\": 5"),
+              std::string::npos);
+    // The dump shares the BENCH report's obs renderer, so it carries
+    // the same fields, histogram buckets included.
+    EXPECT_NE(doc.find("\"enabled\": "), std::string::npos);
+    EXPECT_NE(doc.find("\"buckets\": ["), std::string::npos);
+    EXPECT_NE(doc.find("\"telemetry_test.flight_hist\": {\"count\": "
+                       "1, \"sum\": 3, \"bounds\": [8], "
+                       "\"buckets\": [1, 0]}"),
               std::string::npos);
 }
 
