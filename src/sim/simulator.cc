@@ -130,6 +130,55 @@ replayTrace(const std::string &tptPath, SimConfig config)
     return result;
 }
 
+std::optional<StreamKey>
+streamKey(const SimConfig &config)
+{
+    if (config.mode != SimMode::Fast ||
+        config.sampleSpec().resolved().enabled() ||
+        !config.blockCache || !config.tptDump.empty())
+        return std::nullopt;
+    return StreamKey{config.benchmark, config.workloadSeed,
+                     config.selection.maxLen,
+                     config.selection.alignGranule,
+                     config.warmupInsts, config.maxInsts};
+}
+
+namespace
+{
+
+/**
+ * Stamp the host-side fields of a finished row: wall time and the
+ * MIPS it implies, the warm-up outcome, and the row's share of the
+ * process-wide ledgers.
+ */
+void
+finishResult(SimResult &result, const SimConfig &config,
+             double wallSeconds, bool warmRun,
+             const std::string &warmFallback)
+{
+    result.wallSeconds = wallSeconds;
+    if (wallSeconds > 0.0) {
+        result.mips = static_cast<double>(result.instructions) /
+                      1e6 / wallSeconds;
+    }
+    result.warm = warmRun;
+    result.warmupInsts = config.warmupInsts;
+    result.warmFallback = warmFallback;
+    TPRE_OBS_COUNT("sim.instructions", result.instructions);
+    // Make the run's ledgers visible to a live /metrics scrape.
+    telemetry::publishRunLedgers(result.provenance, result.attrib);
+}
+
+double
+secondsSince(std::chrono::steady_clock::time_point start)
+{
+    return std::chrono::duration<double>(
+               std::chrono::steady_clock::now() - start)
+        .count();
+}
+
+} // namespace
+
 std::shared_ptr<const GeneratedWorkload>
 Simulator::workload(const std::string &benchmark,
                     std::uint64_t seed)
@@ -233,34 +282,82 @@ Simulator::warmCheckpoint(const SimConfig &config,
     return entry->checkpoint;
 }
 
+Simulator::WarmPlan
+Simulator::planWarmup(const SimConfig &config,
+                      const GeneratedWorkload &wl)
+{
+    WarmPlan plan;
+    if (config.warmupInsts == 0)
+        return plan;
+    if (config.mode != SimMode::Fast)
+        plan.fallback = "timing-mode";
+    else if (!config.tptDump.empty())
+        plan.fallback = "tpt-dump";
+    else if (config.warmupInsts >= config.maxInsts)
+        plan.fallback = "warmup>=maxInsts";
+    else
+        plan.checkpoint = warmCheckpoint(config, wl);
+    return plan;
+}
+
+std::vector<SimResult>
+Simulator::runGroup(const std::vector<SimConfig> &configs)
+{
+    tpre_assert(!configs.empty(), "runGroup: no rows");
+    const SimConfig &lead = configs.front();
+    const std::optional<StreamKey> key = streamKey(lead);
+    tpre_assert(key.has_value(), "runGroup: row cannot share a stream");
+    for (const SimConfig &config : configs)
+        tpre_assert(streamKey(config) == key,
+                    "runGroup: rows differ in their stream key");
+
+    const std::shared_ptr<const GeneratedWorkload> wl =
+        workload(lead.benchmark, lead.workloadSeed);
+    // One warm-up decision for the group: the key shares the
+    // warm-up length and the budget.
+    const WarmPlan warm = planWarmup(lead, *wl);
+    const bool warmRun = warm.checkpoint != nullptr;
+
+    std::vector<FastSimConfig> fastConfigs;
+    fastConfigs.reserve(configs.size());
+    for (const SimConfig &config : configs)
+        fastConfigs.push_back(config.toFastConfig());
+    const InstCount budget =
+        warmRun ? lead.maxInsts - lead.warmupInsts : lead.maxInsts;
+
+    TPRE_OBS_WALL_SPAN("sim", "run");
+    TPRE_OBS_COUNT("sim.runs", configs.size());
+    const auto start = std::chrono::steady_clock::now();
+    const std::vector<FastSimStats> stats = runSharedStream(
+        wl->program, fastConfigs, budget, warm.checkpoint.get());
+    const double rowSeconds =
+        secondsSince(start) / static_cast<double>(configs.size());
+
+    std::vector<SimResult> results;
+    results.reserve(configs.size());
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+        SimResult &result =
+            results.emplace_back(makeFastResult(configs[i], stats[i]));
+        finishResult(result, configs[i], rowSeconds, warmRun,
+                     warm.fallback);
+    }
+    return results;
+}
+
 SimResult
 Simulator::run(const SimConfig &config)
 {
+    if (streamKey(config))
+        return runGroup({config}).front();
+
     const std::shared_ptr<const GeneratedWorkload> wl =
         workload(config.benchmark, config.workloadSeed);
 
     SimResult result;
     result.config = config;
 
-    // Warm-state reuse: decide before the clock starts whether this
-    // run can fork from the shared warm-up checkpoint. The
-    // checkpoint itself is generated (once per workload+selection)
-    // outside the timed section, like workload generation.
-    bool warmRun = false;
-    std::string warmFallback;
-    std::shared_ptr<const mem::Checkpoint> warmCp;
-    if (config.warmupInsts > 0) {
-        if (config.mode != SimMode::Fast)
-            warmFallback = "timing-mode";
-        else if (!config.tptDump.empty())
-            warmFallback = "tpt-dump";
-        else if (config.warmupInsts >= config.maxInsts)
-            warmFallback = "warmup>=maxInsts";
-        else {
-            warmCp = warmCheckpoint(config, *wl);
-            warmRun = true;
-        }
-    }
+    const WarmPlan warm = planWarmup(config, *wl);
+    const bool warmRun = warm.checkpoint != nullptr;
 
     // Sampled simulation: resolve (and validate) the spec up front;
     // runs that cannot sample fall back to detailed and record why.
@@ -305,7 +402,7 @@ Simulator::run(const SimConfig &config)
 
         FastSim sim(wl->program, fcfg);
         if (warmRun)
-            sim.forkFrom(*warmCp);
+            sim.forkFrom(*warm.checkpoint);
         const InstCount budget =
             warmRun ? config.maxInsts - config.warmupInsts
                     : config.maxInsts;
@@ -355,24 +452,12 @@ Simulator::run(const SimConfig &config)
         result.attrib = st.attrib;
     }
 
-    result.wallSeconds =
-        std::chrono::duration<double>(
-            std::chrono::steady_clock::now() - start)
-            .count();
-    if (result.wallSeconds > 0.0) {
-        result.mips = static_cast<double>(result.instructions) /
-                      1e6 / result.wallSeconds;
-    }
-    result.warm = warmRun;
-    result.warmupInsts = config.warmupInsts;
-    result.warmFallback = warmFallback;
+    finishResult(result, config, secondsSince(start), warmRun,
+                 warm.fallback);
     // A degenerate sampled run records its own fallback reason
     // ("window>=maxInsts"); preserve it over the empty string here.
     if (!result.sampled && result.sampleFallback.empty())
         result.sampleFallback = sampleFallback;
-    TPRE_OBS_COUNT("sim.instructions", result.instructions);
-    // Make the run's ledgers visible to a live /metrics scrape.
-    telemetry::publishRunLedgers(result.provenance, result.attrib);
     return result;
 }
 

@@ -12,7 +12,9 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <tuple>
+#include <vector>
 
 #include "mem/checkpoint.hh"
 #include "sim/config.hh"
@@ -150,6 +152,25 @@ SimResult makeSampledResult(const SimConfig &config,
 SimResult replayTrace(const std::string &tptPath, SimConfig config);
 
 /**
+ * Identity of the committed stream a row consumes: benchmark,
+ * workload seed, selection policy (maxLen, alignGranule), warm-up
+ * and budget. Rows with equal keys segment the same traces and stop
+ * at the same trace boundary, whatever their frontend sizing.
+ */
+using StreamKey = std::tuple<std::string, std::uint64_t, unsigned,
+                             unsigned, InstCount, InstCount>;
+
+/**
+ * The row's stream key when it can share its stream with other
+ * rows (Simulator::runGroup): Fast mode, unsampled, block dispatch
+ * and no `.tpt` dump. std::nullopt for every other row, which runs
+ * alone: timing rows have no shareable frontend, sampled rows place
+ * their windows per run, and dump and scalar rows need the commit
+ * window that block dispatch never builds.
+ */
+std::optional<StreamKey> streamKey(const SimConfig &config);
+
+/**
  * Runs experiments, caching generated workloads. Thread-safe: the
  * parallel sweep engine shares one Simulator across all workers so
  * each (benchmark, seed) program is generated exactly once. Cache
@@ -164,8 +185,24 @@ class Simulator
   public:
     Simulator() = default;
 
-    /** Run one experiment configuration. */
+    /**
+     * Run one experiment configuration. A row with a stream key
+     * runs as runGroup() of one.
+     */
     SimResult run(const SimConfig &config);
+
+    /**
+     * Run rows that all have the same stream key (streamKey()) as
+     * one group: one functional pass, forked from the shared
+     * warm-up checkpoint when the rows warm up, whose segmented
+     * traces are served to one frontend per row in lockstep
+     * (DESIGN.md section 9). Every result is bit-identical to its
+     * row's solo run except wallSeconds, which is the group's wall
+     * time divided by the row count, and mips, which follows from
+     * it. Results come back in input order.
+     */
+    std::vector<SimResult>
+    runGroup(const std::vector<SimConfig> &configs);
 
     /**
      * Access (and cache) the workload for a config. The returned
@@ -214,6 +251,24 @@ class Simulator
     std::shared_ptr<const mem::Checkpoint>
     warmCheckpoint(const SimConfig &config,
                    const GeneratedWorkload &wl);
+
+    /** How a row's warm-up request resolves. */
+    struct WarmPlan
+    {
+        /** The shared checkpoint to fork from; null for a cold run. */
+        std::shared_ptr<const mem::Checkpoint> checkpoint;
+        /** Why a requested warm-up runs cold (SimResult field). */
+        std::string fallback;
+    };
+
+    /**
+     * Decide before the clock starts whether @p config can fork
+     * from the shared warm-up checkpoint; generates the checkpoint
+     * (once per workload+selection) outside the timed section, like
+     * workload generation.
+     */
+    WarmPlan planWarmup(const SimConfig &config,
+                        const GeneratedWorkload &wl);
 
     /** Drop LRU generated workloads beyond the cache limit. */
     void evictWorkloadsLocked(

@@ -69,8 +69,12 @@ class RunScope
     RunScope(const RunScope &) = delete;
     RunScope &operator=(const RunScope &) = delete;
 
-    /** Mark one job finished (any thread). */
-    void jobFinished() { record_->completedJobs.fetch_add(1); }
+    /** Mark @p n jobs finished (any thread). */
+    void
+    jobFinished(std::uint64_t n = 1)
+    {
+        record_->completedJobs.fetch_add(n);
+    }
 
   private:
     std::shared_ptr<RunRecord> record_;

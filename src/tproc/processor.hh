@@ -215,13 +215,10 @@ class TraceProcessor
     /** Outcome-mismatch: arm resolve after the next dispatch. */
     bool armResolveAfterDispatch_ = false;
     unsigned armResolveIdx_ = 0;
-    /** Last dispatched trace (for start-mismatch divergence). */
-    std::uint64_t lastHandle_ = 0;
-    unsigned lastLen_ = 0;
     /** I-cache port busy (slow path) until this cycle. */
     Cycle slowBusyUntil_ = 0;
-    /** Predicted id for the front trace (set at previous dispatch). */
-    TraceId predForFront_;
+    /** The NTP correctly predicted the front trace at the previous
+     *  dispatch, so fetch knows its target. */
     bool predValidForFront_ = false;
 
     ProcessorStats stats_;

@@ -3,7 +3,7 @@
  * ReplayFrontend: drives the trace-processor frontend — fill unit,
  * trace cache, preconstruction engine, predictors — from a decoded
  * `.tpt` stream instead of a FunctionalCore. The replay takes the
- * exact same FastSim::processTrace path a live run takes, so
+ * exact same FastFrontend::processTrace path a live run takes, so
  * replaying the stream a live run committed reproduces its frontend
  * statistics field by field; diffModels() and the bench harness both
  * lean on that equality.

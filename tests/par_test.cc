@@ -144,6 +144,23 @@ TEST(ParallelSweepTest, OnResultArrivesInJobOrder)
         EXPECT_EQ(seen[i], points[i].tcEntries);
 }
 
+/** The ledger fields provenance rows and attribution cells share. */
+template <typename Row>
+void
+expectSameLedgerRow(const Row &a, const Row &b)
+{
+    EXPECT_EQ(a.builds, b.builds);
+    EXPECT_EQ(a.hits, b.hits);
+    EXPECT_EQ(a.firstUses, b.firstUses);
+    EXPECT_EQ(a.firstUseLatencySum, b.firstUseLatencySum);
+    EXPECT_EQ(a.evictCapacity, b.evictCapacity);
+    EXPECT_EQ(a.evictRefresh, b.evictRefresh);
+    EXPECT_EQ(a.evictInvalidate, b.evictInvalidate);
+    EXPECT_EQ(a.evictClear, b.evictClear);
+    EXPECT_EQ(a.evictedUnused, b.evictedUnused);
+}
+
+/** Every simulated field of two results (host timing excluded). */
 void
 expectSameResult(const SimResult &a, const SimResult &b)
 {
@@ -162,6 +179,7 @@ expectSameResult(const SimResult &a, const SimResult &b)
     EXPECT_EQ(a.icacheSupplyPerKi, b.icacheSupplyPerKi);
     EXPECT_EQ(a.icacheMissesPerKi, b.icacheMissesPerKi);
     EXPECT_EQ(a.icacheMissSupplyPerKi, b.icacheMissSupplyPerKi);
+    EXPECT_EQ(a.coverage, b.coverage);
 
     EXPECT_EQ(a.precon.startPointsPushed, b.precon.startPointsPushed);
     EXPECT_EQ(a.precon.regionsStarted, b.precon.regionsStarted);
@@ -183,6 +201,37 @@ expectSameResult(const SimResult &a, const SimResult &b)
     EXPECT_EQ(a.prep.constsPropagated, b.prep.constsPropagated);
     EXPECT_EQ(a.prep.opsFused, b.prep.opsFused);
     EXPECT_EQ(a.prep.instsMoved, b.prep.instsMoved);
+
+    for (std::size_t o = 0; o < kNumOrigins; ++o) {
+        const auto origin = static_cast<TraceOrigin>(o);
+        SCOPED_TRACE(traceOriginName(origin));
+        expectSameLedgerRow(a.provenance.of(origin),
+                            b.provenance.of(origin));
+    }
+    for (std::size_t c = 0; c < a.attrib.cells.size(); ++c) {
+        SCOPED_TRACE("attrib cell " + std::to_string(c));
+        const AttribCell &x = a.attrib.cells[c];
+        const AttribCell &y = b.attrib.cells[c];
+        expectSameLedgerRow(x, y);
+        EXPECT_EQ(x.instBuilt, y.instBuilt);
+        EXPECT_EQ(x.instServed, y.instServed);
+    }
+
+    EXPECT_EQ(a.blocksDecoded, b.blocksDecoded);
+    EXPECT_EQ(a.blockHits, b.blockHits);
+    EXPECT_EQ(a.blockInvalidations, b.blockInvalidations);
+
+    EXPECT_EQ(a.warm, b.warm);
+    EXPECT_EQ(a.warmupInsts, b.warmupInsts);
+    EXPECT_EQ(a.warmFallback, b.warmFallback);
+    EXPECT_EQ(a.sampled, b.sampled);
+    EXPECT_EQ(a.sampleWindows, b.sampleWindows);
+    EXPECT_EQ(a.sampledInsts, b.sampledInsts);
+    EXPECT_EQ(a.skippedInsts, b.skippedInsts);
+    EXPECT_EQ(a.sampleFallback, b.sampleFallback);
+    EXPECT_EQ(a.ci95MissesPerKi, b.ci95MissesPerKi);
+    EXPECT_EQ(a.ci95Coverage, b.ci95Coverage);
+    EXPECT_EQ(a.ci95IcacheMissesPerKi, b.ci95IcacheMissesPerKi);
 }
 
 TEST(ParallelSweepTest, Figure5GridBitIdenticalToSerialSweep)
@@ -253,6 +302,78 @@ TEST(ParallelSweepTest, TimingModeAlsoBitIdentical)
     for (std::size_t i = 0; i < serial.size(); ++i) {
         SCOPED_TRACE("point " + std::to_string(i));
         expectSameResult(serial[i], parallel[i]);
+    }
+}
+
+TEST(ParallelSweepTest, MixedGridGroupsBitIdenticalToSerial)
+{
+    // Rows that share a stream key (benchmark, seed, selection,
+    // warm-up, budget) run as one group over a single functional
+    // pass; every other row runs alone. The rows are interleaved so
+    // groups are not contiguous. Every row must match its own
+    // serial Simulator::run, in input order, at any job count.
+    std::vector<SimConfig> rows;
+    const SizePoint points[] = {{64, 0}, {128, 128}, {256, 0}};
+    for (const SizePoint &p : points) {
+        for (const char *name : {"compress", "gcc", "li"}) {
+            for (const InstCount warmup : {InstCount(0),
+                                           InstCount(20000)}) {
+                SimConfig c;
+                c.benchmark = name;
+                c.maxInsts = 60000;
+                c.warmupInsts = warmup;
+                c.traceCacheEntries = p.tcEntries;
+                c.preconBufferEntries = p.pbEntries;
+                rows.push_back(c);
+            }
+        }
+    }
+    SimConfig sampled = rows[1];
+    sampled.sampleEvery = 20000;
+    sampled.sampleWindow = 5000;
+    sampled.sampleWarmup = 1000;
+    rows.insert(rows.begin() + 3, sampled);
+    SimConfig timing = rows[0];
+    timing.mode = SimMode::Timing;
+    timing.maxInsts = 30000;
+    rows.insert(rows.begin() + 7, timing);
+    SimConfig selection = rows[2];
+    selection.selection.alignGranule = 0;
+    rows.insert(rows.begin() + 11, selection);
+
+    Simulator serialSim;
+    std::vector<SimResult> serial;
+    for (const SimConfig &c : rows)
+        serial.push_back(serialSim.run(c));
+    EXPECT_TRUE(serial[3].sampled);
+    EXPECT_TRUE(serial[4].warm);
+
+    for (const unsigned jobs : {1u, 4u}) {
+        SCOPED_TRACE("jobs " + std::to_string(jobs));
+        Simulator sim;
+        par::SweepOptions opts;
+        opts.jobs = jobs;
+        std::vector<SimResult> emitted;
+        opts.onResult = [&](const SimResult &r) {
+            emitted.push_back(r);
+        };
+        const std::vector<SimResult> grid =
+            par::runParallelGrid(sim, rows, opts);
+
+        ASSERT_EQ(grid.size(), rows.size());
+        ASSERT_EQ(emitted.size(), rows.size());
+        for (std::size_t i = 0; i < rows.size(); ++i) {
+            SCOPED_TRACE("row " + std::to_string(i));
+            expectSameResult(serial[i], grid[i]);
+            // onResult runs in input order.
+            expectSameResult(grid[i], emitted[i]);
+            EXPECT_EQ(emitted[i].config.mode, rows[i].mode);
+            EXPECT_EQ(emitted[i].config.warmupInsts,
+                      rows[i].warmupInsts);
+            EXPECT_EQ(emitted[i].config.selection.alignGranule,
+                      rows[i].selection.alignGranule);
+            EXPECT_GT(grid[i].wallSeconds, 0.0);
+        }
     }
 }
 

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "sim/simulator.hh"
 #include "tproc/partition_sim.hh"
 #include "trace/unified_cache.hh"
 #include "workload/generator.hh"
@@ -210,6 +211,54 @@ TEST(PartitionSimTest, AdaptiveTracksBestStatic)
     const double m = sim.run(500000).missesPerKiloInst();
     // Within 10% of the best static partition, without tuning.
     EXPECT_LT(m, best * 1.10);
+}
+
+TEST(PartitionSimTest, StaticSplitEqualsSplitFastSim)
+{
+    // The oracle for folding PartitionSim into FastSim: a unified
+    // 512-entry store with 2 of its 4 ways reserved for
+    // preconstruction behaves exactly like FastSim's split 256 TC +
+    // 256 PB, counter for counter.
+    Simulator sim;
+    for (const char *name : {"gcc", "go", "vortex"}) {
+        SCOPED_TRACE(name);
+        SimConfig fast;
+        fast.benchmark = name;
+        fast.maxInsts = 300000;
+        fast.traceCacheEntries = 256;
+        fast.preconBufferEntries = 256;
+        const SimResult split = sim.run(fast);
+
+        PartitionSimConfig cfg;
+        cfg.totalEntries = 512;
+        cfg.preconWays = 2;
+        PartitionSim unified(
+            sim.workload(name, fast.workloadSeed)->program, cfg);
+        const PartitionSimStats &st = unified.run(fast.maxInsts);
+
+        EXPECT_EQ(st.instructions, split.instructions);
+        EXPECT_EQ(st.traces, split.traces);
+        EXPECT_EQ(st.misses, split.tcMisses);
+        EXPECT_EQ(st.preconHits, split.pbHits);
+        EXPECT_EQ(st.cycles, split.cycles);
+        const PreconstructionEngine::Stats &a = st.precon;
+        const PreconstructionEngine::Stats &b = split.precon;
+        EXPECT_EQ(a.startPointsPushed, b.startPointsPushed);
+        EXPECT_EQ(a.regionsStarted, b.regionsStarted);
+        EXPECT_EQ(a.regionsCompleted, b.regionsCompleted);
+        EXPECT_EQ(a.regionsCaughtUp, b.regionsCaughtUp);
+        EXPECT_EQ(a.regionsPrefetchFull, b.regionsPrefetchFull);
+        EXPECT_EQ(a.regionsBuffersFull, b.regionsBuffersFull);
+        EXPECT_EQ(a.regionsWarm, b.regionsWarm);
+        EXPECT_EQ(a.tracesConstructed, b.tracesConstructed);
+        EXPECT_EQ(a.tracesBuffered, b.tracesBuffered);
+        EXPECT_EQ(a.tracesAlreadyInTc, b.tracesAlreadyInTc);
+        EXPECT_EQ(a.linesFetched, b.linesFetched);
+        // The unified store serves precon hits itself, so they land
+        // in preconHits and never reach the engine's bufferHits.
+        EXPECT_EQ(a.bufferHits, 0u);
+        EXPECT_EQ(st.preconHits, b.bufferHits);
+    }
 }
 
 } // namespace
