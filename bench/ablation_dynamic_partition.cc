@@ -1,33 +1,33 @@
 /**
  * @file
- * Dynamic TC/buffer partitioning (the paper's Section 5.1 future
- * work): compare, at equal total storage, (a) the paper's split
- * design at several static splits, (b) a unified way-partitioned
- * cache at every static boundary, and (c) the unified cache with
- * the adaptive hill-climbing controller. The paper observes that
- * gcc prefers a small buffer and go a large one; the adaptive
- * design should track each benchmark's preference without tuning.
- *
- * The 3 x 5 design grid mixes Simulator and PartitionSim runs, so
- * it is sharded through par::runJobs directly (--jobs N /
- * TPRE_JOBS); only the Simulator-backed split rows carry the full
- * SimResult schema into BENCH_ablation_dynamic_partition.json.
+ * Trace-cache vs preconstruction storage at equal 32 KB (the
+ * paper's Section 5.1): "a single trace cache could be used by
+ * simply reserving some entries for preconstruction". With a fixed
+ * reservation of w of 4 ways, that single cache is the split design
+ * with the same set count: a (4 - w)-way trace cache plus w-way
+ * preconstruction buffers. Each benchmark runs three such
+ * geometries:
+ *   - 512 TC entries, 4 ways, no preconstruction (w = 0);
+ *   - 384 TC entries, 3 ways + 128 PB entries, 1 way (w = 1);
+ *   - 256 TC + 256 PB, 2 ways each (w = 2, the paper's 50/50).
+ * The rows of one benchmark share a stream key, so they run in one
+ * shared-stream pass (--jobs N / TPRE_JOBS).
  */
 
 #include "bench_common.hh"
-#include "tproc/partition_sim.hh"
 
 using namespace tpre;
 
 namespace
 {
 
-/** One table row computed by a sharded job. */
-struct Row
+struct Geometry
 {
-    std::vector<std::string> cells;
-    bool hasSimResult = false;
-    SimResult simResult;
+    const char *name;
+    std::size_t tcEntries;
+    unsigned tcAssoc;
+    std::size_t pbEntries;
+    unsigned pbAssoc;
 };
 
 } // namespace
@@ -40,83 +40,45 @@ main(int argc, char **argv)
     if (harness.replaying())
         return harness.runReplay();
     bench::banner(
-        "Dynamic partitioning of trace-cache vs preconstruction "
-        "storage (Section 5.1 extension)",
-        "gcc prefers mostly-cache, go prefers a bigger buffer; "
-        "the adaptive controller should match the best static "
-        "split per benchmark");
+        "Trace-cache vs preconstruction storage at equal 32 KB "
+        "(Section 5.1)",
+        "reserving a quarter of the ways for preconstruction "
+        "beats both no reservation and the 50/50 split");
 
     Simulator sim;
     const InstCount insts = bench::runLength(1'500'000);
-    const std::size_t total = 512; // 32 KB combined
+    const Geometry geometries[] = {
+        {"512TC/4w, no precon", 512, 4, 0, 2},
+        {"384TC/3w + 128PB/1w", 384, 3, 128, 1},
+        {"256TC/2w + 256PB/2w", 256, 2, 256, 2},
+    };
     const char *names[] = {"gcc", "go", "vortex"};
 
-    // Designs per benchmark: the paper's 50/50 split (Simulator),
-    // unified static 0/1/2 precon ways, unified adaptive.
-    constexpr std::size_t designsPerBench = 5;
-    const std::size_t n = std::size(names) * designsPerBench;
-    std::vector<Row> rows(n);
-
-    par::runJobs(
-        n, harness.jobs(), 7, [&](std::size_t i, Rng &) {
-            const char *name = names[i / designsPerBench];
-            const std::size_t design = i % designsPerBench;
-            Row &row = rows[i];
-
-            if (design == 0) {
-                SimConfig split;
-                split.benchmark = name;
-                split.maxInsts = insts;
-                split.traceCacheEntries = total / 2;
-                split.preconBufferEntries = total / 2;
-                const SimResult s = sim.run(split);
-                row.cells = {"split 256TC+256PB",
-                             TableReport::num(s.missesPerKi, 2),
-                             TableReport::num(s.pbHits), "-"};
-                row.hasSimResult = true;
-                row.simResult = s;
-                return;
-            }
-
-            const auto wlp = sim.workload(name, 7);
-            const GeneratedWorkload &wl = *wlp;
-            PartitionSimConfig cfg;
-            cfg.totalEntries = total;
-            if (design <= 3) {
-                cfg.preconWays = unsigned(design - 1);
-            } else {
-                cfg.preconWays = 1;
-                cfg.adaptive = true;
-            }
-            PartitionSim psim(wl.program, cfg);
-            const PartitionSimStats &r = psim.run(insts);
-
-            char label[48];
-            if (cfg.adaptive)
-                std::snprintf(label, sizeof(label),
-                              "unified adaptive");
-            else
-                std::snprintf(label, sizeof(label),
-                              "unified static %u/4 ways",
-                              cfg.preconWays);
-            row.cells = {label,
-                         TableReport::num(r.missesPerKiloInst(),
-                                          2),
-                         TableReport::num(r.preconHits),
-                         TableReport::num(
-                             std::uint64_t(r.finalPreconWays))};
-        });
-
-    for (std::size_t bi = 0; bi < std::size(names); ++bi) {
-        TableReport table({"design", "misses/1000", "preconHits",
-                           "finalWays"});
-        for (std::size_t d = 0; d < designsPerBench; ++d) {
-            Row &row = rows[bi * designsPerBench + d];
-            if (row.hasSimResult)
-                harness.record(row.simResult);
-            table.addRow(row.cells);
+    std::vector<SimConfig> configs;
+    for (const char *name : names) {
+        for (const Geometry &g : geometries) {
+            SimConfig cfg;
+            cfg.benchmark = name;
+            cfg.maxInsts = insts;
+            cfg.traceCacheEntries = g.tcEntries;
+            cfg.traceCacheAssoc = g.tcAssoc;
+            cfg.preconBufferEntries = g.pbEntries;
+            cfg.precon.bufferAssoc = g.pbAssoc;
+            configs.push_back(std::move(cfg));
         }
-        std::printf("\n--- %s ---\n%s", names[bi],
+    }
+    const std::vector<SimResult> results =
+        par::runParallelGrid(sim, configs, harness.sweepOptions());
+
+    std::size_t idx = 0;
+    for (const char *name : names) {
+        TableReport table({"design", "misses/1000", "preconHits"});
+        for (const Geometry &g : geometries) {
+            const SimResult &r = harness.record(results[idx++]);
+            table.addRow({g.name, TableReport::num(r.missesPerKi, 2),
+                          TableReport::num(r.pbHits)});
+        }
+        std::printf("\n--- %s ---\n%s", name,
                     table.render().c_str());
     }
     return harness.finish();

@@ -1,12 +1,17 @@
 /**
  * @file
  * PreconstructionBuffers: the trace-side analogue of prefetch
- * buffers (Section 3.1). Organized exactly like the trace cache
- * (2-way set associative, indexed by hashing start address with
- * branch outcomes), but replacement is by *region priority*: newer
- * regions displace older ones, and a trace never displaces a trace
- * of its own region — which is what bounds preconstruction effort
- * within a region.
+ * buffers (Section 3.1). Organized like the trace cache (set
+ * associative, 2 ways by default, indexed by hashing start address
+ * with branch outcomes), but replacement is by *region priority*:
+ * newer regions displace older ones, and a trace never displaces a
+ * trace of its own region — which is what bounds preconstruction
+ * effort within a region.
+ *
+ * Section 5.1's single trace cache with some entries reserved for
+ * preconstruction needs no separate store: with a fixed
+ * reservation of w of its A ways, it is a trace cache of A - w
+ * ways plus buffers of w ways over the same number of sets.
  */
 
 #ifndef TPRE_PRECON_BUFFERS_HH
@@ -21,32 +26,8 @@
 namespace tpre
 {
 
-/**
- * Abstract destination for preconstructed traces. The default
- * implementation is the stand-alone PreconstructionBuffers below;
- * UnifiedTraceCache provides a way-partitioned alternative that
- * shares storage with the primary trace cache (the dynamic
- * allocation the paper suggests as future work in Section 5.1).
- */
-class PreconStore
-{
-  public:
-    virtual ~PreconStore() = default;
-
-    /** Probe for a trace (parallel with the trace cache). */
-    virtual const Trace *lookup(const TraceId &id) const = 0;
-
-    /** Insert a trace on behalf of region @p regionSeq.
-     *  @return false when refused (resource bound). */
-    virtual bool insert(const Trace &trace,
-                        std::uint64_t regionSeq) = 0;
-
-    /** Remove a trace (after copying it to the trace cache). */
-    virtual bool invalidate(const TraceId &id) = 0;
-};
-
 /** The preconstruction trace buffers. */
-class PreconstructionBuffers : public PreconStore
+class PreconstructionBuffers
 {
   public:
     PreconstructionBuffers(std::size_t numEntries, unsigned assoc = 2);
@@ -56,7 +37,7 @@ class PreconstructionBuffers : public PreconStore
      * cache). The caller copies a hit into the trace cache and
      * then calls invalidate().
      */
-    const Trace *lookup(const TraceId &id) const override;
+    const Trace *lookup(const TraceId &id) const;
 
     bool contains(const TraceId &id) const;
 
@@ -68,11 +49,10 @@ class PreconstructionBuffers : public PreconStore
      * @return false when refused: the only eviction candidates
      *         belong to the same or a newer region.
      */
-    bool insert(const Trace &trace,
-                std::uint64_t regionSeq) override;
+    bool insert(const Trace &trace, std::uint64_t regionSeq);
 
     /** Remove a trace (after it is copied to the trace cache). */
-    bool invalidate(const TraceId &id) override;
+    bool invalidate(const TraceId &id);
 
     void clear();
 

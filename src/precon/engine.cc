@@ -45,11 +45,7 @@ PreconstructionEngine::~PreconstructionEngine() = default;
 const Trace *
 PreconstructionEngine::lookupBuffer(const TraceId &id)
 {
-    const PreconStore &store =
-        externalStore_ ? static_cast<const PreconStore &>(
-                             *externalStore_)
-                       : buffers_;
-    const Trace *trace = store.lookup(id);
+    const Trace *trace = buffers_.lookup(id);
     TPRE_OBS_COUNT("pb.probes");
     if (trace) {
         ++stats_.bufferHits;
@@ -61,10 +57,7 @@ PreconstructionEngine::lookupBuffer(const TraceId &id)
 void
 PreconstructionEngine::consumeHit(const TraceId &id)
 {
-    if (externalStore_)
-        externalStore_->invalidate(id);
-    else
-        buffers_.invalidate(id);
+    buffers_.invalidate(id);
 }
 
 void
@@ -141,10 +134,7 @@ PreconstructionEngine::emitTrace(Region &region, Trace &trace)
     trace.origin = TraceOrigin::Precon;
     trace.buildCycle = now_;
     // Avoid redundancy with the primary trace cache (Section 3.1).
-    const bool in_primary = primaryProbe_
-                                ? primaryProbe_(trace.id)
-                                : traceCache_.contains(trace.id);
-    if (in_primary) {
+    if (traceCache_.contains(trace.id)) {
         ++stats_.tracesAlreadyInTc;
         if (region.tracesEmitted == region.leadingWarmTraces + 1)
             ++region.leadingWarmTraces;
@@ -154,10 +144,7 @@ PreconstructionEngine::emitTrace(Region &region, Trace &trace)
         return true;
     }
     const TraceId id = trace.id;
-    PreconStore &store =
-        externalStore_ ? *externalStore_
-                       : static_cast<PreconStore &>(buffers_);
-    if (!store.insert(trace, region.seq()))
+    if (!buffers_.insert(trace, region.seq()))
         return false;
     ++stats_.tracesBuffered;
     TPRE_OBS_COUNT("precon.traces_buffered");
@@ -449,10 +436,6 @@ PreconstructionEngine::tick(Cycle cycles, bool icachePortFree)
 void
 PreconstructionEngine::save(mem::ByteWriter &w) const
 {
-    if (externalStore_) {
-        fatal("PreconstructionEngine::save: engines with an "
-              "external trace store cannot be checkpointed");
-    }
     buffers_.save(w);
     stack_.save(w);
     w.put<std::uint32_t>(static_cast<std::uint32_t>(regions_.size()));
@@ -490,10 +473,6 @@ PreconstructionEngine::save(mem::ByteWriter &w) const
 void
 PreconstructionEngine::restore(mem::ByteReader &r)
 {
-    if (externalStore_) {
-        fatal("PreconstructionEngine::restore: engines with an "
-              "external trace store cannot be checkpointed");
-    }
     buffers_.restore(r);
     stack_.restore(r);
     regions_.clear();

@@ -13,7 +13,6 @@
 #ifndef TPRE_PRECON_ENGINE_HH
 #define TPRE_PRECON_ENGINE_HH
 
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -156,22 +155,6 @@ class PreconstructionEngine : public PreconTraceSink
     // PreconTraceSink
     bool emitTrace(Region &region, Trace &trace) override;
 
-    /**
-     * Redirect preconstructed traces into an external store (e.g.
-     * the precon partition of a UnifiedTraceCache) instead of the
-     * engine's internal buffers, and use @p primaryProbe instead
-     * of the primary trace cache for the redundancy check. Call
-     * before the first tick.
-     */
-    void
-    setExternalStore(PreconStore *store,
-                     std::function<bool(const TraceId &)>
-                         primaryProbe)
-    {
-        externalStore_ = store;
-        primaryProbe_ = std::move(primaryProbe);
-    }
-
     /** Record every buffered TraceId for diagnostics. */
     void enableDiagLog() { diagLog_ = true; }
     /** Return and clear the diagnostic log of buffered ids. */
@@ -189,8 +172,7 @@ class PreconstructionEngine : public PreconTraceSink
      * point stack, every active region (reconstructed from its
      * identity, then overwritten), and every constructor (its
      * region pointer serialized as a region index and re-resolved
-     * on restore). Engines with an external store cannot be
-     * checkpointed.
+     * on restore).
      */
     void save(mem::ByteWriter &w) const;
     void restore(mem::ByteReader &r);
@@ -217,8 +199,6 @@ class PreconstructionEngine : public PreconTraceSink
     PreconConfig config_;
 
     PreconstructionBuffers buffers_;
-    PreconStore *externalStore_ = nullptr;
-    std::function<bool(const TraceId &)> primaryProbe_;
     StartPointStack stack_;
     std::vector<std::unique_ptr<Region>> regions_;
     std::vector<PreconConstructor> constructors_;

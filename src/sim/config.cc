@@ -8,6 +8,7 @@ SimConfig::toFastConfig() const
 {
     FastSimConfig cfg;
     cfg.traceCacheEntries = traceCacheEntries;
+    cfg.traceCacheAssoc = traceCacheAssoc;
     cfg.selection = selection;
     cfg.preconEnabled = preconBufferEntries > 0;
     cfg.precon = precon;
@@ -22,6 +23,7 @@ SimConfig::toProcessorConfig() const
 {
     ProcessorConfig cfg;
     cfg.traceCacheEntries = traceCacheEntries;
+    cfg.traceCacheAssoc = traceCacheAssoc;
     cfg.selection = selection;
     cfg.preconEnabled = preconBufferEntries > 0;
     cfg.precon = precon;

@@ -38,6 +38,7 @@ struct SimConfig
     InstCount maxInsts = 3'000'000;
 
     std::size_t traceCacheEntries = 256;
+    unsigned traceCacheAssoc = 2;
     /** 0 disables preconstruction entirely. */
     std::size_t preconBufferEntries = 0;
     bool prepEnabled = false;

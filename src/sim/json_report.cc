@@ -175,8 +175,12 @@ BenchReport::render(double wallSeconds) const
                "\", ";
         out += "\"tc_entries\": " + std::to_string(c.traceCacheEntries) +
                ", ";
+        out += "\"tc_assoc\": " + std::to_string(c.traceCacheAssoc) +
+               ", ";
         out += "\"pb_entries\": " +
                std::to_string(c.preconBufferEntries) + ", ";
+        out += "\"pb_assoc\": " +
+               std::to_string(c.precon.bufferAssoc) + ", ";
         out += "\"prep\": " + boolWord(c.prepEnabled) + ", ";
         out += "\"workload_seed\": " + std::to_string(c.workloadSeed) +
                ", ";

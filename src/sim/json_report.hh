@@ -42,7 +42,8 @@
  *     "rows": [
  *       {
  *         "benchmark": "...", "mode": "fast|timing",
- *         "tc_entries": N, "pb_entries": N, "prep": bool,
+ *         "tc_entries": N, "tc_assoc": N, "pb_entries": N,
+ *         "pb_assoc": N, "prep": bool,
  *         "workload_seed": N, "max_insts": N, "combined_kb": X,
  *         "sampled": bool, "sample_fallback": "...",
  *         "windows": N, "sampled_insts": N, "skipped_insts": N,

@@ -48,8 +48,7 @@ struct SimResult
     /**
      * Per-origin (fill unit vs preconstruction engine) trace-cache
      * line provenance: builds, hits, first-use latency, eviction
-     * reasons. Zero for the unified-cache ablation simulators,
-     * which bypass the primary TraceCache.
+     * reasons.
      */
     ProvenanceTable provenance;
     /**

@@ -21,8 +21,10 @@ TEST(SimConfigTest, FastConversion)
     SimConfig cfg;
     cfg.traceCacheEntries = 128;
     cfg.preconBufferEntries = 64;
+    cfg.traceCacheAssoc = 4;
     FastSimConfig fast = cfg.toFastConfig();
     EXPECT_EQ(fast.traceCacheEntries, 128u);
+    EXPECT_EQ(fast.traceCacheAssoc, 4u);
     EXPECT_TRUE(fast.preconEnabled);
     EXPECT_EQ(fast.precon.bufferEntries, 64u);
 
@@ -35,7 +37,9 @@ TEST(SimConfigTest, ProcessorConversion)
     SimConfig cfg;
     cfg.prepEnabled = true;
     cfg.preconBufferEntries = 32;
+    cfg.traceCacheAssoc = 1;
     ProcessorConfig proc = cfg.toProcessorConfig();
+    EXPECT_EQ(proc.traceCacheAssoc, 1u);
     EXPECT_TRUE(proc.prepEnabled);
     EXPECT_TRUE(proc.preconEnabled);
     EXPECT_EQ(proc.precon.bufferEntries, 32u);
@@ -84,6 +88,63 @@ TEST(SimulatorTest, WorkloadCachedAcrossRuns)
     EXPECT_EQ(a.get(), b.get());
     const auto c = sim.workload("li", 8);
     EXPECT_NE(a.get(), c.get());
+}
+
+/**
+ * A 32 KB frontend with w of 4 ways per set reserved for
+ * preconstruction (Section 5.1): a (4 - w)-way trace cache plus
+ * w-way buffers over the same 128 sets.
+ */
+SimConfig
+reservedWays(const char *benchmark, InstCount insts, unsigned w)
+{
+    SimConfig cfg;
+    cfg.benchmark = benchmark;
+    cfg.maxInsts = insts;
+    cfg.traceCacheEntries = 128 * (4 - w);
+    cfg.traceCacheAssoc = 4 - w;
+    cfg.preconBufferEntries = 128 * w;
+    if (w > 0)
+        cfg.precon.bufferAssoc = w;
+    return cfg;
+}
+
+TEST(SimulatorTest, RunsAndUsesPreconPartition)
+{
+    Simulator sim;
+    const SimResult r = sim.run(reservedWays("vortex", 300000, 1));
+    EXPECT_GT(r.pbHits, 100u);
+    EXPECT_GT(r.traces - r.tcMisses - r.pbHits, r.pbHits);
+    EXPECT_GT(r.precon.tracesBuffered, 0u);
+}
+
+TEST(SimulatorTest, PreconPartitionBeatsNone)
+{
+    Simulator sim;
+    const double none =
+        sim.run(reservedWays("gcc", 500000, 0)).missesPerKi;
+    const double one =
+        sim.run(reservedWays("gcc", 500000, 1)).missesPerKi;
+    EXPECT_LT(one, none);
+}
+
+TEST(SimulatorTest, QuarterReservationBeatsHalfAndNone)
+{
+    // EXPERIMENTS.md section 5.1: at equal 32 KB, a 3:1 TC:PB split
+    // has fewer misses than the paper's 50/50 split and than the
+    // same storage spent on a trace cache alone.
+    Simulator sim;
+    for (const char *name : {"gcc", "go", "vortex"}) {
+        SCOPED_TRACE(name);
+        const double none =
+            sim.run(reservedWays(name, 300000, 0)).missesPerKi;
+        const double quarter =
+            sim.run(reservedWays(name, 300000, 1)).missesPerKi;
+        const double half =
+            sim.run(reservedWays(name, 300000, 2)).missesPerKi;
+        EXPECT_LT(quarter, none);
+        EXPECT_LT(quarter, half);
+    }
 }
 
 TEST(SweepTest, Figure5GridShape)
@@ -180,7 +241,8 @@ TEST(JsonReportTest, RenderContainsSchemaFieldsAndBalances)
          {"\"bench\": \"unit_test\"", "\"git_ref\"",
           "\"wall_seconds\": 1.25", "\"jobs\": 4", "\"rows\"",
           "\"benchmark\": \"compress\"", "\"mode\": \"fast\"",
-          "\"tc_entries\"", "\"pb_entries\"", "\"missesPerKi\"",
+          "\"tc_entries\"", "\"tc_assoc\"", "\"pb_entries\"",
+          "\"pb_assoc\"", "\"missesPerKi\"",
           "\"ipc\"", "\"instructions\"",
           "\"precon_traces_constructed\""})
         EXPECT_NE(json.find(key), std::string::npos) << key;
