@@ -3,8 +3,9 @@
  * Hot-path micro-benchmarks (google-benchmark): the allocation-free
  * structures this repository's throughput rests on — functional
  * core step rate, flat-page-table memory access (MRU-hot and
- * random), trace segmentation rate, inline trace-body copies, and
- * trace-cache probes with cached identity hashes. Companion to
+ * random), trace segmentation rate, inline trace-body copies,
+ * trace-cache probes with cached identity hashes, and the Section 6
+ * preprocessing kernels. Companion to
  * micro_components, which covers the predictor structures; these
  * benches isolate the per-instruction costs the MIPS gate tracks.
  */
@@ -20,6 +21,8 @@
 #include "func/block_cache.hh"
 #include "func/core.hh"
 #include "func/memory.hh"
+#include "prep/preprocessor.hh"
+#include "tproc/fast_sim.hh"
 #include "trace/fill_unit.hh"
 #include "trace/trace_cache.hh"
 #include "workload/generator.hh"
@@ -180,6 +183,37 @@ BM_TraceCacheProbe(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_TraceCacheProbe);
+
+/**
+ * Trace preprocessing rate: Preprocessor::process (constant
+ * propagation, fusion, scheduling) over copies of gcc's demand
+ * traces from a 300k-instruction FastSim run. Items are traces.
+ */
+void
+BM_PrepProcess(benchmark::State &state)
+{
+    static const std::vector<Trace> traces = [] {
+        std::vector<Trace> out;
+        FastSimConfig cfg;
+        cfg.hooks.onTrace = [&out](const Trace &demanded,
+                                   const Trace &, bool) {
+            out.push_back(demanded);
+        };
+        FastSim sim(gccWorkload().program, cfg);
+        sim.run(300000);
+        return out;
+    }();
+    Preprocessor prep;
+    std::size_t i = 0;
+    for (auto _ : state) {
+        Trace t = traces[i];
+        prep.process(t);
+        benchmark::DoNotOptimize(t);
+        i = i + 1 == traces.size() ? 0 : i + 1;
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_PrepProcess);
 
 } // namespace
 

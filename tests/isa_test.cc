@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+
 #include "common/random.hh"
 #include "isa/builder.hh"
 #include "isa/disasm.hh"
@@ -201,6 +203,55 @@ TEST(InstructionTest, SourceCounts)
     Instruction load;
     load.op = Opcode::Ld;
     EXPECT_FALSE(load.readsRs2());
+}
+
+TEST(InstructionTest, OperandPredicatesMatchOpcodeTable)
+{
+    // Per opcode: writes rd (when rd != r0), reads rs2, sources.
+    struct Row
+    {
+        Opcode op;
+        bool writes;
+        bool rs2;
+        unsigned sources;
+    };
+    constexpr Row table[] = {
+        {Opcode::Add, true, true, 2},    {Opcode::Sub, true, true, 2},
+        {Opcode::And, true, true, 2},    {Opcode::Or, true, true, 2},
+        {Opcode::Xor, true, true, 2},    {Opcode::Sll, true, true, 2},
+        {Opcode::Srl, true, true, 2},    {Opcode::Sra, true, true, 2},
+        {Opcode::Slt, true, true, 2},    {Opcode::Sltu, true, true, 2},
+        {Opcode::Mul, true, true, 2},    {Opcode::Div, true, true, 2},
+        {Opcode::Addi, true, false, 1},  {Opcode::Andi, true, false, 1},
+        {Opcode::Ori, true, false, 1},   {Opcode::Xori, true, false, 1},
+        {Opcode::Slli, true, false, 1},  {Opcode::Srli, true, false, 1},
+        {Opcode::Slti, true, false, 1},  {Opcode::Lui, true, false, 0},
+        {Opcode::Ld, true, false, 1},    {Opcode::Sd, false, true, 2},
+        {Opcode::Beq, false, true, 2},   {Opcode::Bne, false, true, 2},
+        {Opcode::Blt, false, true, 2},   {Opcode::Bge, false, true, 2},
+        {Opcode::Jal, true, false, 0},   {Opcode::Jalr, true, false, 1},
+        {Opcode::Halt, false, false, 0}, {Opcode::Fused, true, true, 2},
+    };
+    static_assert(std::size(table) ==
+                  static_cast<std::size_t>(Opcode::NumOpcodes));
+
+    for (std::size_t i = 0; i < std::size(table); ++i) {
+        const Row &row = table[i];
+        ASSERT_EQ(static_cast<std::size_t>(row.op), i);
+        for (const RegIndex rd : {zeroReg, RegIndex{5}}) {
+            Instruction inst;
+            inst.op = row.op;
+            inst.rd = rd;
+            inst.rs1 = 7;
+            inst.rs2 = 9;
+            EXPECT_EQ(inst.writesReg(), row.writes && rd != zeroReg)
+                << opcodeName(row.op) << " rd=" << unsigned(rd);
+            EXPECT_EQ(inst.readsRs2(), row.rs2)
+                << opcodeName(row.op);
+            EXPECT_EQ(inst.numSources(), row.sources)
+                << opcodeName(row.op);
+        }
+    }
 }
 
 TEST(InstructionTest, FusedHasNoEncoding)

@@ -17,6 +17,7 @@
 #include "prep/preprocessor.hh"
 #include "prep/scheduler.hh"
 #include "trace/fill_unit.hh"
+#include "tproc/fast_sim.hh"
 #include "workload/generator.hh"
 
 namespace tpre
@@ -450,6 +451,70 @@ TEST(PreprocessorTest, StatsAccumulate)
     // Idempotent: processing again is a no-op.
     prep.process(t);
     EXPECT_EQ(prep.stats().tracesProcessed, 1u);
+}
+
+/** FNV-1a over the little-endian bytes of @p v. */
+void
+fnvMix(std::uint64_t &h, std::uint64_t v)
+{
+    for (int i = 0; i < 8; ++i) {
+        h ^= (v >> (8 * i)) & 0xff;
+        h *= 0x100000001b3ull;
+    }
+}
+
+TEST(PreprocessorTest, PreparedImagesPinnedOnDemandTraces)
+{
+    // Every prepared image of the demand traces of four workloads,
+    // and the pass counters, digested in order. The constant was
+    // recorded before the kernels moved to bitmask state; any
+    // change to what a pass emits (a different fold, fusion or
+    // schedule tie-break) changes it.
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    Preprocessor prep;
+    for (const char *name : {"gcc", "go", "perl", "vortex"}) {
+        WorkloadGenerator gen(specint95Profile(name));
+        const auto wl = gen.generate();
+        std::vector<Trace> traces;
+        FastSimConfig cfg;
+        cfg.traceCacheEntries = 256;
+        cfg.hooks.onTrace = [&traces](const Trace &demanded,
+                                      const Trace &, bool) {
+            traces.push_back(demanded);
+        };
+        FastSim sim(wl.program, cfg);
+        sim.run(300000);
+        ASSERT_GT(traces.size(), 1000u) << name;
+
+        for (const Trace &demanded : traces) {
+            Trace t = demanded;
+            prep.process(t);
+            for (const TraceInst &ti : t.insts) {
+                const Instruction &inst = ti.inst;
+                fnvMix(h, ti.pc);
+                fnvMix(h, static_cast<std::uint64_t>(inst.op));
+                fnvMix(h, inst.rd);
+                fnvMix(h, inst.rs1);
+                fnvMix(h, inst.rs2);
+                fnvMix(h, static_cast<std::uint32_t>(inst.imm));
+                fnvMix(h, inst.sh1);
+                fnvMix(h, inst.sh2);
+                fnvMix(h, ti.taken);
+                fnvMix(h, ti.srcPos);
+            }
+        }
+    }
+    const Preprocessor::Stats &st = prep.stats();
+    fnvMix(h, st.tracesProcessed);
+    fnvMix(h, st.constsPropagated);
+    fnvMix(h, st.opsFused);
+    fnvMix(h, st.instsMoved);
+    EXPECT_EQ(h, 0xa44fba70f7667b4dull) << std::hex << "digest 0x" << h
+                         << std::dec << " traces "
+                         << st.tracesProcessed << " consts "
+                         << st.constsPropagated << " fused "
+                         << st.opsFused << " moved "
+                         << st.instsMoved;
 }
 
 TEST(PreprocessorTest, PassesCanBeDisabled)
