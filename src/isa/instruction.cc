@@ -54,47 +54,6 @@ signExtend(std::uint32_t value, unsigned bits)
 
 } // namespace
 
-bool
-Instruction::writesReg() const
-{
-    if (rd == zeroReg)
-        return false;
-    switch (op) {
-      case Opcode::Sd: case Opcode::Beq: case Opcode::Bne:
-      case Opcode::Blt: case Opcode::Bge: case Opcode::Halt:
-        return false;
-      default:
-        return true;
-    }
-}
-
-bool
-Instruction::readsRs2() const
-{
-    switch (op) {
-      case Opcode::Add: case Opcode::Sub: case Opcode::And:
-      case Opcode::Or: case Opcode::Xor: case Opcode::Sll:
-      case Opcode::Srl: case Opcode::Sra: case Opcode::Slt:
-      case Opcode::Sltu: case Opcode::Mul: case Opcode::Div:
-      case Opcode::Beq: case Opcode::Bne: case Opcode::Blt:
-      case Opcode::Bge: case Opcode::Sd: case Opcode::Fused:
-        return true;
-      default:
-        return false;
-    }
-}
-
-unsigned
-Instruction::numSources() const
-{
-    switch (op) {
-      case Opcode::Lui: case Opcode::Jal: case Opcode::Halt:
-        return 0;
-      default:
-        return readsRs2() ? 2 : 1;
-    }
-}
-
 InstWord
 encode(const Instruction &inst)
 {

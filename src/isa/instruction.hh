@@ -49,6 +49,16 @@ enum class Opcode : std::uint8_t
     NumOpcodes
 };
 
+static_assert(static_cast<unsigned>(Opcode::NumOpcodes) <= 32,
+              "opcode sets are 32-bit masks");
+
+/** Bit of @p op in a 32-bit opcode set. */
+constexpr std::uint32_t
+opBit(Opcode op)
+{
+    return std::uint32_t{1} << static_cast<unsigned>(op);
+}
+
 /** Decoded instruction, the working representation everywhere. */
 struct Instruction
 {
@@ -69,10 +79,11 @@ struct Instruction
 
     // The classification predicates below run for every simulated
     // instruction on every hot path (functional core, trace
-    // selection, preconstruction path walking), tens of millions
-    // of calls per simulated second — they are defined inline here
-    // rather than in instruction.cc so they compile down to a
-    // compare or two at the call site.
+    // selection, preconstruction path walking, trace preprocessing,
+    // timing dispatch), tens of millions of calls per simulated
+    // second — they are defined inline here rather than in
+    // instruction.cc so they compile down to a compare or a mask
+    // test at the call site.
 
     /** Conditional branch? */
     bool
@@ -135,11 +146,41 @@ struct Instruction
     static Addr fallThrough(Addr pc) { return pc + instBytes; }
 
     /** Does this instruction write @p rd (i.e. rd != r0 and writes)? */
-    bool writesReg() const;
-    /** Number of register sources actually read (0-2). */
-    unsigned numSources() const;
+    bool
+    writesReg() const
+    {
+        constexpr std::uint32_t noDest =
+            opBit(Opcode::Sd) | opBit(Opcode::Beq) |
+            opBit(Opcode::Bne) | opBit(Opcode::Blt) |
+            opBit(Opcode::Bge) | opBit(Opcode::Halt);
+        return rd != zeroReg && !(opBit(op) & noDest);
+    }
+
     /** Does the instruction read rs2 as a register operand? */
-    bool readsRs2() const;
+    bool
+    readsRs2() const
+    {
+        // Every R-type ALU op (Add..Div), the branches, Sd, Fused.
+        constexpr std::uint32_t rType =
+            (opBit(Opcode::Div) << 1) - opBit(Opcode::Add);
+        constexpr std::uint32_t readers =
+            rType | opBit(Opcode::Beq) | opBit(Opcode::Bne) |
+            opBit(Opcode::Blt) | opBit(Opcode::Bge) |
+            opBit(Opcode::Sd) | opBit(Opcode::Fused);
+        return opBit(op) & readers;
+    }
+
+    /** Number of register sources actually read (0-2). */
+    unsigned
+    numSources() const
+    {
+        constexpr std::uint32_t sourceless =
+            opBit(Opcode::Lui) | opBit(Opcode::Jal) |
+            opBit(Opcode::Halt);
+        if (opBit(op) & sourceless)
+            return 0;
+        return readsRs2() ? 2 : 1;
+    }
 };
 
 /** Encode a decoded instruction into its 32-bit word. */

@@ -16,7 +16,11 @@ std::optional<RegValue>
 evalConst(const Instruction &inst, RegValue a, RegValue b)
 {
     // Reuse the canonical executor on a scratch state so constant
-    // folding can never disagree with the ISA semantics.
+    // folding can never disagree with the ISA semantics. The state
+    // is built once per thread (a new Memory allocates); stale
+    // registers are harmless because these ops read only rs1/rs2,
+    // which are set first, and never touch memory.
+    thread_local ArchState state;
     switch (inst.op) {
       case Opcode::Add: case Opcode::Sub: case Opcode::And:
       case Opcode::Or: case Opcode::Xor: case Opcode::Sll:
@@ -25,7 +29,6 @@ evalConst(const Instruction &inst, RegValue a, RegValue b)
       case Opcode::Addi: case Opcode::Andi: case Opcode::Ori:
       case Opcode::Xori: case Opcode::Slli: case Opcode::Srli:
       case Opcode::Slti: case Opcode::Lui: case Opcode::Fused: {
-        ArchState state;
         state.setReg(inst.rs1, a);
         if (inst.rs2 != inst.rs1)
             state.setReg(inst.rs2, b);

@@ -6,15 +6,13 @@ namespace tpre
 {
 
 TraceDataflow::TraceDataflow(const Trace &trace)
+    : size_(trace.insts.size())
 {
-    const std::size_t n = trace.insts.size();
-    info_.resize(n);
-
     std::array<int, numArchRegs> last_writer;
     last_writer.fill(-1);
 
     unsigned segment = 0;
-    for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t i = 0; i < size_; ++i) {
         const Instruction &inst = trace.insts[i].inst;
         InstDataflow &df = info_[i];
         df.segment = segment;
@@ -38,24 +36,15 @@ TraceDataflow::TraceDataflow(const Trace &trace)
     numSegments_ = segment + 1;
 
     // Dead-within-trace: the destination is rewritten later with no
-    // intervening read.
-    for (std::size_t i = 0; i < n; ++i) {
+    // intervening read. Walking backwards, `redefined` holds the
+    // registers whose next event is a write; a read at the same
+    // instruction wins over its own write.
+    RegMask redefined = 0;
+    for (std::size_t i = size_; i-- > 0;) {
         const Instruction &inst = trace.insts[i].inst;
-        if (!inst.writesReg())
-            continue;
-        bool redefined = false;
-        bool read = false;
-        for (std::size_t j = i + 1; j < n && !redefined && !read;
-             ++j) {
-            const Instruction &other = trace.insts[j].inst;
-            if ((other.numSources() >= 1 && other.rs1 == inst.rd) ||
-                (other.readsRs2() && other.rs2 == inst.rd)) {
-                read = true;
-            } else if (other.writesReg() && other.rd == inst.rd) {
-                redefined = true;
-            }
-        }
-        info_[i].deadWithinTrace = redefined && !read;
+        const RegMask def = defMask(inst);
+        info_[i].deadWithinTrace = (redefined & def) != 0;
+        redefined = (redefined | def) & ~useMask(inst);
     }
 }
 
@@ -66,8 +55,7 @@ TraceDataflow::regUnchangedBetween(RegIndex reg, std::size_t from,
 {
     tpre_assert(from <= to && to < trace.insts.size());
     for (std::size_t k = from + 1; k < to; ++k) {
-        const Instruction &inst = trace.insts[k].inst;
-        if (inst.writesReg() && inst.rd == reg)
+        if (defMask(trace.insts[k].inst) >> reg & 1)
             return false;
     }
     return true;

@@ -27,7 +27,7 @@ fuseShiftAdds(Trace &trace)
 {
     const TraceDataflow df(trace);
     unsigned fused = 0;
-    std::vector<bool> eliminate(trace.insts.size(), false);
+    PosMask eliminate = 0;
 
     for (std::size_t i = 0; i < trace.insts.size(); ++i) {
         Instruction &consumer = trace.insts[i].inst;
@@ -70,15 +70,10 @@ fuseShiftAdds(Trace &trace)
             // Elimination eligibility: the consumer overwrites the
             // producer's destination and nothing read it between.
             bool read_between = false;
-            for (std::size_t k = pidx + 1; k < i; ++k) {
-                const Instruction &mid = trace.insts[k].inst;
-                if ((mid.numSources() >= 1 &&
-                     mid.rs1 == producer.rd) ||
-                    (mid.readsRs2() && mid.rs2 == producer.rd)) {
-                    read_between = true;
-                    break;
-                }
-            }
+            for (std::size_t k = pidx + 1; k < i && !read_between;
+                 ++k)
+                read_between =
+                    useMask(trace.insts[k].inst) >> producer.rd & 1;
             const bool can_eliminate =
                 producer.rd == consumer.rd && !read_between;
 
@@ -123,7 +118,7 @@ fuseShiftAdds(Trace &trace)
             // producer is dead and dropped entirely — the trace
             // need only be functionally equivalent (Section 6).
             if (can_eliminate)
-                eliminate[pidx] = true;
+                eliminate |= PosMask{1} << pidx;
 
             consumer = fusedInst;
             ++fused;
@@ -135,7 +130,7 @@ fuseShiftAdds(Trace &trace)
     // surviving instruction linked to its dynamic record).
     std::size_t out = 0;
     for (std::size_t i = 0; i < trace.insts.size(); ++i) {
-        if (!eliminate[i])
+        if (!(eliminate >> i & 1))
             trace.insts[out++] = trace.insts[i];
     }
     trace.insts.resize(out);

@@ -1,6 +1,7 @@
 #include "prep/scheduler.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/logging.hh"
 #include "prep/dataflow.hh"
@@ -23,32 +24,71 @@ schedLatency(const Instruction &inst)
     }
 }
 
-/** Does instruction @p a depend on @p b (b must stay before a)? */
-bool
-dependsOn(const Instruction &a, const Instruction &b)
+/**
+ * List-schedule the segment body original[start, start + len) into
+ * the same positions of @p out.
+ * @return number of instructions that moved.
+ */
+unsigned
+scheduleBody(const TraceBody &original, std::size_t start,
+             std::size_t len, TraceBody &out)
 {
-    // RAW: a reads b's destination.
-    if (b.writesReg()) {
-        if (a.numSources() >= 1 && a.rs1 == b.rd)
-            return true;
-        if (a.readsRs2() && a.rs2 == b.rd)
-            return true;
-    }
-    if (a.writesReg()) {
-        // WAW.
-        if (b.writesReg() && a.rd == b.rd)
-            return true;
-        // WAR: a overwrites a register b reads.
-        if (b.numSources() >= 1 && b.rs1 == a.rd)
-            return true;
-        if (b.readsRs2() && b.rs2 == a.rd)
-            return true;
-    }
-    // Memory operations stay mutually ordered (no static alias
+    // Dependence graph: j depends on an earlier i on a register
+    // RAW, WAW or WAR, or when both access memory (no static alias
     // information inside a trace).
-    if ((a.isLoad() || a.isStore()) && (b.isLoad() || b.isStore()))
-        return true;
-    return false;
+    std::array<RegMask, kMaxTraceLen> use{};
+    std::array<RegMask, kMaxTraceLen> def{};
+    std::array<PosMask, kMaxTraceLen> preds{};
+    std::array<PosMask, kMaxTraceLen> succs{};
+    PosMask mem = 0;
+    for (std::size_t j = 0; j < len; ++j) {
+        const Instruction &inst = original[start + j].inst;
+        use[j] = useMask(inst);
+        def[j] = defMask(inst);
+        const bool is_mem = inst.isLoad() || inst.isStore();
+        PosMask p = is_mem ? mem : 0;
+        for (std::size_t i = 0; i < j; ++i) {
+            if ((def[i] & (use[j] | def[j])) | (use[i] & def[j]))
+                p |= PosMask{1} << i;
+        }
+        preds[j] = p;
+        for (; p; p &= p - 1)
+            succs[std::countr_zero(p)] |= PosMask{1} << j;
+        if (is_mem)
+            mem |= PosMask{1} << j;
+    }
+
+    // Dependence heights (critical-path lengths).
+    std::array<unsigned, kMaxTraceLen> height{};
+    for (std::size_t i = len; i-- > 0;) {
+        unsigned best = 0;
+        for (PosMask s = succs[i]; s; s &= s - 1)
+            best = std::max(best, height[std::countr_zero(s)]);
+        height[i] = best + schedLatency(original[start + i].inst);
+    }
+
+    // Greedy list scheduling: repeatedly take the ready
+    // instruction with the greatest height (ties: original
+    // order, keeping the schedule stable).
+    const PosMask all = (PosMask{1} << len) - 1;
+    unsigned moved = 0;
+    PosMask done = 0;
+    for (std::size_t picked = 0; picked < len; ++picked) {
+        std::size_t best = len;
+        for (PosMask c = all & ~done; c; c &= c - 1) {
+            const std::size_t i = std::countr_zero(c);
+            if (preds[i] & ~done)
+                continue;
+            if (best == len || height[i] > height[best])
+                best = i;
+        }
+        tpre_assert(best < len, "scheduling deadlock");
+        done |= PosMask{1} << best;
+        if (best != picked)
+            ++moved;
+        out[start + picked] = original[start + best];
+    }
+    return moved;
 }
 
 } // namespace
@@ -60,92 +100,22 @@ scheduleTrace(Trace &trace)
     if (n < 3)
         return 0;
 
-    const TraceDataflow df(trace);
-    TraceBody result;
-
+    const TraceBody original = trace.insts;
     unsigned moved = 0;
     std::size_t seg_start = 0;
     while (seg_start < n) {
-        // Find the segment [seg_start, seg_end): control
-        // instructions terminate segments and stay put.
-        std::size_t seg_end = seg_start;
-        while (seg_end < n &&
-               df.at(seg_end).segment == df.at(seg_start).segment) {
-            ++seg_end;
+        // A segment's body runs up to its control instruction,
+        // which stays last, so every writer of the control
+        // instruction's sources stays before it.
+        std::size_t body_end = seg_start;
+        while (body_end < n && !original[body_end].inst.isControl())
+            ++body_end;
+        if (body_end - seg_start >= 2) {
+            moved += scheduleBody(original, seg_start,
+                                  body_end - seg_start, trace.insts);
         }
-        const bool ends_in_control =
-            trace.insts[seg_end - 1].inst.isControl();
-        const std::size_t body_end =
-            ends_in_control ? seg_end - 1 : seg_end;
-        const std::size_t body_len = body_end - seg_start;
-
-        if (body_len < 2) {
-            for (std::size_t i = seg_start; i < seg_end; ++i)
-                result.push_back(trace.insts[i]);
-            seg_start = seg_end;
-            continue;
-        }
-
-        // Local dependence graph over the segment body. The
-        // control instruction also constrains the body (its
-        // sources must not be overwritten), handled by keeping it
-        // last and adding WAR edges below.
-        std::vector<std::vector<std::size_t>> succs(body_len);
-        std::vector<unsigned> pending(body_len, 0);
-        for (std::size_t i = 0; i < body_len; ++i) {
-            for (std::size_t j = i + 1; j < body_len; ++j) {
-                if (dependsOn(trace.insts[seg_start + j].inst,
-                              trace.insts[seg_start + i].inst)) {
-                    succs[i].push_back(j);
-                    ++pending[j];
-                }
-            }
-        }
-        // The segment-ending control instruction must still read
-        // its sources correctly: forbid body instructions that
-        // write those sources from... they can reorder among
-        // themselves freely; only their order against the control
-        // op matters, and the control op stays last, after every
-        // writer, exactly as in program order. WAW among writers
-        // is already an edge, so the final value is preserved.
-
-        // Dependence heights (critical-path lengths).
-        std::vector<unsigned> height(body_len, 0);
-        for (std::size_t i = body_len; i-- > 0;) {
-            unsigned best = 0;
-            for (std::size_t j : succs[i])
-                best = std::max(best, height[j]);
-            height[i] = best + schedLatency(
-                trace.insts[seg_start + i].inst);
-        }
-
-        // Greedy list scheduling: repeatedly take the ready
-        // instruction with the greatest height (ties: original
-        // order, keeping the schedule stable).
-        std::vector<bool> done(body_len, false);
-        for (std::size_t picked = 0; picked < body_len; ++picked) {
-            std::size_t best = body_len;
-            for (std::size_t i = 0; i < body_len; ++i) {
-                if (done[i] || pending[i] > 0)
-                    continue;
-                if (best == body_len || height[i] > height[best])
-                    best = i;
-            }
-            tpre_assert(best < body_len, "scheduling deadlock");
-            done[best] = true;
-            for (std::size_t j : succs[best])
-                --pending[j];
-            if (best != picked)
-                ++moved;
-            result.push_back(trace.insts[seg_start + best]);
-        }
-        if (ends_in_control)
-            result.push_back(trace.insts[seg_end - 1]);
-        seg_start = seg_end;
+        seg_start = body_end + 1;
     }
-
-    tpre_assert(result.size() == n);
-    trace.insts = std::move(result);
     return moved;
 }
 
