@@ -4,10 +4,11 @@
  * structures this repository's throughput rests on — functional
  * core step rate, flat-page-table memory access (MRU-hot and
  * random), trace segmentation rate, inline trace-body copies,
- * trace-cache probes with cached identity hashes, and the Section 6
- * preprocessing kernels. Companion to
- * micro_components, which covers the predictor structures; these
- * benches isolate the per-instruction costs the MIPS gate tracks.
+ * trace-cache probes with cached identity hashes, the Section 6
+ * preprocessing kernels and the per-trace invariant checkers.
+ * Companion to micro_components, which covers the predictor
+ * structures; these benches isolate the per-instruction costs the
+ * MIPS gate tracks.
  */
 
 #include <benchmark/benchmark.h>
@@ -17,6 +18,7 @@
 #include <vector>
 
 #include "common/parse.hh"
+#include "check/invariants.hh"
 #include "common/random.hh"
 #include "func/block_cache.hh"
 #include "func/core.hh"
@@ -184,13 +186,9 @@ BM_TraceCacheProbe(benchmark::State &state)
 }
 BENCHMARK(BM_TraceCacheProbe);
 
-/**
- * Trace preprocessing rate: Preprocessor::process (constant
- * propagation, fusion, scheduling) over copies of gcc's demand
- * traces from a 300k-instruction FastSim run. Items are traces.
- */
-void
-BM_PrepProcess(benchmark::State &state)
+/** gcc's demand traces from a 300k-instruction FastSim run. */
+const std::vector<Trace> &
+gccDemandTraces()
 {
     static const std::vector<Trace> traces = [] {
         std::vector<Trace> out;
@@ -203,6 +201,18 @@ BM_PrepProcess(benchmark::State &state)
         sim.run(300000);
         return out;
     }();
+    return traces;
+}
+
+/**
+ * Trace preprocessing rate: Preprocessor::process (constant
+ * propagation, fusion, scheduling) over copies of gcc's demand
+ * traces. Items are traces.
+ */
+void
+BM_PrepProcess(benchmark::State &state)
+{
+    const std::vector<Trace> &traces = gccDemandTraces();
     Preprocessor prep;
     std::size_t i = 0;
     for (auto _ : state) {
@@ -214,6 +224,50 @@ BM_PrepProcess(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_PrepProcess);
+
+/**
+ * The per-trace invariant checkers run over gcc's first 400 demand
+ * traces, all of which pass. The set is small on purpose. 400
+ * traces (about 170 KB) stay cache-resident. A set of 20k traces
+ * does not fit in cache, so its loads would hide the kernel being
+ * measured. Items are traces.
+ */
+constexpr std::size_t kCheckedTraces = 400;
+
+void
+BM_TraceWellFormed(benchmark::State &state)
+{
+    const std::vector<Trace> traces(
+        gccDemandTraces().begin(),
+        gccDemandTraces().begin() + kCheckedTraces);
+    const SelectionPolicy policy;
+    std::size_t i = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            check::traceWellFormed(traces[i], policy));
+        i = i + 1 == traces.size() ? 0 : i + 1;
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_TraceWellFormed);
+
+/** tracesMatch of each of those traces against its own copy. */
+void
+BM_TracesMatch(benchmark::State &state)
+{
+    const std::vector<Trace> demanded(
+        gccDemandTraces().begin(),
+        gccDemandTraces().begin() + kCheckedTraces);
+    const std::vector<Trace> served = demanded;
+    std::size_t i = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            check::tracesMatch(demanded[i], served[i]));
+        i = i + 1 == demanded.size() ? 0 : i + 1;
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_TracesMatch);
 
 } // namespace
 

@@ -5,8 +5,11 @@
  * the top-level CMakeLists option), simulator hot paths run the
  * tpre::check invariant checkers at well-chosen choke points (trace
  * completion, trace-cache insertion, preconstruction emission,
- * end-of-run statistics). Configure with -DTPRE_CHECK=OFF for
- * maximum-speed measurement runs.
+ * end-of-run statistics). The per-trace checkers check every trace
+ * in full, cheaply: an accept pass with no branch per slot, and a
+ * message only after a rejection. They still cost fig5 about 14%
+ * of its throughput (DESIGN.md section 8); configure with
+ * -DTPRE_CHECK=OFF for maximum-speed measurement runs.
  *
  * The checker *functions* (check/invariants.hh, check/stats_check.hh)
  * are always compiled into the library so tests and the fuzz driver

@@ -1,5 +1,9 @@
 #include "check/invariants.hh"
 
+#include <array>
+#include <bit>
+#include <cstddef>
+#include <cstring>
 #include <sstream>
 #include <unordered_set>
 
@@ -41,12 +45,37 @@ class Msg
     std::ostringstream os_;
 };
 
-/** Hard trace terminators (selection rule 1). */
-bool
-hardTerminator(const Instruction &inst)
+/** What the checks need of a slot; one table load, no branches. */
+struct SlotClass
 {
-    return inst.isReturn() || inst.isIndirectJump() ||
-           inst.op == Opcode::Halt;
+    std::uint8_t cond; ///< 1 for a conditional branch
+    std::uint8_t hard; ///< 1 for a hard terminator (selection rule 1)
+    /** instBytes when the embedded path follows the target, else 0. */
+    std::uint8_t targetScale;
+};
+
+/** SlotClass at 2 * opcode byte + taken, from opcode masks. Bytes
+ *  past the last opcode are plain instructions, as predicates say. */
+constexpr auto slotClasses = [] {
+    constexpr std::uint32_t condOps =
+        (opBit(Opcode::Bge) << 1) - opBit(Opcode::Beq);
+    std::array<SlotClass, 512> table{};
+    for (unsigned op = 0; op < unsigned(Opcode::NumOpcodes); ++op) {
+        const std::uint32_t bit = opBit(static_cast<Opcode>(op));
+        const bool cond = bit & condOps, jump = bit & opBit(Opcode::Jal);
+        const bool hard = bit & (opBit(Opcode::Jalr) | opBit(Opcode::Halt));
+        table[2 * op] = {cond, hard, std::uint8_t(jump ? instBytes : 0)};
+        table[2 * op + 1] = {cond, hard,
+                             std::uint8_t(jump || cond ? instBytes : 0)};
+    }
+    return table;
+}();
+
+const SlotClass &
+classOf(const TraceInst &ti)
+{
+    return slotClasses[2u * static_cast<std::uint8_t>(ti.inst.op) +
+                       ti.taken];
 }
 
 /**
@@ -57,35 +86,88 @@ hardTerminator(const Instruction &inst)
 Addr
 embeddedNext(const TraceInst &ti)
 {
-    const Instruction &inst = ti.inst;
-    if (inst.isCondBranch())
-        return ti.taken ? inst.targetOf(ti.pc)
-                        : Instruction::fallThrough(ti.pc);
-    if (inst.isDirectJump())
-        return inst.targetOf(ti.pc);
-    if (hardTerminator(inst))
-        return invalidAddr;
-    return Instruction::fallThrough(ti.pc);
+    const SlotClass &cls = classOf(ti);
+    const Addr next = ti.pc + instBytes +
+                      Addr(std::int64_t(ti.inst.imm) * cls.targetScale);
+    return cls.hard ? invalidAddr : next;
 }
 
 /** Re-derive the TraceBuilder's rule-2/3 target length. */
 unsigned
-ruleTargetLen(const Trace &t, const SelectionPolicy &policy,
-              int lastBackward)
+ruleTargetLen(const SelectionPolicy &policy, int lastBackward)
 {
     if (lastBackward < 0 || policy.alignGranule == 0)
         return policy.maxLen;
     const unsigned beyond = static_cast<unsigned>(lastBackward) + 1;
     const unsigned room = policy.maxLen - beyond;
-    (void)t;
     return beyond + policy.alignGranule * (room / policy.alignGranule);
 }
 
-} // namespace
+/** The accept path of traceWellFormed(): every rule of
+ *  explainWellFormed() in one pass with no branch per slot. */
+bool
+wellFormedFast(const Trace &t, const SelectionPolicy &policy,
+               bool partial)
+{
+    // A stored trace cannot embed more than 16 branches.
+    static_assert(TraceBody::capacity() <= 16);
+    const unsigned n = t.len();
+    if (!t.id.valid() || n == 0 || n > policy.maxLen ||
+        t.id.startPc != t.insts.front().pc)
+        return false;
 
-Violation
-traceWellFormed(const Trace &t, const SelectionPolicy &policy,
-                bool partial)
+    // Last slot first, so each branch outcome shifted in at bit 0
+    // ends up where id.branchFlags keeps it.
+    unsigned branches = 0;
+    std::uint32_t flags = 0;
+    std::uint32_t backward = 0; // bit i: slot i is a backward branch
+    auto account = [&](const TraceInst &ti) {
+        const SlotClass &cls = classOf(ti);
+        flags = cls.cond ? flags << 1 | ti.taken : flags;
+        branches += cls.cond;
+        backward = backward << 1 |
+                   (cls.cond & (std::uint32_t(ti.inst.imm) >> 31));
+        return cls.hard;
+    };
+    const TraceInst *slot = t.insts.data();
+    const TraceInst &last = slot[n - 1];
+    const bool lastHard = account(last);
+    std::uint64_t pathBad = 0;
+    for (unsigned i = n - 1; i-- > 0;)
+        pathBad |= account(slot[i]) | (slot[i].srcPos ^ i) |
+                   (embeddedNext(slot[i]) ^ slot[i + 1].pc);
+    if (branches != t.id.numBranches || flags != t.id.branchFlags)
+        return false;
+    if (t.preprocessed)
+        return true;
+    if (pathBad)
+        return false;
+
+    if (lastHard) {
+        const TraceEndReason reason =
+            last.inst.isReturn()          ? TraceEndReason::Return
+            : last.inst.isIndirectJump() ? TraceEndReason::IndirectJump
+                                         : TraceEndReason::Halt;
+        return t.endReason == reason && t.fallThrough == invalidAddr;
+    }
+    if (t.fallThrough != embeddedNext(last))
+        return false;
+    if (partial)
+        return t.endReason == TraceEndReason::MaxLength ||
+               t.endReason == TraceEndReason::Alignment;
+    const int lastBackward = int(std::bit_width(backward)) - 1;
+    const unsigned target = ruleTargetLen(policy, lastBackward);
+    const bool aligned = lastBackward >= 0 && target != policy.maxLen;
+    return n == target &&
+           t.endReason == (aligned ? TraceEndReason::Alignment
+                                   : TraceEndReason::MaxLength);
+}
+
+/** The message for a rejected trace: the rules in their documented
+ *  order, so it names the first that fails. */
+[[gnu::cold, gnu::noinline]] Violation
+explainWellFormed(const Trace &t, const SelectionPolicy &policy,
+                  bool partial)
 {
     if (!t.id.valid())
         return Msg() << "trace-well-formed: invalid TraceId";
@@ -134,7 +216,7 @@ traceWellFormed(const Trace &t, const SelectionPolicy &policy,
     // Path contiguity and hard terminators only in the last slot.
     for (unsigned i = 0; i + 1 < t.len(); ++i) {
         const TraceInst &ti = t.insts[i];
-        if (hardTerminator(ti.inst))
+        if (classOf(ti).hard)
             return Msg() << "trace-well-formed: "
                          << disassemble(ti.inst, ti.pc)
                          << " terminates mid-trace at slot " << i;
@@ -152,7 +234,7 @@ traceWellFormed(const Trace &t, const SelectionPolicy &policy,
 
     // End reason vs. the last instruction, and fall-through.
     const TraceInst &last = t.insts.back();
-    const bool last_hard = hardTerminator(last.inst);
+    const bool last_hard = classOf(last).hard;
     switch (t.endReason) {
       case TraceEndReason::Return:
         if (!last.inst.isReturn())
@@ -197,7 +279,7 @@ traceWellFormed(const Trace &t, const SelectionPolicy &policy,
     // Selection rules 2/3: a non-hard-terminated trace ends exactly
     // at the alignment/length target (unless flushed mid-assembly).
     if (!last_hard && !partial) {
-        const unsigned target = ruleTargetLen(t, policy, last_backward);
+        const unsigned target = ruleTargetLen(policy, last_backward);
         if (t.len() != target)
             return Msg() << "trace-well-formed: length " << t.len()
                          << " violates the selection rules (target "
@@ -217,8 +299,26 @@ traceWellFormed(const Trace &t, const SelectionPolicy &policy,
     return std::nullopt;
 }
 
-Violation
-tracesMatch(const Trace &expected, const Trace &served)
+/** Nonzero iff two slots differ in pc, taken or an instruction
+ *  field. The fields fill the instruction's first ten bytes, read
+ *  as two words; its two padding bytes are never read. */
+std::uint64_t
+slotDiff(const TraceInst &a, const TraceInst &b)
+{
+    static_assert(offsetof(Instruction, sh2) == 9);
+    std::uint64_t a0, b0;
+    std::uint16_t a1, b1;
+    std::memcpy(&a0, &a.inst, 8);
+    std::memcpy(&b0, &b.inst, 8);
+    std::memcpy(&a1, &a.inst.sh1, 2);
+    std::memcpy(&b1, &b.inst.sh1, 2);
+    return (a.pc ^ b.pc) | (a0 ^ b0) | std::uint16_t(a1 ^ b1) |
+           std::uint64_t(a.taken != b.taken);
+}
+
+/** The message for a mismatch, naming the first one. */
+[[gnu::cold, gnu::noinline]] Violation
+explainMismatch(const Trace &expected, const Trace &served)
 {
     if (!(expected.id == served.id))
         return Msg() << "served-trace: identity mismatch (@0x"
@@ -257,6 +357,35 @@ tracesMatch(const Trace &expected, const Trace &served)
                      << served.fallThrough << " served, 0x"
                      << expected.fallThrough << " demanded";
     return std::nullopt;
+}
+
+} // namespace
+
+Violation
+traceWellFormed(const Trace &t, const SelectionPolicy &policy,
+                bool partial)
+{
+    if (wellFormedFast(t, policy, partial)) [[likely]]
+        return std::nullopt;
+    return explainWellFormed(t, policy, partial);
+}
+
+Violation
+tracesMatch(const Trace &expected, const Trace &served)
+{
+    // Accept path: one difference word, no branch per field.
+    if (expected.id == served.id && served.preprocessed)
+        return std::nullopt;
+    if (expected.id == served.id && expected.len() == served.len() &&
+        expected.fallThrough == served.fallThrough) {
+        std::uint64_t diff = 0;
+        for (unsigned i = 0; i < expected.len(); ++i)
+            diff |= slotDiff(expected.insts.data()[i],
+                             served.insts.data()[i]);
+        if (diff == 0) [[likely]]
+            return std::nullopt;
+    }
+    return explainMismatch(expected, served);
 }
 
 Violation

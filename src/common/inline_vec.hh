@@ -16,9 +16,9 @@
  * plain-data records the simulator stores.
  *
  * The interface is the subset of std::vector the codebase uses
- * (push_back / pop_back / resize / clear / iteration / indexing /
- * equality); exceeding the capacity is an invariant violation and
- * panics in every build type.
+ * (push_back / emplace_back / pop_back / resize / clear /
+ * iteration / indexing / equality); exceeding the capacity is an
+ * invariant violation and panics in every build type.
  */
 
 #ifndef TPRE_COMMON_INLINE_VEC_HH
@@ -26,7 +26,9 @@
 
 #include <cstddef>
 #include <cstring>
+#include <new>
 #include <type_traits>
+#include <utility>
 
 #include "common/logging.hh"
 
@@ -89,6 +91,16 @@ class InlineVec
         elems_[size_++] = value;
     }
 
+    /** Aggregate-initialize the next element in place: no stack
+     *  temporary to store and then read back for a copy. */
+    template <typename... Args>
+    void
+    emplace_back(Args &&...args)
+    {
+        tpre_assert(size_ < N, "InlineVec capacity exceeded");
+        ::new (elems_ + size_++) T{std::forward<Args>(args)...};
+    }
+
     void
     pop_back()
     {
@@ -110,9 +122,6 @@ class InlineVec
     }
 
     void clear() { size_ = 0; }
-
-    /** No-op (storage is inline); kept for std::vector API parity. */
-    void reserve(std::size_t) {}
 
     T &operator[](std::size_t i)
     {

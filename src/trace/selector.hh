@@ -82,9 +82,8 @@ class TraceBuilder
                 ? taken
                 : inst.isDirectJump() || inst.isIndirectJump() ||
                       inst.isReturn();
-        trace_.insts.push_back(
-            {pc, inst, stored_taken,
-             static_cast<std::uint8_t>(len())});
+        trace_.insts.emplace_back(pc, inst, stored_taken,
+                                  static_cast<std::uint8_t>(len()));
         nextPc_ = nextPc;
 
         if (inst.isCondBranch()) {
@@ -173,9 +172,8 @@ class TraceBuilder
                         "appendRun() with a control transfer");
             // stored_taken for non-control instructions normalizes
             // to false, exactly as append() stores it.
-            trace_.insts.push_back(
-                {pc, insts[i], false,
-                 static_cast<std::uint8_t>(idx++)});
+            trace_.insts.emplace_back(pc, insts[i], false,
+                                      static_cast<std::uint8_t>(idx++));
             pc += instBytes;
         }
         nextPc_ = pc;

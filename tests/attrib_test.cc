@@ -159,8 +159,8 @@ TEST(ClassifyTest, LinkingJalrIsCallNotIndirectBranch)
     indirect.rd = zeroReg;
     indirect.rs1 = 5;
     // rd == x0, rs1 != link: neither call nor return.
-    if (!indirect.isReturn())
-        EXPECT_EQ(instKindOf(indirect), InstKind::IndirectBranch);
+    ASSERT_FALSE(indirect.isReturn());
+    EXPECT_EQ(instKindOf(indirect), InstKind::IndirectBranch);
 }
 
 // ---------------------------------------------------------------

@@ -15,6 +15,7 @@
 #include "check/invariants.hh"
 #include "check/stats_check.hh"
 #include "trace/fill_unit.hh"
+#include "tproc/fast_sim.hh"
 #include "workload/generator.hh"
 
 namespace tpre
@@ -139,6 +140,171 @@ TEST(TracesMatch, DetectsServedContentDrift)
     const Violation v = check::tracesMatch(demanded, served);
     ASSERT_TRUE(v.has_value());
     EXPECT_EQ(failureCategory(*v), "served-trace");
+}
+
+// ---------------------------------------------------------------
+// Verdict pins: both checkers' verdicts and messages over a fixed
+// corpus of single-field mutations of real traces.
+// ---------------------------------------------------------------
+
+/**
+ * The first 300 FastSim demand traces each of gcc, go and vortex,
+ * followed by a copy of every one marked preprocessed.
+ */
+const std::vector<Trace> &
+mutationCorpus()
+{
+    static const std::vector<Trace> corpus = [] {
+        std::vector<Trace> out;
+        for (const char *name : {"gcc", "go", "vortex"}) {
+            WorkloadGenerator gen(specint95Profile(name));
+            const auto wl = gen.generate();
+            std::size_t taken = 0;
+            FastSimConfig cfg;
+            cfg.hooks.onTrace = [&](const Trace &demanded, const Trace &,
+                                    bool) {
+                if (taken < 300) {
+                    out.push_back(demanded);
+                    ++taken;
+                }
+            };
+            FastSim sim(wl.program, cfg);
+            sim.run(20000);
+        }
+        const std::size_t demand = out.size();
+        for (std::size_t i = 0; i < demand; ++i) {
+            Trace t = out[i];
+            t.preprocessed = true;
+            out.push_back(t);
+        }
+        return out;
+    }();
+    return corpus;
+}
+
+/**
+ * Call @p visit on @p base unchanged and on every single-field
+ * mutation of it: each slot's pc ±4, op (next opcode, and Add),
+ * rd/rs1/rs2/sh1/sh2 (low bit flipped), imm + 1, taken flipped,
+ * srcPos + 1; the identity fields; fallThrough; every end reason;
+ * and the trace truncated by one slot.
+ */
+template <typename Visit>
+void
+forEachMutation(const Trace &base, Visit &&visit)
+{
+    auto mutate = [&](auto &&edit) {
+        Trace t = base;
+        edit(t);
+        visit(t);
+    };
+    constexpr unsigned numOps = unsigned(Opcode::NumOpcodes);
+    mutate([](Trace &) {});
+    for (unsigned i = 0; i < base.len(); ++i) {
+        mutate([i](Trace &t) { t.insts[i].pc += 4; });
+        mutate([i](Trace &t) { t.insts[i].pc -= 4; });
+        mutate([i](Trace &t) {
+            Opcode &op = t.insts[i].inst.op;
+            op = Opcode((unsigned(op) + 1) % numOps);
+        });
+        mutate([i](Trace &t) { t.insts[i].inst.op = Opcode::Add; });
+        mutate([i](Trace &t) { t.insts[i].inst.rd ^= 1; });
+        mutate([i](Trace &t) { t.insts[i].inst.rs1 ^= 1; });
+        mutate([i](Trace &t) { t.insts[i].inst.rs2 ^= 1; });
+        mutate([i](Trace &t) { t.insts[i].inst.imm += 1; });
+        mutate([i](Trace &t) { t.insts[i].inst.sh1 ^= 1; });
+        mutate([i](Trace &t) { t.insts[i].inst.sh2 ^= 1; });
+        mutate([i](Trace &t) { t.insts[i].taken = !t.insts[i].taken; });
+        mutate([i](Trace &t) { t.insts[i].srcPos += 1; });
+    }
+    mutate([](Trace &t) { t.id.startPc += 4; });
+    mutate([](Trace &t) { t.id.branchFlags ^= 1; });
+    mutate([](Trace &t) { t.id.numBranches += 1; });
+    mutate([](Trace &t) { t.fallThrough += 4; });
+    for (unsigned r = 0; r <= unsigned(TraceEndReason::Halt); ++r)
+        mutate([r](Trace &t) { t.endReason = TraceEndReason(r); });
+    mutate([](Trace &t) { t.insts.pop_back(); });
+}
+
+/** FNV-1a digest of a sequence of verdicts and their messages. */
+struct VerdictDigest
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    std::size_t rejects = 0;
+
+    void
+    mixByte(unsigned char b)
+    {
+        h ^= b;
+        h *= 0x100000001b3ull;
+    }
+
+    void
+    add(const Violation &v)
+    {
+        mixByte(v.has_value());
+        if (!v)
+            return;
+        ++rejects;
+        for (char c : *v)
+            mixByte(static_cast<unsigned char>(c));
+        mixByte(0);
+    }
+};
+
+TEST(TraceWellFormed, VerdictsPinnedOnMutationCorpus)
+{
+    // Every verdict and message over the mutation corpus, checked
+    // both as a complete and as a flushed (partial) trace, digested
+    // in order. The constants were recorded before the checker was
+    // rewritten; a rejection that names a different first failing
+    // rule, or words it differently, changes the digest.
+    const auto &corpus = mutationCorpus();
+    ASSERT_EQ(corpus.size(), 1800u);
+    VerdictDigest d;
+    std::size_t checked = 0;
+    for (const Trace &base : corpus) {
+        forEachMutation(base, [&](const Trace &t) {
+            for (bool partial : {false, true}) {
+                d.add(check::traceWellFormed(t, {}, partial));
+                ++checked;
+            }
+        });
+        // The unmutated trace under other selection policies: no
+        // alignment rule, a coarser granule, a lower length cap.
+        for (const SelectionPolicy policy :
+             {SelectionPolicy{16, 0}, SelectionPolicy{16, 8},
+              SelectionPolicy{12, 4}}) {
+            d.add(check::traceWellFormed(base, policy));
+            ++checked;
+        }
+    }
+    EXPECT_EQ(d.h, 0x141f7f107fa3132aull)
+        << std::hex << "digest 0x" << d.h << std::dec << " rejects "
+        << d.rejects << " of " << checked;
+    EXPECT_EQ(d.rejects, 122012u);
+}
+
+TEST(TracesMatch, VerdictsPinnedOnMutationCorpus)
+{
+    // Each mutation served for its unmutated trace and, the other
+    // way round, demanded against it; verdicts and messages digested
+    // in order, constants recorded before the checker was rewritten.
+    const auto &corpus = mutationCorpus();
+    ASSERT_EQ(corpus.size(), 1800u);
+    VerdictDigest d;
+    std::size_t checked = 0;
+    for (const Trace &base : corpus) {
+        forEachMutation(base, [&](const Trace &t) {
+            d.add(check::tracesMatch(base, t));
+            d.add(check::tracesMatch(t, base));
+            checked += 2;
+        });
+    }
+    EXPECT_EQ(d.h, 0x0c3cc64a03d10ec1ull)
+        << std::hex << "digest 0x" << d.h << std::dec << " rejects "
+        << d.rejects << " of " << checked;
+    EXPECT_EQ(d.rejects, 299614u);
 }
 
 TEST(StreamBalance, DetectsUnmatchedReturn)
