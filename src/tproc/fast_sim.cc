@@ -86,45 +86,75 @@ checkSignature(const char *who, const mem::Checkpoint &checkpoint,
     }
 }
 
+/** The per-trace check every segmented trace passes, once. */
+void
+checkSegmented([[maybe_unused]] const Trace &trace,
+               [[maybe_unused]] const SelectionPolicy &selection,
+               [[maybe_unused]] bool partial)
+{
+    tpre_check_run(check::enforce(
+        check::traceWellFormed(trace, selection, partial),
+        "segmented trace"));
+}
+
 } // namespace
+
+LineWalk
+fetchTraceLines(ICache &icache, const Trace &trace)
+{
+    LineWalk walk;
+    Addr cur_line = invalidAddr;
+    bool line_missed = false;
+    for (const TraceInst &ti : trace.insts) {
+        const Addr line = icache.lineAddr(ti.pc);
+        if (line != cur_line) {
+            const ICache::AccessResult res =
+                icache.fetchLine(line, false);
+            line_missed = !res.hit;
+            if (line_missed)
+                walk.missLatency += res.latency;
+            cur_line = line;
+        }
+        walk.instsFromMisses += line_missed;
+    }
+    return walk;
+}
 
 // ------------------------------------------------------------------
 // TraceStream
 
 TraceStream::TraceStream(const Program &program,
                          SelectionPolicy selection)
-    : program_(program), selection_(selection), core_(program),
-      segmenter_(selection)
+    : program_(program), core_(program), segmenter_(selection)
 {
     window_.reserve(maxTraceLen);
 }
 
 void
 TraceStream::serve(std::span<FastFrontend *const> frontends,
-                   const std::vector<DynInst> &window, Trace &trace,
-                   [[maybe_unused]] bool partial)
+                   Trace &trace, bool partial)
 {
-    tpre_check_run(check::enforce(
-        check::traceWellFormed(trace, selection_, partial),
-        "FastSim segmented trace"));
+    static const std::vector<DynInst> kNoWindow;
+    checkSegmented(trace, segmenter_.policy(), partial);
     for (FastFrontend *frontend : frontends)
-        frontend->processTrace(window, trace);
+        frontend->processTrace(kNoWindow, trace);
 }
 
 void
-TraceStream::serveWindow(FastFrontend &frontend, Trace &trace,
-                         bool partial)
+TraceStream::complete(const Trace &trace, bool partial)
 {
-    FastFrontend *const one[] = {&frontend};
-    serve(one, window_, trace, partial);
+    checkSegmented(trace, segmenter_.policy(), partial);
+    completed_.swap(window_);
     window_.clear();
 }
 
-void
-TraceStream::flushPartial(FastFrontend &frontend)
+Trace *
+TraceStream::flush()
 {
-    if (Trace *trace = segmenter_.flush())
-        serveWindow(frontend, *trace, true);
+    Trace *trace = segmenter_.flush();
+    if (trace)
+        complete(*trace, true);
+    return trace;
 }
 
 void
@@ -142,7 +172,6 @@ TraceStream::runBlocks(std::span<FastFrontend *const> frontends,
     // segments exactly as n feed() calls would.
     if (!blocks_)
         blocks_ = std::make_unique<BlockCache>(program_);
-    static const std::vector<DynInst> kNoWindow;
     const FastSimStats &lead = frontends.front()->stats();
 
     while (!core_.halted() && lead.instructions < maxInsts) {
@@ -156,7 +185,7 @@ TraceStream::runBlocks(std::span<FastFrontend *const> frontends,
             core_.execBody(block.insts + done, chunk);
             if (Trace *trace = segmenter_.feedRun(block.insts + done,
                                                   pc, chunk)) {
-                serve(frontends, kNoWindow, *trace, false);
+                serve(frontends, *trace, false);
                 if (lead.instructions >= maxInsts)
                     return;     // budget spill, possibly mid-block
             }
@@ -171,13 +200,13 @@ TraceStream::runBlocks(std::span<FastFrontend *const> frontends,
         // identical by construction.
         const DynInst &dyn = core_.step();
         if (Trace *trace = segmenter_.feed(dyn))
-            serve(frontends, kNoWindow, *trace, false);
+            serve(frontends, *trace, false);
     }
 
     // Unreachable while the loop only exits at trace boundaries;
     // kept so the two loops stay structurally parallel.
     if (Trace *trace = segmenter_.flush())
-        serve(frontends, kNoWindow, *trace, true);
+        serve(frontends, *trace, true);
 }
 
 InstCount
@@ -340,29 +369,12 @@ FastFrontend::processTrace(const std::vector<DynInst> &window,
         // Slow path: fetch the trace's instructions through the
         // I-cache at slowFetchWidth per cycle, stalling for L2 on
         // line misses, while the fill unit assembles the trace.
+        const LineWalk walk = fetchTraceLines(icache_, trace);
         trace_cycles =
             (trace.len() + config_.slowFetchWidth - 1) /
-            config_.slowFetchWidth;
-        Addr cur_line = invalidAddr;
-        unsigned insts_on_line = 0;
-        bool line_missed = false;
-        for (const TraceInst &ti : trace.insts) {
-            const Addr line = icache_.lineAddr(ti.pc);
-            if (line != cur_line) {
-                if (cur_line != invalidAddr && line_missed)
-                    stats_.slowPathInstsFromMisses += insts_on_line;
-                const ICache::AccessResult res =
-                    icache_.fetchLine(line, false);
-                if (!res.hit)
-                    trace_cycles += res.latency;
-                cur_line = line;
-                line_missed = !res.hit;
-                insts_on_line = 0;
-            }
-            ++insts_on_line;
-        }
-        if (cur_line != invalidAddr && line_missed)
-            stats_.slowPathInstsFromMisses += insts_on_line;
+                config_.slowFetchWidth +
+            walk.missLatency;
+        stats_.slowPathInstsFromMisses += walk.instsFromMisses;
         stats_.slowPathInsts += trace.len();
         TPRE_TRACE_COMPLETE("fill", "slow_build", obs::Domain::Cycles,
                             stats_.cycles, trace_cycles, trace.len());
@@ -493,8 +505,8 @@ FastSim::run(InstCount maxInsts)
         // forked run resumes mid-trace with the restored commit
         // prefix in place.
         while (!halted() && frontend_.stats().instructions < maxInsts)
-            stream_.step(frontend_);
-        stream_.flushPartial(frontend_);
+            serve(stream_.step());
+        serve(stream_.flush());
     }
     return frontend_.finishRun(stream_.blockCache());
 }
@@ -507,7 +519,7 @@ FastSim::runUntil(InstCount coreInsts)
     // mid-chunk. No flush, no finishRun — the segmenter, commit
     // window and any partial block stay armed for checkpoint().
     while (!halted() && instsExecuted() < coreInsts)
-        stream_.step(frontend_);
+        serve(stream_.step());
     return frontend_.stats();
 }
 
@@ -520,8 +532,8 @@ FastSim::replay(DynInstSource &source, InstCount maxInsts)
     DynInst dyn;
     while (frontend_.stats().instructions < maxInsts &&
            source.next(dyn))
-        stream_.commit(dyn, frontend_);
-    stream_.flushPartial(frontend_);
+        serve(stream_.commit(dyn));
+    serve(stream_.flush());
     return frontend_.finishRun(stream_.blockCache());
 }
 

@@ -58,14 +58,14 @@ struct FastSimConfig
     /** Track the number of distinct trace identities seen. */
     bool trackTraceWorkingSet = false;
     /**
-     * Predecoded block dispatch (ROADMAP items 2a/2b): retire whole
-     * basic blocks in bulk instead of stepping instruction by
-     * instruction. Bit-identical statistics by construction; run()
-     * falls back to the scalar loop automatically when an onCommit
-     * hook is armed (consumers of per-instruction dynamic records —
-     * the differential oracle, .tpt dumping — need the effective
-     * addresses a bulk-retired body never materializes). Defaults
-     * to the TPRE_BLOCK_CACHE environment override (on when unset).
+     * Predecoded block dispatch: retire whole basic blocks in bulk
+     * instead of stepping instruction by instruction. Bit-identical
+     * statistics by construction; run() falls back to the scalar
+     * loop automatically when an onCommit hook is armed (consumers
+     * of per-instruction dynamic records — the differential oracle,
+     * .tpt dumping — need the effective addresses a bulk-retired
+     * body never materializes). Defaults to the TPRE_BLOCK_CACHE
+     * environment override (on when unset).
      */
     bool blockCache = blockCacheDefaultEnabled();
     /** Commit/trace taps for the tpre::check differential oracle. */
@@ -132,14 +132,26 @@ class DynInstSource
 
 class FastFrontend;
 
+/** Summed miss latency, and instructions the missed lines supplied. */
+struct LineWalk
+{
+    Cycle missLatency = 0;
+    unsigned instsFromMisses = 0;
+};
+
+/** Fetch @p trace's I-cache lines in path order, one access per run
+ *  of instructions on a line: both simulators' slow path. */
+LineWalk fetchTraceLines(ICache &icache, const Trace &trace);
+
 /**
- * The config-independent half of FastSim (DESIGN.md section 5): the
+ * The one source of segmented traces (DESIGN.md section 5): the
  * functional core, the predecoded block cache and the fill-unit
- * segmenter. What it commits and where it cuts traces depend only
- * on the program and the selection policy, and no frontend feeds
- * back into it, so one stream can serve any number of frontends in
+ * segmenter. FastSim's frontends and TraceProcessor's oracle both
+ * read it. What it commits and where it cuts traces depend only on
+ * the program and the selection policy, and no consumer feeds back
+ * into it, so one stream can serve any number of frontends in
  * lockstep. Each trace it segments is checked well formed once,
- * here, however many frontends it then serves.
+ * here, however many consumers it then serves.
  */
 class TraceStream
 {
@@ -158,27 +170,31 @@ class TraceStream
                    InstCount maxInsts);
 
     /**
-     * Commit one instruction on the scalar paths (FastSim run,
-     * runUntil, replay): extend the commit window, feed the
-     * segmenter and serve the trace it completes, if any.
+     * Commit one instruction on the scalar paths: extend the commit
+     * window and feed the segmenter. Returns the trace it completes,
+     * checked well formed, or null; the trace lives in the segmenter
+     * until the next commit, its commit window in window().
      */
-    [[gnu::always_inline]] void
-    commit(const DynInst &dyn, FastFrontend &frontend)
+    [[gnu::always_inline]] Trace *
+    commit(const DynInst &dyn)
     {
         window_.push_back(dyn);
-        if (Trace *trace = segmenter_.feed(dyn))
-            serveWindow(frontend, *trace, false);
+        Trace *trace = segmenter_.feed(dyn);
+        if (trace)
+            complete(*trace, false);
+        return trace;
     }
 
-    /** Step the core once on the scalar path and commit the result. */
-    [[gnu::always_inline]] void
-    step(FastFrontend &frontend)
-    {
-        commit(core_.step(), frontend);
-    }
+    /** Step the core once and commit the result. */
+    [[gnu::always_inline]] Trace *
+    step() { return commit(core_.step()); }
 
-    /** Serve the segmenter's partial trace, if any (run end). */
-    void flushPartial(FastFrontend &frontend);
+    /** The segmenter's partial trace at run end, checked, or null. */
+    Trace *flush();
+
+    /** The commit window of the trace last returned; a consumer
+     *  may swap its storage out. */
+    std::vector<DynInst> &window() { return completed_; }
 
     /** See FastSim::fastForward(). */
     InstCount fastForward(InstCount coreInsts, bool useBlocks);
@@ -192,17 +208,15 @@ class TraceStream
     const BlockCache *blockCache() const { return blocks_.get(); }
 
   private:
-    /** Check @p trace once, then let every frontend process it. */
-    void serve(std::span<FastFrontend *const> frontends,
-               const std::vector<DynInst> &window, Trace &trace,
+    /** Check @p trace once, then let every frontend process it
+     *  (block dispatch: no commit window). */
+    void serve(std::span<FastFrontend *const> frontends, Trace &trace,
                bool partial);
-    /** serve() on the scalar paths: one frontend, the commit
-     *  window, which is cleared afterwards. */
-    void serveWindow(FastFrontend &frontend, Trace &trace,
-                     bool partial);
+    /** On the scalar paths: check @p trace, then move the commit
+     *  window into completed_. */
+    void complete(const Trace &trace, bool partial);
 
     const Program &program_;
-    const SelectionPolicy selection_;
     FunctionalCore core_;
     FillUnit segmenter_;
     std::unique_ptr<BlockCache> blocks_;
@@ -213,6 +227,8 @@ class TraceStream
      * replay() deliberately do not clear it on entry.
      */
     std::vector<DynInst> window_;
+    /** Commit window of the trace last completed (see window()). */
+    std::vector<DynInst> completed_;
 };
 
 /**
@@ -376,6 +392,13 @@ class FastSim
     { return stream_.blockCache(); }
 
   private:
+    /** Let the frontend process @p trace, if any, and its window. */
+    void serve(Trace *trace)
+    {
+        if (trace)
+            frontend_.processTrace(stream_.window(), *trace);
+    }
+
     const Program &program_;
     TraceStream stream_;
     FastFrontend frontend_;

@@ -13,15 +13,15 @@ namespace tpre
 
 TraceProcessor::TraceProcessor(const Program &program,
                                ProcessorConfig config)
-    : program_(program), config_(config), core_(program),
+    : config_(config), stream_(program, config.selection),
       traceCache_(config.traceCacheEntries, config.traceCacheAssoc),
       icache_(config.icache), ntp_(config.ntp),
-      segmenter_(config.selection), backend_(config.backend)
+      backend_(config.backend)
 {
     if (config_.preconEnabled) {
         config_.precon.policy.selection = config_.selection;
         engine_ = std::make_unique<PreconstructionEngine>(
-            program_, icache_, bimodal_, traceCache_,
+            program, icache_, bimodal_, traceCache_,
             config_.precon);
     }
     if (config_.prepEnabled)
@@ -39,40 +39,20 @@ TraceProcessor::prepared(Trace trace)
 }
 
 void
-TraceProcessor::pushPending(Trace &&trace)
-{
-    PendingTrace &pending = oracle_.back();
-    pending.trace = std::move(trace);
-    // Hand the filled window over and take the slot's old storage.
-    std::swap(pending.window, window_);
-    window_.clear();
-    oracle_.push();
-}
-
-void
 TraceProcessor::advanceOracle()
 {
-    while (!oracle_.full() && !oracleDone_) {
-        if (core_.halted()) {
-            if (auto t = segmenter_.flush()) {
-                tpre_check_run(check::enforce(
-                    check::traceWellFormed(*t, config_.selection,
-                                           true),
-                    "TraceProcessor flushed trace"));
-                pushPending(std::move(*t));
-            }
-            window_.clear();
-            oracleDone_ = true;
-            break;
-        }
-        const DynInst &dyn = core_.step();
-        window_.push_back(dyn);
-        if (auto t = segmenter_.feed(dyn)) {
-            tpre_check_run(check::enforce(
-                check::traceWellFormed(*t, config_.selection, false),
-                "TraceProcessor segmented trace"));
-            pushPending(std::move(*t));
-        }
+    // A halt ends its trace (selection rule 1), so a halted stream
+    // holds no partial trace to flush.
+    while (!oracle_.full() && !stream_.core().halted()) {
+        Trace *trace = stream_.step();
+        if (!trace)
+            continue;
+        PendingTrace &pending = oracle_.back();
+        pending.trace = std::move(*trace);
+        // Take the trace's commit window; the stream reuses the
+        // slot's old storage.
+        std::swap(pending.window, stream_.window());
+        oracle_.push();
     }
 }
 
@@ -93,23 +73,12 @@ TraceProcessor::commitCompleted()
 Cycle
 TraceProcessor::slowFetch(const PendingTrace &pending)
 {
+    // Fetch at slowFetchWidth, stalling on the I-cache line misses
+    // along the trace's path.
     const Trace &trace = pending.trace;
-    Cycle cycles =
-        (trace.len() + config_.slowFetchWidth - 1) /
-        config_.slowFetchWidth;
-
-    // I-cache line fetches along the trace's path.
-    Addr cur_line = invalidAddr;
-    for (const TraceInst &ti : trace.insts) {
-        const Addr line = icache_.lineAddr(ti.pc);
-        if (line != cur_line) {
-            const ICache::AccessResult res =
-                icache_.fetchLine(line, false);
-            if (!res.hit)
-                cycles += res.latency;
-            cur_line = line;
-        }
-    }
+    Cycle cycles = (trace.len() + config_.slowFetchWidth - 1) /
+                       config_.slowFetchWidth +
+                   fetchTraceLines(icache_, trace).missLatency;
     stats_.slowPathInsts += trace.len();
 
     // Conventional prediction drives the slow path: bimodal for
@@ -222,11 +191,6 @@ TraceProcessor::dispatchFront()
         config_.hooks.onTrace(front.trace, dispatchTrace_,
                               !fetchWasSlow_);
 
-    bool contains_call = false;
-    for (const TraceInst &ti : front.trace.insts)
-        contains_call |= ti.inst.isCall();
-    const bool ends_in_return = front.trace.endsInReturn();
-
     // Train the slow-path structures and feed the dispatch-stream
     // monitor with the dispatched instructions.
     for (const DynInst &dyn : front.window) {
@@ -260,7 +224,8 @@ TraceProcessor::dispatchFront()
 
     // Advance the next-trace predictor with the actual trace and
     // predict the successor.
-    ntp_.advance(front.trace.id, contains_call, ends_in_return);
+    ntp_.advance(front.trace.id, front.trace.containsCall(),
+                 front.trace.endsInReturn());
     predValidForFront_ = false;
 
     if (oracle_.empty())

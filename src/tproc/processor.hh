@@ -34,7 +34,7 @@
 #include "precon/engine.hh"
 #include "prep/preprocessor.hh"
 #include "tproc/backend.hh"
-#include "trace/fill_unit.hh"
+#include "tproc/fast_sim.hh"
 #include "trace/trace_cache.hh"
 
 namespace tpre
@@ -160,9 +160,9 @@ class TraceProcessor
         WaitReady,    ///< fetch latency counting down
     };
 
+    /** Queue the stream's next traces, with their commit windows,
+     *  until the lookahead is full. */
     void advanceOracle();
-    /** Queue segmented trace @p trace with the window that built it. */
-    void pushPending(Trace &&trace);
     /** The next cycle in which anything can happen. */
     Cycle nextCycle() const;
     /**
@@ -179,23 +179,19 @@ class TraceProcessor
     Cycle slowFetch(const PendingTrace &pending);
     Trace prepared(Trace trace);
 
-    const Program &program_;
     ProcessorConfig config_;
-    FunctionalCore core_;
+    TraceStream stream_;
     TraceCache traceCache_;
     ICache icache_;
     BimodalPredictor bimodal_;
     Btb btb_;
     ReturnAddressStack ras_;
     NextTracePredictor ntp_;
-    FillUnit segmenter_;
     TimingBackend backend_;
     std::unique_ptr<PreconstructionEngine> engine_;
     std::unique_ptr<Preprocessor> prep_;
 
     OracleQueue oracle_;
-    std::vector<DynInst> window_;
-    bool oracleDone_ = false;
     /** The trace image to dispatch for the front pending trace. */
     Trace dispatchTrace_;
     /** Lengths of dispatched-but-uncommitted traces. */

@@ -140,6 +140,14 @@ struct Trace
     unsigned len() const { return insts.size(); }
     bool endsInReturn() const
     { return endReason == TraceEndReason::Return; }
+    bool
+    containsCall() const
+    {
+        for (const TraceInst &ti : insts)
+            if (ti.inst.isCall())
+                return true;
+        return false;
+    }
     bool endsInIndirect() const
     { return endReason == TraceEndReason::IndirectJump; }
 };

@@ -42,14 +42,7 @@ ReplayFrontend::run(InstCount maxInsts)
             ++stats_.ntpNoPrediction;
         else if (pred == demanded.id)
             ++stats_.ntpCorrect;
-        bool containsCall = false;
-        for (const TraceInst &ti : demanded.insts) {
-            if (ti.inst.isCall()) {
-                containsCall = true;
-                break;
-            }
-        }
-        ntp.advance(demanded.id, containsCall,
+        ntp.advance(demanded.id, demanded.containsCall(),
                     demanded.endsInReturn());
         if (userTrace)
             userTrace(demanded, served, fromStorage);

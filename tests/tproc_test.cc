@@ -9,6 +9,8 @@
 
 #include <algorithm>
 
+#include "check/diff.hh"
+#include "check/invariants.hh"
 #include "check/stats_check.hh"
 #include "common/random.hh"
 #include "isa/builder.hh"
@@ -699,8 +701,172 @@ TEST(FastSimBlockDispatchTest, CommitHookForcesScalarLoop)
 }
 
 // ---------------------------------------------------------------
+// TraceStream: the scalar trace source both simulators read.
+// ---------------------------------------------------------------
+
+bool
+sameDyn(const DynInst &a, const DynInst &b)
+{
+    return a.pc == b.pc && a.inst == b.inst && a.nextPc == b.nextPc &&
+           a.taken == b.taken && a.effAddr == b.effAddr;
+}
+
+/** Expect @p window to be the commit records at @p at of @p ref. */
+void
+expectWindowAt(const std::vector<DynInst> &window,
+               const check::RefRun &ref, std::size_t at)
+{
+    ASSERT_LE(at + window.size(), ref.stream.size());
+    for (std::size_t i = 0; i < window.size(); ++i)
+        EXPECT_TRUE(sameDyn(window[i], ref.stream[at + i]))
+            << "commit record " << at + i;
+}
+
+TEST(TraceStreamTest, PulledWindowsMatchTheirTracesAndTheReference)
+{
+    constexpr InstCount budget = 60000;
+    for (const char *name : {"gcc", "go"}) {
+        SCOPED_TRACE(name);
+        WorkloadGenerator gen(specint95Profile(name));
+        auto wl = gen.generate();
+        const SelectionPolicy selection;
+        const check::RefRun ref =
+            check::referenceRun(wl.program, selection, budget);
+
+        TraceStream stream(wl.program, selection);
+        std::size_t traces = 0;
+        std::size_t committed = 0;
+        while (committed < budget && !stream.core().halted()) {
+            const Trace *trace = stream.step();
+            if (!trace)
+                continue;
+            const std::vector<DynInst> &window = stream.window();
+            ASSERT_EQ(window.size(), trace->len());
+            for (unsigned i = 0; i < trace->len(); ++i) {
+                EXPECT_EQ(window[i].pc, trace->insts[i].pc);
+                EXPECT_EQ(window[i].taken, trace->insts[i].taken);
+            }
+            ASSERT_LT(traces, ref.traces.size());
+            EXPECT_EQ(check::tracesMatch(ref.traces[traces], *trace),
+                      std::nullopt);
+            expectWindowAt(window, ref, committed);
+            ++traces;
+            committed += window.size();
+        }
+        EXPECT_EQ(stream.flush(), nullptr);
+        EXPECT_EQ(traces, ref.traces.size());
+        EXPECT_EQ(committed, ref.stream.size());
+    }
+}
+
+TEST(TraceStreamTest, RestoredMidTraceStreamYieldsTheSameNextTrace)
+{
+    constexpr InstCount budget = 40000;
+    constexpr unsigned prefix = 3;
+    for (const char *name : {"gcc", "go"}) {
+        SCOPED_TRACE(name);
+        WorkloadGenerator gen(specint95Profile(name));
+        auto wl = gen.generate();
+        FastSimConfig cfg;
+        const check::RefRun ref =
+            check::referenceRun(wl.program, cfg.selection, budget);
+
+        // Stop `prefix` instructions into the first trace past the
+        // middle of the run that is long enough to stop inside.
+        std::size_t start = 0;
+        std::size_t pick = 0;
+        while (start < budget / 2 ||
+               ref.traces[pick].len() <= prefix + 1) {
+            start += ref.traces[pick].len();
+            ++pick;
+            ASSERT_LT(pick, ref.traces.size());
+        }
+        const Trace &next = ref.traces[pick];
+
+        FastSim sim(wl.program, cfg);
+        sim.runUntil(start + prefix);
+        const mem::Checkpoint cp =
+            sim.checkpoint(mem::CheckpointKind::Functional);
+
+        // Flushed at once, the restored stream yields the prefix.
+        TraceStream flushed(wl.program, cfg.selection);
+        mem::ByteReader fr(cp.bytes);
+        flushed.restore(fr);
+        const Trace *partial = flushed.flush();
+        ASSERT_NE(partial, nullptr);
+        EXPECT_EQ(partial->len(), prefix);
+        EXPECT_EQ(partial->id.startPc, next.id.startPc);
+        EXPECT_EQ(flushed.window().size(), prefix);
+        expectWindowAt(flushed.window(), ref, start);
+
+        // Stepped on, it completes the trace the reference cut, and
+        // that trace's window begins with the restored prefix.
+        TraceStream stream(wl.program, cfg.selection);
+        mem::ByteReader r(cp.bytes);
+        stream.restore(r);
+        EXPECT_EQ(stream.core().instsExecuted(), start + prefix);
+        const Trace *trace = nullptr;
+        unsigned steps = 0;
+        while (!trace) {
+            trace = stream.step();
+            ++steps;
+        }
+        EXPECT_EQ(steps, next.len() - prefix);
+        EXPECT_EQ(check::tracesMatch(next, *trace), std::nullopt);
+        EXPECT_EQ(stream.window().size(), next.len());
+        expectWindowAt(stream.window(), ref, start);
+    }
+}
+
+// ---------------------------------------------------------------
 // TraceProcessor (timing mode).
 // ---------------------------------------------------------------
+
+TEST(ProcessorTest, DemandsTheTracesFastSimDemands)
+{
+    constexpr InstCount budget = 60000;
+    for (const char *name : {"gcc", "go"}) {
+        SCOPED_TRACE(name);
+        WorkloadGenerator gen(specint95Profile(name));
+        auto wl = gen.generate();
+        const auto collect = [](std::vector<Trace> &into) {
+            return [&into](const Trace &demanded, const Trace &, bool) {
+                into.push_back(demanded);
+            };
+        };
+
+        std::vector<Trace> timed;
+        ProcessorConfig pcfg;
+        pcfg.hooks.onTrace = collect(timed);
+        TraceProcessor proc(wl.program, pcfg);
+        proc.run(budget);
+
+        // FastSim at the same budget demands a prefix of them: the
+        // timing run stops at its last commit with later traces
+        // already dispatched. At a budget of every dispatched
+        // instruction it demands exactly them.
+        InstCount dispatched = 0;
+        for (const Trace &trace : timed)
+            dispatched += trace.len();
+        for (const InstCount fastBudget : {budget, dispatched}) {
+            std::vector<Trace> fast;
+            FastSimConfig fcfg;
+            fcfg.selection = pcfg.selection;
+            fcfg.hooks.onTrace = collect(fast);
+            FastSim sim(wl.program, fcfg);
+            sim.run(fastBudget);
+            ASSERT_LE(fast.size(), timed.size());
+            if (fastBudget == dispatched) {
+                EXPECT_EQ(fast.size(), timed.size());
+            }
+            for (std::size_t i = 0; i < fast.size(); ++i) {
+                ASSERT_TRUE(fast[i].id == timed[i].id) << "trace " << i;
+                EXPECT_EQ(check::tracesMatch(fast[i], timed[i]),
+                          std::nullopt);
+            }
+        }
+    }
+}
 
 TEST(ProcessorTest, RunsAndReportsSaneIpc)
 {
