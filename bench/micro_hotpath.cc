@@ -2,8 +2,9 @@
  * @file
  * Hot-path micro-benchmarks (google-benchmark): the allocation-free
  * structures this repository's throughput rests on — functional
- * core step rate, flat-page-table memory access (MRU-hot and
- * random), trace segmentation rate, inline trace-body copies,
+ * core step rate, flat-page-table memory access (page-cache hits
+ * and random pages), trace segmentation rate, block dispatch and the
+ * sampler's block fast-forward, inline trace-body copies,
  * trace-cache probes with cached identity hashes, the Section 6
  * preprocessing kernels and the per-trace invariant checkers.
  * Companion to micro_components, which covers the predictor
@@ -14,6 +15,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -59,7 +61,7 @@ BM_CoreStepRate(benchmark::State &state)
 }
 BENCHMARK(BM_CoreStepRate);
 
-/** Same-page accesses: the one-entry MRU cache's best case. */
+/** Same-page accesses: each one hits the direct-mapped page cache. */
 void
 BM_MemoryMruHot(benchmark::State &state)
 {
@@ -68,14 +70,17 @@ BM_MemoryMruHot(benchmark::State &state)
     Addr addr = 0x1000;
     for (auto _ : state) {
         benchmark::DoNotOptimize(mem.read(addr));
-        // Stay inside one page so every access is an MRU hit.
+        // Stay inside one page so every access is a page-cache hit.
         addr = 0x1000 + ((addr + 8) & 0xfff);
     }
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_MemoryMruHot);
 
-/** Random-page accesses: exercises the open-addressing probe. */
+/**
+ * Random-page accesses over 4096 pages, far more than the page
+ * cache's 64 entries: nearly every access probes the table.
+ */
 void
 BM_MemoryRandomPages(benchmark::State &state)
 {
@@ -113,10 +118,10 @@ BM_SegmentationRate(benchmark::State &state)
 BENCHMARK(BM_SegmentationRate);
 
 /**
- * Block dispatch (ROADMAP 2a/2b): predecoded-block lookup plus bulk
- * body execution, terminator through the scalar core. Items are
- * instructions, directly comparable to BM_CoreStepRate — the ratio
- * is the fast-forward speedup of the retire loop itself.
+ * Block dispatch (DESIGN.md section 14): predecoded-block lookup
+ * plus bulk body execution, terminator through the scalar core.
+ * Items are instructions, directly comparable to BM_CoreStepRate —
+ * the ratio is the fast-forward speedup of the retire loop itself.
  */
 void
 BM_BlockDispatchRate(benchmark::State &state)
@@ -141,6 +146,35 @@ BM_BlockDispatchRate(benchmark::State &state)
     state.SetItemsProcessed(insts);
 }
 BENCHMARK(BM_BlockDispatchRate);
+
+/**
+ * The sampler's skip: TraceStream::fastForward through the block
+ * cache, 10k instructions per call. Items are instructions, so the
+ * rate compares directly with BM_BlockDispatchRate and
+ * BM_CoreStepRate.
+ */
+void
+BM_FastForward(benchmark::State &state)
+{
+    const GeneratedWorkload &wl = gccWorkload();
+    constexpr InstCount chunk = 10000;
+    auto stream = std::make_unique<TraceStream>(wl.program,
+                                                SelectionPolicy{});
+    std::int64_t insts = 0;
+    for (auto _ : state) {
+        const InstCount done = stream->fastForward(chunk, true);
+        benchmark::DoNotOptimize(done);
+        if (done < chunk) {
+            state.PauseTiming();
+            stream = std::make_unique<TraceStream>(wl.program,
+                                                   SelectionPolicy{});
+            state.ResumeTiming();
+        }
+        insts += static_cast<std::int64_t>(done);
+    }
+    state.SetItemsProcessed(insts);
+}
+BENCHMARK(BM_FastForward);
 
 /** Copying a full 16-instruction trace body (inline storage). */
 void

@@ -2,7 +2,6 @@
 
 #include "common/logging.hh"
 #include "common/parse.hh"
-#include "common/random.hh"
 
 namespace tpre
 {
@@ -11,34 +10,6 @@ bool
 blockCacheDefaultEnabled()
 {
     return parseFlag("TPRE_BLOCK_CACHE", true);
-}
-
-namespace
-{
-
-/** Slot index a leader PC hashes to under @p mask. */
-inline std::size_t
-slotHash(Addr leader, std::size_t mask)
-{
-    return static_cast<std::size_t>(mix64(leader)) & mask;
-}
-
-} // namespace
-
-DecodedBlock *
-BlockCache::find(Addr leader)
-{
-    if (slots_.empty())
-        return nullptr;
-    std::size_t i = slotHash(leader, slotMask_);
-    while (true) {
-        Slot &slot = slots_[i];
-        if (slot.leader == leader)
-            return slot.block;
-        if (slot.leader == kEmptySlot)
-            return nullptr;
-        i = (i + 1) & slotMask_;
-    }
 }
 
 const DecodedBlock &
@@ -83,55 +54,19 @@ BlockCache::decodeBlock(Addr leader)
     if (block.bodyLen == kMaxBlockLen && block.end == BlockEnd::Clipped)
         block.fallThrough = pc;
 
+    if (table_.empty())
+        table_.resize(program_->numInsts());
     pool_.push_back(block);
-    insert(leader, &pool_.back());
+    table_[(leader - program_->base()) / instBytes] = &pool_.back();
     ++stats_.decoded;
     return pool_.back();
-}
-
-void
-BlockCache::insert(Addr leader, DecodedBlock *block)
-{
-    if (slots_.empty())
-        rehash(initialSlots);
-    // Grow at ~70% occupancy so probe chains stay short; slots hold
-    // block *pointers*, so rehashing never moves block data.
-    if (pool_.size() * 10 > slots_.size() * 7)
-        rehash(slots_.size() * 2);
-    std::size_t i = slotHash(leader, slotMask_);
-    while (slots_[i].leader != kEmptySlot) {
-        tpre_assert(slots_[i].leader != leader,
-                    "block decoded twice for one leader");
-        i = (i + 1) & slotMask_;
-    }
-    slots_[i] = {leader, block};
-}
-
-void
-BlockCache::rehash(std::size_t newCapacity)
-{
-    tpre_assert((newCapacity & (newCapacity - 1)) == 0,
-                "block table capacity must be a power of two");
-    std::vector<Slot> fresh(newCapacity);
-    const std::size_t mask = newCapacity - 1;
-    for (const Slot &slot : slots_) {
-        if (slot.leader == kEmptySlot)
-            continue;
-        std::size_t i = slotHash(slot.leader, mask);
-        while (fresh[i].leader != kEmptySlot)
-            i = (i + 1) & mask;
-        fresh[i] = slot;
-    }
-    slots_ = std::move(fresh);
-    slotMask_ = mask;
 }
 
 void
 BlockCache::invalidate()
 {
     pool_.clear();
-    slots_.clear();
-    slotMask_ = 0;
+    table_.clear();
     ++stats_.invalidations;
 }
 

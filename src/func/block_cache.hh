@@ -1,19 +1,20 @@
 /**
  * @file
- * Predecoded basic-block cache (ROADMAP item 2a). The functional
- * core's per-instruction loop pays fetch-index math, bounds asserts
- * and trace-selection rule checks for every instruction even though
- * control only transfers at branch points. BlockCache memoizes, per
- * leader PC, the straight-line run up to and including the next
- * control transfer: a dense DecodedBlock pointing straight into the
- * Program's pre-decoded image, with the terminator kind and its
- * taken/fall-through targets resolved once at decode time. FastSim
- * uses it to retire whole blocks in bulk (see tproc/fast_sim.cc).
+ * Predecoded basic-block cache (DESIGN.md section 14). The
+ * functional core's per-instruction loop pays fetch-index math,
+ * bounds asserts and trace-selection rule checks for every
+ * instruction even though control only transfers at branch points.
+ * BlockCache memoizes, per leader PC, the straight-line run up to
+ * and including the next control transfer: a dense DecodedBlock
+ * pointing straight into the Program's pre-decoded image, with the
+ * terminator kind and its taken/fall-through targets resolved once
+ * at decode time. FastSim uses it to retire whole blocks in bulk
+ * (see tproc/fast_sim.cc).
  *
- * The map is the same flat open-addressing pattern as the
- * func/memory.hh page table: linear probing over a power-of-two
- * slot array of (leader, block*) pairs, with block storage in a
- * deque so rehashing never moves a block a caller still holds.
+ * The map is a flat table with one slot per instruction of the
+ * image, indexed by (leader - base) / 4, so a lookup is one bounds
+ * check and one load. Block storage is a deque so growth never
+ * moves a block a caller still holds.
  *
  * Blocks borrow their instruction pointer from the bound Program,
  * so any image change (reload, self-modifying rebuild) must
@@ -100,8 +101,6 @@ class BlockCache
      * fallThrough.
      */
     static constexpr std::uint32_t kMaxBlockLen = 64;
-    /** Slots allocated on first decode (power of two). */
-    static constexpr std::size_t initialSlots = 256;
 
     struct Stats
     {
@@ -127,9 +126,17 @@ class BlockCache
     const DecodedBlock &
     lookup(Addr leader)
     {
-        if (DecodedBlock *block = find(leader)) {
-            ++stats_.hits;
-            return *block;
+        // A leader below the image base wraps to a huge index, so
+        // the one bounds check also sends it to decodeBlock(), whose
+        // fetch faults exactly as the scalar core's would. Leaders
+        // are 4-byte aligned by construction (jalr clears the low
+        // bits), so the division never folds two leaders together.
+        const Addr index = (leader - program_->base()) / instBytes;
+        if (index < table_.size()) {
+            if (DecodedBlock *block = table_[index]) {
+                ++stats_.hits;
+                return *block;
+            }
         }
         return decodeBlock(leader);
     }
@@ -145,29 +152,17 @@ class BlockCache
     const Stats &stats() const { return stats_; }
 
   private:
-    struct Slot
-    {
-        Addr leader = kEmptySlot;
-        DecodedBlock *block = nullptr;
-    };
-
-    /**
-     * Empty-slot marker: invalidAddr is all-ones and never a legal
-     * leader (leaders are 4-byte-aligned image addresses).
-     */
-    static constexpr Addr kEmptySlot = invalidAddr;
-
-    DecodedBlock *find(Addr leader);
     const DecodedBlock &decodeBlock(Addr leader);
-    void insert(Addr leader, DecodedBlock *block);
-    void rehash(std::size_t newCapacity);
 
     const Program *program_;
     /** Block storage; deque keeps addresses stable on growth. */
     std::deque<DecodedBlock> pool_;
-    /** Open-addressing leader table (linear probing). */
-    std::vector<Slot> slots_;
-    std::size_t slotMask_ = 0;
+    /**
+     * Leader table: slot i holds the block whose leader is the
+     * image's i-th instruction, or null. Sized to the image on
+     * first decode.
+     */
+    std::vector<DecodedBlock *> table_;
     Stats stats_;
 };
 

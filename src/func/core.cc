@@ -28,6 +28,13 @@ FunctionalCore::restore(mem::ByteReader &r)
 {
     r.getBytes(state_.regs.data(),
                state_.regs.size() * sizeof(RegValue));
+    // ArchState::reg() reads r0 as a plain load, so a checkpoint
+    // whose r0 word is not 0 would make every later read of it lie.
+    if (state_.regs[zeroReg] != 0) {
+        fatal("FunctionalCore::restore: checkpoint register r0 holds "
+              "%#llx, not 0",
+              static_cast<unsigned long long>(state_.regs[zeroReg]));
+    }
     state_.mem.restore(r);
     pc_ = r.get<Addr>();
     halted_ = r.get<bool>();

@@ -18,23 +18,23 @@
 namespace tpre
 {
 
-/** Architectural register file plus data memory. */
+/**
+ * Architectural register file plus data memory. regs[zeroReg] is 0
+ * at all times: setReg() stores unconditionally and then re-zeroes
+ * r0, so neither accessor branches on the register index.
+ */
 struct ArchState
 {
     std::array<RegValue, numArchRegs> regs = {};
     Memory mem;
 
-    RegValue
-    reg(RegIndex index) const
-    {
-        return index == zeroReg ? 0 : regs[index];
-    }
+    RegValue reg(RegIndex index) const { return regs[index]; }
 
     void
     setReg(RegIndex index, RegValue value)
     {
-        if (index != zeroReg)
-            regs[index] = value;
+        regs[index] = value;
+        regs[zeroReg] = 0;
     }
 };
 
@@ -54,12 +54,14 @@ struct ExecResult
 /**
  * Execute one decoded instruction against @p state. This is the
  * single source of truth for ISA semantics; FunctionalCore and the
- * trace-equivalence property tests both use it. Defined inline: it
- * runs once per simulated instruction, and keeping it visible to
- * the step() loop lets the compiler keep the architectural state
- * pointer and PC in registers across the dispatch switch.
+ * trace-equivalence property tests both use it. Forced inline: it
+ * runs once per simulated instruction, and left to itself the
+ * compiler calls it out of line from FunctionalCore's loops and
+ * returns the ExecResult through memory. Inlined, each loop keeps
+ * the state pointer and PC in registers across the dispatch switch
+ * and drops the result fields it never reads.
  */
-inline ExecResult
+[[gnu::always_inline]] inline ExecResult
 executeInst(const Instruction &inst, Addr pc, ArchState &state)
 {
     ExecResult res;
@@ -219,7 +221,7 @@ class FunctionalCore
      * not be called once halted() is true. Inline: this is the top
      * of every simulated-instruction loop.
      */
-    const DynInst &
+    [[gnu::always_inline]] const DynInst &
     step()
     {
         tpre_assert(!halted_, "step() after halt");
@@ -240,8 +242,8 @@ class FunctionalCore
     }
 
     /**
-     * Block-granular entry point (ROADMAP item 2a): execute @p n
-     * straight-line non-control instructions starting at the
+     * Block-granular entry point (DESIGN.md section 14): execute
+     * @p n straight-line non-control instructions starting at the
      * current PC. @p insts must be the pre-decoded image of those
      * instructions (a DecodedBlock body — see func/block_cache.hh),
      * i.e. insts[i] is the instruction at pc() + 4*i. Equivalent to
@@ -250,7 +252,7 @@ class FunctionalCore
      * halt, redirect the PC, or carry a taken outcome, so only the
      * architectural state and the PC/instruction counters change.
      */
-    void
+    [[gnu::always_inline]] void
     execBody(const Instruction *insts, unsigned n)
     {
         tpre_assert(!halted_, "execBody() after halt");
@@ -274,18 +276,24 @@ class FunctionalCore
      * (short only when the program halts). Safe to call when
      * already halted (returns 0).
      */
-    InstCount
+    [[gnu::always_inline]] InstCount
     skip(InstCount n)
     {
+        // Locals, not members, carry the loop: executeInst's stores
+        // through state_ could otherwise alias pc_ and halted_.
+        Addr pc = pc_;
+        bool halted = halted_;
         InstCount done = 0;
-        while (!halted_ && done < n) {
-            const Instruction &inst = program_.instAt(pc_);
-            const ExecResult res = executeInst(inst, pc_, state_);
-            halted_ = res.halted;
-            pc_ = res.nextPc;
-            ++instCount_;
+        while (!halted && done < n) {
+            const ExecResult res =
+                executeInst(program_.instAt(pc), pc, state_);
+            halted = res.halted;
+            pc = res.nextPc;
             ++done;
         }
+        pc_ = pc;
+        halted_ = halted;
+        instCount_ += done;
         return done;
     }
 
@@ -294,6 +302,7 @@ class FunctionalCore
     InstCount instsExecuted() const { return instCount_; }
 
     ArchState &state() { return state_; }
+    const ArchState &state() const { return state_; }
     const Program &program() const { return program_; }
 
   private:

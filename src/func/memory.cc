@@ -115,8 +115,6 @@ Memory::restore(mem::ByteReader &r)
         Page &page = findOrCreate(num);
         r.getBytes(page.words, sizeof(page.words));
     }
-    mruNum_ = kEmptySlot;
-    mruPage_ = nullptr;
 }
 
 void
@@ -125,8 +123,7 @@ Memory::clear()
     pool_.clear();
     slots_.clear();
     slotMask_ = 0;
-    mruNum_ = kEmptySlot;
-    mruPage_ = nullptr;
+    cache_.fill({});
 }
 
 } // namespace tpre

@@ -59,11 +59,13 @@ struct PreconConfig
      */
     unsigned warmRegionThreshold = 3;
     /**
-     * Let the constructors walk straight-line runs through a shared
-     * predecoded-block cache (ROADMAP 2a/2b) instead of stepping
-     * per instruction. Host-side speedup only: every statistic is
-     * bit-identical either way. FastSim overrides this with its own
-     * blockCache knob; the default honours TPRE_BLOCK_CACHE.
+     * Let the constructors bulk-append straight-line runs, found by
+     * scanning the program image (Program::instAt) up to the next
+     * control transfer, instead of stepping per instruction
+     * (DESIGN.md section 14). Host-side speedup only: every
+     * statistic is bit-identical either way. FastSim overrides this
+     * with its own blockCache knob; the default honours
+     * TPRE_BLOCK_CACHE.
      */
     bool blockWalk = blockCacheDefaultEnabled();
     PreconPolicy policy;

@@ -43,9 +43,10 @@ struct SimConfig
     std::size_t preconBufferEntries = 0;
     bool prepEnabled = false;
     /**
-     * Predecoded block dispatch for Fast mode (ROADMAP 2a/2b);
-     * statistics are bit-identical either way, only wall clock and
-     * the block counters change. Default honours TPRE_BLOCK_CACHE.
+     * Predecoded block dispatch for Fast mode (DESIGN.md section
+     * 14); statistics are bit-identical either way, only wall clock
+     * and the block counters change. Default honours
+     * TPRE_BLOCK_CACHE.
      */
     bool blockCache = blockCacheDefaultEnabled();
     /**

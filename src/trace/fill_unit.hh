@@ -65,7 +65,7 @@ class FillUnit
     /**
      * Feed a straight-line run of @p n non-control instructions
      * decoded at @p insts, first address @p pc — the bulk
-     * equivalent of n feed() calls (ROADMAP item 2b). Requires
+     * equivalent of n feed() calls (DESIGN.md section 14). Requires
      * 1 <= n <= roomLeft(), so at most one trace completes.
      * Same builder-owned return as feed().
      */

@@ -149,10 +149,11 @@ class TraceBuilder
     /**
      * Append a straight-line run of @p n non-control instructions
      * whose pre-decoded image starts at @p insts and whose first
-     * address is @p pc (block dispatch, ROADMAP item 2b). Exactly
-     * equivalent to n append() calls — same stored records, same
-     * end reason, same fall-through — but the termination rules are
-     * evaluated once for the run instead of once per instruction.
+     * address is @p pc (block dispatch, DESIGN.md section 14).
+     * Exactly equivalent to n append() calls — same stored records,
+     * same end reason, same fall-through — but the termination
+     * rules are evaluated once for the run instead of once per
+     * instruction.
      * Requires 1 <= n <= roomLeft().
      *
      * @return true when the run filled the trace to its target

@@ -12,6 +12,8 @@
 #include "func/block_cache.hh"
 #include "func/core.hh"
 #include "isa/builder.hh"
+#include "mem/checkpoint.hh"
+#include "workload/generator.hh"
 
 namespace tpre
 {
@@ -128,7 +130,7 @@ TEST(MemoryTest, ClearInvalidatesMruCache)
 {
     Memory mem;
     mem.write(0x6000, 123);
-    // Make 0x6000's page the MRU entry, then clear: the subsequent
+    // Put 0x6000's page in the page cache, then clear: the next
     // read must see a cold page, not the stale cached pointer.
     EXPECT_EQ(mem.read(0x6000), 123u);
     mem.clear();
@@ -156,6 +158,28 @@ TEST(MemoryTest, MruTracksPageSwitches)
     EXPECT_EQ(mem.read(0x2000), 22u);
 }
 
+TEST(MemoryTest, PagesSharingACacheEntryStayDistinct)
+{
+    // Page numbers 64 apart map to the same direct-mapped cache
+    // entry; each access must evict and re-resolve, never serve the
+    // other page's word.
+    Memory mem;
+    const Addr a = 0x1000;
+    const Addr b = a + 64 * Memory::pageBytes;
+    mem.write(a, 1);
+    mem.write(b, 2);
+    for (int i = 0; i < 4; ++i) {
+        EXPECT_EQ(mem.read(a), 1u);
+        EXPECT_EQ(mem.read(b), 2u);
+    }
+    mem.write(a, 3);
+    EXPECT_EQ(mem.read(b), 2u);
+    EXPECT_EQ(mem.read(a), 3u);
+    // An untouched page in the same entry reads zero.
+    EXPECT_EQ(mem.read(b + 64 * Memory::pageBytes), 0u);
+    EXPECT_EQ(mem.numPages(), 2u);
+}
+
 TEST(ArchStateTest, ZeroRegisterIsImmutable)
 {
     ArchState st;
@@ -170,14 +194,47 @@ TEST(ArchStateTest, ZeroRegisterIsImmutable)
 // ---------------------------------------------------------------
 
 Instruction
-makeR(Opcode op, RegIndex rd, RegIndex rs1, RegIndex rs2)
+makeR(Opcode op, RegIndex rd, RegIndex rs1, RegIndex rs2,
+      std::int32_t imm = 0)
 {
     Instruction inst;
     inst.op = op;
     inst.rd = rd;
     inst.rs1 = rs1;
     inst.rs2 = rs2;
+    inst.imm = imm;
     return inst;
+}
+
+TEST(ArchStateTest, EveryWriterAimedAtR0LeavesTheFileIntact)
+{
+    Instruction fused = makeR(Opcode::Fused, zeroReg, 1, 2, -2);
+    fused.sh1 = 3;
+    fused.sh2 = 1;
+    const Instruction writers[] = {
+        makeR(Opcode::Add, zeroReg, 1, 2),
+        makeR(Opcode::Addi, zeroReg, 1, 0, 5),
+        makeR(Opcode::Lui, zeroReg, 0, 0, 0x1234),
+        makeR(Opcode::Ld, zeroReg, 3, 0, 8),
+        makeR(Opcode::Jal, zeroReg, 0, 0, 10),
+        makeR(Opcode::Jalr, zeroReg, 4, 0),
+        fused,
+    };
+    for (const Instruction &inst : writers) {
+        SCOPED_TRACE(static_cast<unsigned>(inst.op));
+        ArchState st;
+        for (RegIndex r = 1; r < numArchRegs; ++r)
+            st.setReg(r, 0x1000 + 0x111 * r);
+        // The load reads a nonzero word, so a leak into r0 shows.
+        st.mem.write(st.reg(3) + 8, 0xdead);
+        const auto before = st.regs;
+
+        executeInst(inst, 0x4000, st);
+        EXPECT_EQ(st.reg(zeroReg), 0u);
+        EXPECT_EQ(st.regs[zeroReg], 0u);
+        for (RegIndex r = 1; r < numArchRegs; ++r)
+            EXPECT_EQ(st.reg(r), before[r]) << "r" << unsigned(r);
+    }
 }
 
 TEST(ExecuteTest, Arithmetic)
@@ -500,6 +557,32 @@ TEST(FunctionalCoreTest, ResetRestartsCleanly)
     EXPECT_EQ(core.instsExecuted(), 0u);
 }
 
+TEST(FunctionalCoreTest, RestoreRejectsCheckpointWithNonzeroR0)
+{
+    ProgramBuilder b;
+    b.li(1, 5);
+    b.halt();
+    Program p = b.build();
+
+    FunctionalCore core(p);
+    core.step();
+    mem::ByteWriter w;
+    core.save(w);
+    std::vector<std::uint8_t> bytes = w.take();
+
+    // The untouched checkpoint restores; the same bytes with the
+    // r0 word (the first one saved) corrupted must not.
+    FunctionalCore good(p);
+    mem::ByteReader r(bytes);
+    good.restore(r);
+    EXPECT_EQ(good.state().reg(1), 5u);
+
+    bytes[0] = 1;
+    FunctionalCore victim(p);
+    mem::ByteReader bad(bytes);
+    EXPECT_DEATH(victim.restore(bad), "r0 holds 0x1, not 0");
+}
+
 TEST(FunctionalCoreTest, DynInstRecordsBranchOutcome)
 {
     ProgramBuilder b;
@@ -521,7 +604,7 @@ TEST(FunctionalCoreTest, DynInstRecordsBranchOutcome)
 }
 
 // ---------------------------------------------------------------
-// BlockCache: predecoded basic blocks (ROADMAP 2a).
+// BlockCache: predecoded basic blocks (DESIGN.md section 14).
 // ---------------------------------------------------------------
 
 TEST(BlockCacheTest, DecodesBodyAndTerminator)
@@ -658,26 +741,41 @@ TEST(BlockCacheTest, RebindInvalidatesAfterImageReload)
 
 TEST(BlockCacheTest, ExecBodyMatchesScalarSteps)
 {
-    ProgramBuilder b;
-    b.li(1, 5);
-    b.addi(2, 1, 7);
-    b.add(3, 1, 2);
-    b.halt();
-    Program p = b.build();
+    // Block dispatch (bulk body, terminator through step()) against
+    // the scalar core, compared at every block boundary.
+    constexpr InstCount budget = 200000;
+    for (const char *name : {"gcc", "go"}) {
+        SCOPED_TRACE(name);
+        WorkloadGenerator gen(specint95Profile(name));
+        const GeneratedWorkload wl = gen.generate();
+        FunctionalCore scalar(wl.program);
+        FunctionalCore bulk(wl.program);
+        BlockCache blocks(wl.program);
 
-    FunctionalCore scalar(p);
-    FunctionalCore bulk(p);
-    BlockCache blocks(p);
-    const DecodedBlock &block = blocks.lookup(p.entry());
-    ASSERT_EQ(block.bodyLen, 3u);
-    bulk.execBody(block.insts, block.bodyLen);
-    for (unsigned i = 0; i < 3; ++i)
-        scalar.step();
+        while (!bulk.halted() && bulk.instsExecuted() < budget) {
+            const DecodedBlock &block = blocks.lookup(bulk.pc());
+            bulk.execBody(block.insts, block.bodyLen);
+            for (unsigned i = 0; i < block.bodyLen; ++i)
+                scalar.step();
+            if (block.end != BlockEnd::Clipped) {
+                bulk.step();
+                scalar.step();
+            }
+            ASSERT_EQ(bulk.pc(), scalar.pc());
+            ASSERT_EQ(bulk.instsExecuted(), scalar.instsExecuted());
+            ASSERT_EQ(bulk.halted(), scalar.halted());
+            ASSERT_EQ(bulk.state().regs, scalar.state().regs)
+                << "after block at " << std::hex << block.leader;
+        }
+        EXPECT_GE(bulk.instsExecuted(), budget);
+        EXPECT_GT(blocks.stats().hits, blocks.stats().decoded);
 
-    EXPECT_EQ(bulk.pc(), scalar.pc());
-    EXPECT_EQ(bulk.instsExecuted(), scalar.instsExecuted());
-    for (RegIndex r = 0; r < 4; ++r)
-        EXPECT_EQ(bulk.state().reg(r), scalar.state().reg(r));
+        mem::ByteWriter bulkMem;
+        mem::ByteWriter scalarMem;
+        bulk.state().mem.save(bulkMem);
+        scalar.state().mem.save(scalarMem);
+        EXPECT_EQ(bulkMem.take(), scalarMem.take());
+    }
 }
 
 } // namespace

@@ -620,7 +620,7 @@ TEST(FastSimTest, TraceWorkingSetTracked)
 }
 
 // ---------------------------------------------------------------
-// Block dispatch (ROADMAP 2b): fast-forward vs the scalar loop.
+// Block dispatch (DESIGN.md section 14) vs the scalar loop.
 // ---------------------------------------------------------------
 
 TEST(FastSimBlockDispatchTest, StatsBitIdenticalToScalarLoop)
@@ -815,6 +815,125 @@ TEST(TraceStreamTest, RestoredMidTraceStreamYieldsTheSameNextTrace)
         EXPECT_EQ(check::tracesMatch(next, *trace), std::nullopt);
         EXPECT_EQ(stream.window().size(), next.len());
         expectWindowAt(stream.window(), ref, start);
+    }
+}
+
+// ---------------------------------------------------------------
+// Fast-forward: block dispatch vs the scalar skip.
+// ---------------------------------------------------------------
+
+/** Budgets that stop a fresh stream at chosen points of its run. */
+struct SkipBudgets
+{
+    /** After the 2nd instruction of a body with more to go. */
+    InstCount midBody = 0;
+    /** After a body's last instruction, before its terminator. */
+    InstCount bodyEnd = 0;
+    /** Right after that terminator. */
+    InstCount onTerminator = 0;
+    /** Instructions up to and including the halt. */
+    InstCount toHalt = 0;
+};
+
+/**
+ * Step @p program to its halt and pick the budgets from the first
+ * block past @p from whose body holds 3 to kMaxBlockLen
+ * instructions. A block's leader follows a control transfer, so
+ * the non-control run since the last one is exactly its body.
+ */
+SkipBudgets
+pickSkipBudgets(const Program &program, InstCount from)
+{
+    SkipBudgets b;
+    FunctionalCore scout(program);
+    unsigned body = 0;
+    while (!scout.halted()) {
+        const DynInst &dyn = scout.step();
+        if (!dyn.inst.isControl()) {
+            ++body;
+            continue;
+        }
+        const InstCount at = scout.instsExecuted();
+        if (!b.onTerminator && at > from && body >= 3 &&
+            body <= BlockCache::kMaxBlockLen) {
+            b.onTerminator = at;
+            b.bodyEnd = at - 1;
+            b.midBody = at - body + 1;
+        }
+        body = 0;
+    }
+    b.toHalt = scout.instsExecuted();
+    return b;
+}
+
+/** Expect the two streams' functional state to be identical. */
+void
+expectSameSkipState(const TraceStream &blocks, const TraceStream &scalar)
+{
+    const FunctionalCore &a = blocks.core();
+    const FunctionalCore &b = scalar.core();
+    EXPECT_EQ(a.pc(), b.pc());
+    EXPECT_EQ(a.instsExecuted(), b.instsExecuted());
+    EXPECT_EQ(a.halted(), b.halted());
+    for (RegIndex r = 0; r < numArchRegs; ++r)
+        EXPECT_EQ(a.state().reg(r), b.state().reg(r))
+            << "r" << unsigned(r);
+    // Memory as its checkpoint records it: pages in allocation
+    // order, so the two paths must also have touched them in order.
+    mem::ByteWriter wa;
+    mem::ByteWriter wb;
+    a.state().mem.save(wa);
+    b.state().mem.save(wb);
+    EXPECT_EQ(wa.take(), wb.take());
+}
+
+TEST(TraceStreamTest, BlockFastForwardMatchesScalarSkip)
+{
+    std::vector<std::string> names = specint95Names();
+    names.insert(names.end(), extendedNames().begin(),
+                 extendedNames().end());
+    const SelectionPolicy selection;
+    for (const std::string &name : names) {
+        SCOPED_TRACE(name);
+        // One outer repeat keeps each program short enough to run
+        // to its halt; the code shape is the profile's.
+        BenchmarkProfile profile = namedProfile(name);
+        profile.outerRepeats = 1;
+        WorkloadGenerator gen(profile);
+        const GeneratedWorkload wl = gen.generate();
+        const SkipBudgets b = pickSkipBudgets(wl.program, 20000);
+        ASSERT_GT(b.onTerminator, 0u);
+        const InstCount pastHalt = b.toHalt + 1000;
+
+        // Each budget from the entry, where blocks start at the
+        // entry and after every control transfer.
+        for (InstCount budget :
+             {b.midBody, b.bodyEnd, b.onTerminator, pastHalt}) {
+            SCOPED_TRACE(budget);
+            TraceStream blocks(wl.program, selection);
+            TraceStream scalar(wl.program, selection);
+            const InstCount viaBlocks = blocks.fastForward(budget, true);
+            const InstCount viaSkip = scalar.fastForward(budget, false);
+            EXPECT_EQ(viaBlocks, viaSkip);
+            EXPECT_EQ(viaBlocks, std::min(budget, b.toHalt));
+            expectSameSkipState(blocks, scalar);
+        }
+
+        // The same points chained, as the sampler calls it: every
+        // call after the first starts mid-block, at a new leader.
+        TraceStream blocks(wl.program, selection);
+        TraceStream scalar(wl.program, selection);
+        InstCount at = 0;
+        for (InstCount stop :
+             {b.midBody, b.bodyEnd, b.onTerminator, pastHalt}) {
+            SCOPED_TRACE(stop);
+            blocks.fastForward(stop - at, true);
+            scalar.fastForward(stop - at, false);
+            expectSameSkipState(blocks, scalar);
+            at = stop;
+        }
+        EXPECT_TRUE(blocks.core().halted());
+        EXPECT_EQ(blocks.fastForward(10, true), 0u);
     }
 }
 
