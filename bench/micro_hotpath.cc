@@ -119,7 +119,7 @@ BENCHMARK(BM_SegmentationRate);
 
 /**
  * Block dispatch (DESIGN.md section 14): predecoded-block lookup
- * plus bulk body execution, terminator through the scalar core.
+ * plus bulk body execution, terminator through the core's step().
  * Items are instructions, directly comparable to BM_CoreStepRate —
  * the ratio is the fast-forward speedup of the retire loop itself.
  */
@@ -158,16 +158,16 @@ BM_FastForward(benchmark::State &state)
 {
     const GeneratedWorkload &wl = gccWorkload();
     constexpr InstCount chunk = 10000;
-    auto stream = std::make_unique<TraceStream>(wl.program,
-                                                SelectionPolicy{});
+    auto stream = std::make_unique<TraceStream>(
+        wl.program, SelectionPolicy{}, false);
     std::int64_t insts = 0;
     for (auto _ : state) {
-        const InstCount done = stream->fastForward(chunk, true);
+        const InstCount done = stream->fastForward(chunk);
         benchmark::DoNotOptimize(done);
         if (done < chunk) {
             state.PauseTiming();
-            stream = std::make_unique<TraceStream>(wl.program,
-                                                   SelectionPolicy{});
+            stream = std::make_unique<TraceStream>(
+                wl.program, SelectionPolicy{}, false);
             state.ResumeTiming();
         }
         insts += static_cast<std::int64_t>(done);

@@ -309,36 +309,35 @@ diffModels(const Program &program, const DiffConfig &cfg)
         liveStats = stats;
     }
 
-    // --- Block dispatch -----------------------------------------
-    // The hooked run above forced the scalar loop (an armed
-    // onCommit hook suppresses block fast-forward). Re-run the
-    // same configuration hookless with the block cache forced on:
-    // every statistic except the block counters themselves must
-    // come out identical, and the run must still reconcile against
-    // its own obs counters (feedRun batches fill.insts) and
-    // conserve instructions.
+    // --- Windowless stream --------------------------------------
+    // The hooked run above recorded a commit window for every trace
+    // and its onCommit stream matched the reference instruction by
+    // instruction. Re-run the same configuration hookless, so the
+    // stream records no window: every statistic except the block
+    // counters must come out identical, and the run must still
+    // reconcile against its own obs counters and conserve
+    // instructions.
     {
-        FastSimConfig bcfg = fastConfigOf(cfg);
-        bcfg.blockCache = true;
+        const FastSimConfig hookless = fastConfigOf(cfg);
 
-        FastSim sim(program, bcfg);
+        FastSim sim(program, hookless);
         const ObsCounters before = ObsCounters::captureThread();
         const FastSimStats &stats = sim.run(cfg.maxInsts);
         const ObsCounters delta =
             ObsCounters::captureThread() - before;
 
-        if (auto f = prefixed("block-dispatch",
-                              obsReconcilesFast(delta, {bcfg},
+        if (auto f = prefixed("windowless",
+                              obsReconcilesFast(delta, {hookless},
                                                 {stats}))) {
             result.failure = f;
             return result;
         }
-        if (auto f = prefixed("block-dispatch",
+        if (auto f = prefixed("windowless",
                               fastStatsEqual(liveStats, stats))) {
             result.failure = f;
             return result;
         }
-        if (auto f = prefixed("block-dispatch",
+        if (auto f = prefixed("windowless",
                               statsConserved(stats))) {
             result.failure = f;
             return result;
@@ -353,8 +352,7 @@ diffModels(const Program &program, const DiffConfig &cfg)
     // reconcile as a group: the stream fills once, the frontends'
     // counters add up.
     {
-        FastSimConfig lead = fastConfigOf(cfg);
-        lead.blockCache = true;
+        const FastSimConfig lead = fastConfigOf(cfg);
         FastSimConfig half = lead;
         half.traceCacheEntries = lead.traceCacheEntries / 2;
         FastSimConfig toggled = lead;

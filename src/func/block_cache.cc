@@ -1,16 +1,9 @@
 #include "func/block_cache.hh"
 
 #include "common/logging.hh"
-#include "common/parse.hh"
 
 namespace tpre
 {
-
-bool
-blockCacheDefaultEnabled()
-{
-    return parseFlag("TPRE_BLOCK_CACHE", true);
-}
 
 const DecodedBlock &
 BlockCache::decodeBlock(Addr leader)

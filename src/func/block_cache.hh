@@ -83,13 +83,6 @@ struct DecodedBlock
     }
 };
 
-/**
- * Process-wide default for the block-dispatch knob: TPRE_BLOCK_CACHE
- * must be exactly "0" (off) or "1" (on); unset means on. Anything
- * else is fatal() — a typo must not silently pick a dispatch mode.
- */
-bool blockCacheDefaultEnabled();
-
 /** Leader-PC-indexed cache of decoded basic blocks. */
 class BlockCache
 {

@@ -20,7 +20,6 @@ FunctionalCore::save(mem::ByteWriter &w) const
     w.put(pc_);
     w.put(halted_);
     w.put(instCount_);
-    w.put(last_);
 }
 
 void
@@ -39,7 +38,6 @@ FunctionalCore::restore(mem::ByteReader &r)
     pc_ = r.get<Addr>();
     halted_ = r.get<bool>();
     instCount_ = r.get<InstCount>();
-    last_ = r.get<DynInst>();
 }
 
 void

@@ -221,24 +221,19 @@ class FunctionalCore
      * not be called once halted() is true. Inline: this is the top
      * of every simulated-instruction loop.
      */
-    [[gnu::always_inline]] const DynInst &
+    [[gnu::always_inline]] DynInst
     step()
     {
         tpre_assert(!halted_, "step() after halt");
 
         const Instruction &inst = program_.instAt(pc_);
-        ExecResult res = executeInst(inst, pc_, state_);
-
-        last_.pc = pc_;
-        last_.inst = inst;
-        last_.nextPc = res.nextPc;
-        last_.taken = res.taken;
-        last_.effAddr = res.effAddr;
+        const ExecResult res = executeInst(inst, pc_, state_);
+        const DynInst dyn{pc_, inst, res.nextPc, res.taken, res.effAddr};
 
         halted_ = res.halted;
         pc_ = res.nextPc;
         ++instCount_;
-        return last_;
+        return dyn;
     }
 
     /**
@@ -255,46 +250,18 @@ class FunctionalCore
     [[gnu::always_inline]] void
     execBody(const Instruction *insts, unsigned n)
     {
-        tpre_assert(!halted_, "execBody() after halt");
-        Addr pc = pc_;
-        for (unsigned i = 0; i < n; ++i) {
-            tpre_assert(!insts[i].isControl(),
-                        "execBody() on a control transfer");
-            executeInst(insts[i], pc, state_);
-            pc += instBytes;
-        }
-        pc_ = pc;
-        instCount_ += n;
+        runBody<false>(insts, n, nullptr);
     }
 
     /**
-     * Fast-forward entry point (sampled simulation): execute up to
-     * @p n instructions without materializing dynamic records —
-     * architectural state, PC and the instruction counter advance
-     * exactly as n step() calls would, but nothing is produced for
-     * a frontend to consume. Returns the instructions executed
-     * (short only when the program halts). Safe to call when
-     * already halted (returns 0).
+     * execBody() that also writes the n dynamic records step()
+     * would have returned to @p out: {pc, inst, pc + 4, not taken,
+     * effective address}.
      */
-    [[gnu::always_inline]] InstCount
-    skip(InstCount n)
+    [[gnu::always_inline]] void
+    execBody(const Instruction *insts, unsigned n, DynInst *out)
     {
-        // Locals, not members, carry the loop: executeInst's stores
-        // through state_ could otherwise alias pc_ and halted_.
-        Addr pc = pc_;
-        bool halted = halted_;
-        InstCount done = 0;
-        while (!halted && done < n) {
-            const ExecResult res =
-                executeInst(program_.instAt(pc), pc, state_);
-            halted = res.halted;
-            pc = res.nextPc;
-            ++done;
-        }
-        pc_ = pc;
-        halted_ = halted;
-        instCount_ += done;
-        return done;
+        runBody<true>(insts, n, out);
     }
 
     bool halted() const { return halted_; }
@@ -306,12 +273,29 @@ class FunctionalCore
     const Program &program() const { return program_; }
 
   private:
+    template <bool Record>
+    [[gnu::always_inline]] void
+    runBody(const Instruction *insts, unsigned n, DynInst *out)
+    {
+        tpre_assert(!halted_, "execBody() after halt");
+        Addr pc = pc_;
+        for (unsigned i = 0; i < n; ++i) {
+            tpre_assert(!insts[i].isControl(),
+                        "execBody() on a control transfer");
+            const ExecResult res = executeInst(insts[i], pc, state_);
+            if constexpr (Record)
+                out[i] = {pc, insts[i], res.nextPc, false, res.effAddr};
+            pc += instBytes;
+        }
+        pc_ = pc;
+        instCount_ += n;
+    }
+
     const Program &program_;
     ArchState state_;
     Addr pc_;
     bool halted_ = false;
     InstCount instCount_ = 0;
-    DynInst last_;
 };
 
 } // namespace tpre

@@ -9,10 +9,9 @@ namespace tpre
 
 PreconConstructor::PreconConstructor(const Program &program,
                                      const BimodalPredictor &bimodal,
-                                     const PreconPolicy &policy,
-                                     bool bulkWalk)
+                                     const PreconPolicy &policy)
     : program_(program), bimodal_(bimodal), policy_(policy),
-      bulkWalk_(bulkWalk), builder_(policy.selection)
+      builder_(policy.selection)
 {
 }
 
@@ -285,7 +284,7 @@ PreconConstructor::tick(unsigned instBudget, PreconTraceSink &sink)
         // pc_ exactly where the per-instruction walk would stop, so
         // the stall, fork and completion logic in stepOne() fires
         // unchanged.
-        if (bulkWalk_ && program_.contains(pc_) &&
+        if (program_.contains(pc_) &&
             !program_.instAt(pc_).isControl()) {
             const unsigned limit = std::min(
                 {static_cast<unsigned>(

@@ -74,17 +74,9 @@ struct DecisionPath
 class PreconConstructor
 {
   public:
-    /**
-     * @param bulkWalk When set, tick() bulk-appends straight-line
-     *        runs instead of stepping per instruction. Purely a
-     *        host speedup — stall points, fork decisions and
-     *        per-tick instruction counts are bit-identical either
-     *        way.
-     */
     PreconConstructor(const Program &program,
                       const BimodalPredictor &bimodal,
-                      const PreconPolicy &policy,
-                      bool bulkWalk = false);
+                      const PreconPolicy &policy);
 
     bool idle() const { return region_ == nullptr; }
     Region *region() const { return region_; }
@@ -128,7 +120,6 @@ class PreconConstructor
     const Program &program_;
     const BimodalPredictor &bimodal_;
     PreconPolicy policy_;
-    bool bulkWalk_;
 
     Region *region_ = nullptr;
     Addr startPc_ = invalidAddr;

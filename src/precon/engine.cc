@@ -36,8 +36,7 @@ PreconstructionEngine::PreconstructionEngine(
     constructors_.reserve(config_.numConstructors);
     for (unsigned i = 0; i < config_.numConstructors; ++i)
         constructors_.emplace_back(program_, bimodal_,
-                                   config_.policy,
-                                   config_.blockWalk);
+                                   config_.policy);
 }
 
 PreconstructionEngine::~PreconstructionEngine() = default;

@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "cache/icache.hh"
-#include "func/block_cache.hh"
 #include "func/core.hh"
 #include "mem/checkpoint.hh"
 #include "precon/buffers.hh"
@@ -58,16 +57,6 @@ struct PreconConfig
      * 3.2 redundancy filters). 0 disables.
      */
     unsigned warmRegionThreshold = 3;
-    /**
-     * Let the constructors bulk-append straight-line runs, found by
-     * scanning the program image (Program::instAt) up to the next
-     * control transfer, instead of stepping per instruction
-     * (DESIGN.md section 14). Host-side speedup only: every
-     * statistic is bit-identical either way. FastSim overrides this
-     * with its own blockCache knob; the default honours
-     * TPRE_BLOCK_CACHE.
-     */
-    bool blockWalk = blockCacheDefaultEnabled();
     PreconPolicy policy;
 };
 
@@ -133,10 +122,10 @@ class PreconstructionEngine : public PreconTraceSink
 
     /**
      * The monitor proper: observeDispatch() minus the DynInst
-     * wrapper. Block dispatch reconstructs commit events straight
-     * from trace bodies, which hold exactly these three fields —
-     * taking them unpacked keeps that loop free of per-instruction
-     * DynInst assembly.
+     * wrapper. FastFrontend derives commit events straight from
+     * trace bodies, which hold exactly these three fields — taking
+     * them unpacked keeps that loop free of per-instruction DynInst
+     * assembly.
      */
     void observeCommit(Addr pc, const Instruction &inst, bool taken);
 

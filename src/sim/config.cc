@@ -14,7 +14,6 @@ SimConfig::toFastConfig() const
     cfg.precon = precon;
     cfg.precon.bufferEntries =
         preconBufferEntries > 0 ? preconBufferEntries : 32;
-    cfg.blockCache = blockCache;
     return cfg;
 }
 

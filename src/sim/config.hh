@@ -43,12 +43,12 @@ struct SimConfig
     std::size_t preconBufferEntries = 0;
     bool prepEnabled = false;
     /**
-     * Predecoded block dispatch for Fast mode (DESIGN.md section
-     * 14); statistics are bit-identical either way, only wall clock
-     * and the block counters change. Default honours
-     * TPRE_BLOCK_CACHE.
+     * Every mode runs the block loop (DESIGN.md section 14); there
+     * is no other dispatch path to pick. The constant remains
+     * because the benchmark's per-layer cost model
+     * (perfbench/layers.cc) still reads it.
      */
-    bool blockCache = blockCacheDefaultEnabled();
+    static constexpr bool blockCache = true;
     /**
      * Warm-state reuse (Fast mode): functionally warm the first
      * this-many instructions once per workload, checkpoint, and

@@ -135,7 +135,7 @@ streamKey(const SimConfig &config)
 {
     if (config.mode != SimMode::Fast ||
         config.sampleSpec().resolved().enabled() ||
-        !config.blockCache || !config.tptDump.empty())
+        !config.tptDump.empty())
         return std::nullopt;
     return StreamKey{config.benchmark, config.workloadSeed,
                      config.selection.maxLen,

@@ -59,8 +59,8 @@ struct SimResult
      */
     AttribTable attrib;
     /**
-     * Block-dispatch counters (Fast mode with the block cache on;
-     * zero otherwise). Host-side bookkeeping like wallSeconds —
+     * The block cache's counters (Fast mode; zero in timing mode
+     * and replays). Host-side bookkeeping like wallSeconds —
      * they describe how the simulator executed, not the simulated
      * machine.
      */
@@ -161,11 +161,11 @@ using StreamKey = std::tuple<std::string, std::uint64_t, unsigned,
 
 /**
  * The row's stream key when it can share its stream with other
- * rows (Simulator::runGroup): Fast mode, unsampled, block dispatch
- * and no `.tpt` dump. std::nullopt for every other row, which runs
- * alone: timing rows have no shareable frontend, sampled rows place
- * their windows per run, and dump and scalar rows need the commit
- * window that block dispatch never builds.
+ * rows (Simulator::runGroup): Fast mode, unsampled and no `.tpt`
+ * dump. std::nullopt for every other row, which runs alone: timing
+ * rows have no shareable frontend, sampled rows place their windows
+ * per run, and a dump needs its own commit windows on the onCommit
+ * hook.
  */
 std::optional<StreamKey> streamKey(const SimConfig &config);
 

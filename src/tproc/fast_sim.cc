@@ -29,8 +29,8 @@ signatureOf(const Program &program, const FastSimConfig &config,
     // flips the signature. The stream signature covers exactly what
     // shapes the committed dynamic stream and its segmentation; the
     // full signature additionally covers every microarchitectural
-    // knob a Full checkpoint embeds state for. Host-side knobs
-    // (blockCache, hooks) are excluded on purpose.
+    // knob a Full checkpoint embeds state for. The hooks are
+    // excluded on purpose.
     std::uint64_t sig = 0x7472'6163'6570'7265ULL; // "tracepre"
     const auto chain = [&sig](std::uint64_t v) {
         sig = mix64(sig ^ v);
@@ -124,20 +124,12 @@ fetchTraceLines(ICache &icache, const Trace &trace)
 // TraceStream
 
 TraceStream::TraceStream(const Program &program,
-                         SelectionPolicy selection)
-    : program_(program), core_(program), segmenter_(selection)
+                         SelectionPolicy selection, bool recordWindows)
+    : core_(program), segmenter_(selection), blocks_(program),
+      recordWindows_(recordWindows)
 {
-    window_.reserve(maxTraceLen);
-}
-
-void
-TraceStream::serve(std::span<FastFrontend *const> frontends,
-                   Trace &trace, bool partial)
-{
-    static const std::vector<DynInst> kNoWindow;
-    checkSegmented(trace, segmenter_.policy(), partial);
-    for (FastFrontend *frontend : frontends)
-        frontend->processTrace(kNoWindow, trace);
+    if (recordWindows_)
+        window_.reserve(maxTraceLen);
 }
 
 void
@@ -157,60 +149,86 @@ TraceStream::flush()
     return trace;
 }
 
+template <bool Segment>
+Trace *
+TraceStream::run(InstCount coreLimit)
+{
+    // Segmenting a body in chunks equals feeding it one instruction
+    // at a time: a straight-line chunk of at most roomLeft()
+    // instructions hits no selection rule before its last one, so
+    // feedRun() cuts exactly where n feed() calls would.
+    while (!core_.halted() && core_.instsExecuted() < coreLimit) {
+        if (!block_) {
+            block_ = &blocks_.lookup(core_.pc());
+            bodyDone_ = 0;
+        }
+        const DecodedBlock &block = *block_;
+        if (bodyDone_ < block.bodyLen) {
+            InstCount room =
+                std::min<InstCount>(block.bodyLen - bodyDone_,
+                                    coreLimit - core_.instsExecuted());
+            if constexpr (Segment)
+                room = std::min<InstCount>(room, segmenter_.roomLeft());
+            const auto chunk = static_cast<unsigned>(room);
+            const Instruction *insts = block.insts + bodyDone_;
+            const Addr pc = core_.pc();
+            if (Segment && recordWindows_) {
+                const std::size_t at = window_.size();
+                window_.resize(at + chunk);
+                core_.execBody(insts, chunk, window_.data() + at);
+            } else {
+                core_.execBody(insts, chunk);
+            }
+            bodyDone_ += chunk;
+            if constexpr (Segment) {
+                if (Trace *trace = segmenter_.feedRun(insts, pc, chunk)) {
+                    complete(*trace, false);
+                    return trace;
+                }
+            }
+            continue;
+        }
+
+        // The terminator goes through the core: control transfers
+        // need the dynamic next-PC, the link-register write and the
+        // halt flag.
+        block_ = nullptr;
+        if (block.end == BlockEnd::Clipped)
+            continue;
+        if constexpr (Segment) {
+            if (Trace *trace = commit(core_.step()))
+                return trace;
+        } else {
+            core_.step();
+        }
+    }
+    return nullptr;
+}
+
+Trace *
+TraceStream::next(InstCount coreLimit)
+{
+    return run<true>(coreLimit);
+}
+
 void
 TraceStream::runBlocks(std::span<FastFrontend *const> frontends,
                        InstCount maxInsts)
 {
-    // Bit-identity with the scalar loop rests on two facts. First,
-    // a frontend's instruction count only advances inside
-    // processTrace, so the scalar loop can only exit at a trace
-    // completion (or at a halt, which itself completes a trace);
-    // checking the budget after each completion reproduces its exit
-    // points exactly, including mid-block. Second, a straight-line
-    // body chunked to the builder's roomLeft() hits no selection
-    // rule before the chunk's last instruction, so feedRun()
-    // segments exactly as n feed() calls would.
-    if (!blocks_)
-        blocks_ = std::make_unique<BlockCache>(program_);
+    // A frontend's instruction count only advances inside
+    // processTrace, so the budget is checked after each trace.
     const FastSimStats &lead = frontends.front()->stats();
-
-    while (!core_.halted() && lead.instructions < maxInsts) {
-        const DecodedBlock &block = blocks_->lookup(core_.pc());
-
-        unsigned done = 0;
-        while (done < block.bodyLen) {
-            const unsigned chunk =
-                std::min(block.bodyLen - done, segmenter_.roomLeft());
-            const Addr pc = core_.pc();
-            core_.execBody(block.insts + done, chunk);
-            if (Trace *trace = segmenter_.feedRun(block.insts + done,
-                                                  pc, chunk)) {
-                serve(frontends, *trace, false);
-                if (lead.instructions >= maxInsts)
-                    return;     // budget spill, possibly mid-block
-            }
-            done += chunk;
-        }
-
-        if (block.end == BlockEnd::Clipped)
-            continue;
-        // The terminator goes through the scalar core: control
-        // transfers need the dynamic next-PC, the link-register
-        // write, and the halt flag, with semantics guaranteed
-        // identical by construction.
-        const DynInst &dyn = core_.step();
-        if (Trace *trace = segmenter_.feed(dyn))
-            serve(frontends, *trace, false);
+    while (lead.instructions < maxInsts) {
+        Trace *trace = next();
+        if (!trace)
+            return;
+        for (FastFrontend *frontend : frontends)
+            frontend->processTrace(*trace);
     }
-
-    // Unreachable while the loop only exits at trace boundaries;
-    // kept so the two loops stay structurally parallel.
-    if (Trace *trace = segmenter_.flush())
-        serve(frontends, *trace, true);
 }
 
 InstCount
-TraceStream::fastForward(InstCount coreInsts, bool useBlocks)
+TraceStream::fastForward(InstCount coreInsts)
 {
     // Abandon the in-flight trace: the skipped instructions are a
     // gap in the frontend's view of the stream, so the partially
@@ -220,31 +238,7 @@ TraceStream::fastForward(InstCount coreInsts, bool useBlocks)
     window_.clear();
 
     const InstCount start = core_.instsExecuted();
-    const InstCount target = start + coreInsts;
-    if (!useBlocks) {
-        core_.skip(coreInsts);
-        return core_.instsExecuted() - start;
-    }
-
-    if (!blocks_)
-        blocks_ = std::make_unique<BlockCache>(program_);
-    while (!core_.halted() && core_.instsExecuted() < target) {
-        const DecodedBlock &block = blocks_->lookup(core_.pc());
-        const InstCount room = target - core_.instsExecuted();
-        const unsigned body = static_cast<unsigned>(
-            std::min<InstCount>(block.bodyLen, room));
-        if (body)
-            core_.execBody(block.insts, body);
-        if (body < block.bodyLen)
-            break;      // budget hit mid-body
-        if (block.end == BlockEnd::Clipped ||
-            core_.instsExecuted() >= target) {
-            continue;   // chain into the next block, or done
-        }
-        // Terminators need the scalar core: the dynamic next-PC,
-        // link-register write and halt flag.
-        core_.step();
-    }
+    run<false>(start + coreInsts);
     return core_.instsExecuted() - start;
 }
 
@@ -253,7 +247,13 @@ TraceStream::save(mem::ByteWriter &w) const
 {
     core_.save(w);
     w.put<std::uint32_t>(static_cast<std::uint32_t>(window_.size()));
-    w.putBytes(window_.data(), window_.size() * sizeof(DynInst));
+    for (const DynInst &dyn : window_) {
+        w.put(dyn.pc);
+        saveInst(w, dyn.inst);
+        w.put(dyn.nextPc);
+        w.put(dyn.taken);
+        w.put(dyn.effAddr);
+    }
     segmenter_.save(w);
 }
 
@@ -261,9 +261,20 @@ void
 TraceStream::restore(mem::ByteReader &r)
 {
     core_.restore(r);
+    block_ = nullptr;
     window_.resize(r.get<std::uint32_t>());
-    r.getBytes(window_.data(), window_.size() * sizeof(DynInst));
+    for (DynInst &dyn : window_) {
+        // Braced initializers evaluate left to right.
+        dyn = {r.get<Addr>(), restoreInst(r), r.get<Addr>(),
+               r.get<bool>(), r.get<Addr>()};
+    }
     segmenter_.restore(r);
+    if (!recordWindows_) {
+        window_.clear();
+    } else if (window_.empty() && segmenter_.building()) {
+        fatal("TraceStream::restore: a windowed stream cannot resume "
+              "from a windowless mid-trace checkpoint");
+    }
 }
 
 // ------------------------------------------------------------------
@@ -278,15 +289,13 @@ FastFrontend::FastFrontend(const Program &program,
 {
     if (config_.preconEnabled) {
         config_.precon.policy.selection = config_.selection;
-        config_.precon.blockWalk = config_.blockCache;
         engine_ = std::make_unique<PreconstructionEngine>(
             program, icache_, bimodal_, traceCache_, config_.precon);
     }
 }
 
 void
-FastFrontend::processTrace(const std::vector<DynInst> &window,
-                           Trace &trace)
+FastFrontend::processTrace(Trace &trace)
 {
     ++stats_.traces;
     stats_.instructions += trace.len();
@@ -326,26 +335,22 @@ FastFrontend::processTrace(const std::vector<DynInst> &window,
         config_.hooks.onTrace(trace, stored ? *stored : trace,
                               stored != nullptr);
 
-    // Block dispatch hands in an empty window: the commit-order
-    // events normally derived from it are reconstructed from the
-    // trace body instead, and must run before the body is donated
-    // to the trace cache below. The scalar path trains after the
-    // miss handling; hoisting is behaviour-identical because the
-    // commit events touch only bimodal_ and the engine's dispatch
-    // state, which the icache/trace-cache section neither reads nor
-    // writes — while the buffer probe above (the one engine
-    // interaction that must precede dispatch observation) has
-    // already happened in both orders.
-    if (window.empty() && engine_) {
-        for (const TraceInst &ti : trace.insts) {
-            if (ti.inst.isCondBranch())
-                bimodal_.update(ti.pc, ti.taken);
-            // The dispatch monitor reads only pc/inst/taken, all
-            // embedded in the trace: stored_taken equals the
-            // committed outcome for conditional branches, and the
-            // start-point heuristics ignore it everywhere else.
+    // Train the slow-path branch predictor on the committed
+    // outcomes and feed the dispatch-stream monitor, from the trace
+    // body and before the body is donated to the trace cache below.
+    // The commit events touch only bimodal_ and the engine's
+    // dispatch state, which the icache/trace-cache section neither
+    // reads nor writes, and follow the buffer probe above (the one
+    // engine interaction that must precede them).
+    for (const TraceInst &ti : trace.insts) {
+        if (ti.inst.isCondBranch())
+            bimodal_.update(ti.pc, ti.taken);
+        // The dispatch monitor reads only pc/inst/taken, all
+        // embedded in the trace: the stored outcome equals the
+        // committed one for conditional branches, and the
+        // start-point heuristics ignore it everywhere else.
+        if (engine_)
             engine_->observeCommit(ti.pc, ti.inst, ti.taken);
-        }
     }
 
     Cycle trace_cycles = 0;
@@ -388,36 +393,24 @@ FastFrontend::processTrace(const std::vector<DynInst> &window,
 
     stats_.cycles += trace_cycles;
 
-    // Train the slow-path branch predictor on the committed
-    // outcomes and feed the dispatch-stream monitor.
-    for (const DynInst &dyn : window) {
-        if (dyn.inst.isCondBranch())
-            bimodal_.update(dyn.pc, dyn.taken);
-        if (engine_)
-            engine_->observeDispatch(dyn);
-        if (config_.hooks.onCommit)
-            config_.hooks.onCommit(dyn);
-    }
-
     if (engine_)
         engine_->tick(trace_cycles, !slow_path_busy);
 }
 
 const FastSimStats &
-FastFrontend::syncStats(const BlockCache *blocks)
+FastFrontend::syncStats(const BlockCache &blocks)
 {
     stats_.icache = icache_.stats();
     if (engine_)
         stats_.precon = engine_->stats();
-    if (blocks)
-        stats_.blocks = blocks->stats();
+    stats_.blocks = blocks.stats();
     stats_.provenance = traceCache_.provenance();
     stats_.attrib = traceCache_.attrib();
     return stats_;
 }
 
 const FastSimStats &
-FastFrontend::finishRun(const BlockCache *blocks)
+FastFrontend::finishRun(const BlockCache &blocks)
 {
     syncStats(blocks);
     tpre_check_run(check::enforce(check::statsConserved(stats_),
@@ -483,30 +476,34 @@ FastFrontend::restore(mem::ByteReader &r, mem::CheckpointKind kind)
 // FastSim
 
 FastSim::FastSim(const Program &program, FastSimConfig config)
-    : program_(program), stream_(program, config.selection),
+    : program_(program),
+      stream_(program, config.selection,
+              static_cast<bool>(config.hooks.onCommit)),
       frontend_(program, config)
 {}
 
 FastSim::~FastSim() = default;
 
+void
+FastSim::serve(Trace *trace)
+{
+    if (!trace)
+        return;
+    frontend_.processTrace(*trace);
+    if (const auto &onCommit = frontend_.config().hooks.onCommit) {
+        for (const DynInst &dyn : stream_.window())
+            onCommit(dyn);
+    }
+}
+
 const FastSimStats &
 FastSim::run(InstCount maxInsts)
 {
-    // Block dispatch requires windowless trace processing: an armed
-    // onCommit hook consumes full dynamic records (nextPc, effective
-    // addresses) that bulk retirement never materializes, so its
-    // presence forces the scalar loop.
-    const FastSimConfig &config = frontend_.config();
-    if (config.blockCache && !config.hooks.onCommit) {
-        FastFrontend *const one[] = {&frontend_};
-        stream_.runBlocks(one, maxInsts);
-    } else {
-        // The commit window is deliberately not cleared here: a
-        // forked run resumes mid-trace with the restored commit
-        // prefix in place.
-        while (!halted() && frontend_.stats().instructions < maxInsts)
-            serve(stream_.step());
-        serve(stream_.flush());
+    while (frontend_.stats().instructions < maxInsts) {
+        Trace *trace = stream_.next();
+        if (!trace)
+            break;
+        serve(trace);
     }
     return frontend_.finishRun(stream_.blockCache());
 }
@@ -514,12 +511,10 @@ FastSim::run(InstCount maxInsts)
 const FastSimStats &
 FastSim::runUntil(InstCount coreInsts)
 {
-    // Scalar loop only: the stop condition is an exact core
-    // instruction count, which block retirement cannot honour
-    // mid-chunk. No flush, no finishRun — the segmenter, commit
-    // window and any partial block stay armed for checkpoint().
-    while (!halted() && instsExecuted() < coreInsts)
-        serve(stream_.step());
+    // No flush, no finishRun — the segmenter, commit window and
+    // block cursor stay armed for checkpoint() or a later run().
+    while (Trace *trace = stream_.next(coreInsts))
+        serve(trace);
     return frontend_.stats();
 }
 
@@ -528,7 +523,7 @@ FastSim::replay(DynInstSource &source, InstCount maxInsts)
 {
     // Mirror run()'s loop exactly — same segmentation, same trace
     // processing — with the recorded stream standing in for the
-    // functional core.
+    // block loop.
     DynInst dyn;
     while (frontend_.stats().instructions < maxInsts &&
            source.next(dyn))
@@ -576,8 +571,7 @@ FastSim::forkFrom(const mem::Checkpoint &checkpoint)
 InstCount
 FastSim::fastForward(InstCount coreInsts)
 {
-    return stream_.fastForward(coreInsts,
-                               frontend_.config().blockCache);
+    return stream_.fastForward(coreInsts);
 }
 
 const FastSimStats &
@@ -601,7 +595,7 @@ runSharedStream(const Program &program,
     std::deque<FastFrontend> frontends;
     std::vector<FastFrontend *> served;
     for (const FastSimConfig &config : configs) {
-        tpre_assert(config.blockCache && !config.hooks.onCommit &&
+        tpre_assert(!config.hooks.onCommit &&
                         config.selection.maxLen == selection.maxLen &&
                         config.selection.alignGranule ==
                             selection.alignGranule,
@@ -609,7 +603,7 @@ runSharedStream(const Program &program,
         served.push_back(&frontends.emplace_back(program, config));
     }
 
-    TraceStream stream(program, selection);
+    TraceStream stream(program, selection, false);
     if (fork) {
         tpre_assert(fork->kind == mem::CheckpointKind::Functional,
                     "runSharedStream forks Functional checkpoints");

@@ -11,7 +11,8 @@
  *
  * FastSim is a TraceStream (core, block cache, segmenter) feeding
  * a FastFrontend (everything a configuration shapes);
- * runSharedStream() feeds one stream to many frontends.
+ * runSharedStream() feeds one stream to many frontends. Every
+ * consumer pulls its traces from the stream's one block loop.
  */
 
 #ifndef TPRE_TPROC_FAST_SIM_HH
@@ -58,17 +59,9 @@ struct FastSimConfig
     /** Track the number of distinct trace identities seen. */
     bool trackTraceWorkingSet = false;
     /**
-     * Predecoded block dispatch: retire whole basic blocks in bulk
-     * instead of stepping instruction by instruction. Bit-identical
-     * statistics by construction; run() falls back to the scalar
-     * loop automatically when an onCommit hook is armed (consumers
-     * of per-instruction dynamic records — the differential oracle,
-     * .tpt dumping — need the effective addresses a bulk-retired
-     * body never materializes). Defaults to the TPRE_BLOCK_CACHE
-     * environment override (on when unset).
+     * Commit/trace taps for the tpre::check differential oracle.
+     * An armed onCommit makes the stream record commit windows.
      */
-    bool blockCache = blockCacheDefaultEnabled();
-    /** Commit/trace taps for the tpre::check differential oracle. */
     check::SimHooks hooks;
 };
 
@@ -100,10 +93,10 @@ struct FastSimStats
      */
     AttribTable attrib;
     /**
-     * Block-dispatch counters (decoded/hits/invalidations). Host-
-     * side bookkeeping like wallSeconds: they describe how the
-     * simulator executed, not what it simulated, so replay equality
-     * (check::fastStatsEqual) deliberately excludes them.
+     * The stream's block-cache counters (decoded/hits/
+     * invalidations). Host-side bookkeeping like wallSeconds: they
+     * describe how the simulator executed, not what it simulated,
+     * so replay equality (check::fastStatsEqual) excludes them.
      */
     BlockCache::Stats blocks;
 
@@ -118,7 +111,7 @@ struct FastSimStats
 };
 
 /**
- * Abstract producer of a committed dynamic instruction stream, the
+ * Abstract producer of a recorded committed instruction stream, the
  * contract between FastSim::replay() and trace-file decoders
  * (tracefmt::ReplayFrontend). next() yields instructions in commit
  * order and returns false at end of stream.
@@ -146,50 +139,62 @@ LineWalk fetchTraceLines(ICache &icache, const Trace &trace);
 /**
  * The one source of segmented traces (DESIGN.md section 5): the
  * functional core, the predecoded block cache and the fill-unit
- * segmenter. FastSim's frontends and TraceProcessor's oracle both
- * read it. What it commits and where it cuts traces depend only on
- * the program and the selection policy, and no consumer feeds back
- * into it, so one stream can serve any number of frontends in
- * lockstep. Each trace it segments is checked well formed once,
- * here, however many consumers it then serves.
+ * segmenter, run by one block loop, next(). FastSim's frontends
+ * and TraceProcessor's oracle both pull from it. What it commits
+ * and where it cuts traces depend only on the program and the
+ * selection policy, and no consumer feeds back into it, so one
+ * stream can serve any number of frontends in lockstep. Each trace
+ * it segments is checked well formed once, here, however many
+ * consumers it then serves.
  */
 class TraceStream
 {
   public:
-    TraceStream(const Program &program, SelectionPolicy selection);
+    /** No core-instruction limit for next(). */
+    static constexpr InstCount noLimit = ~InstCount(0);
+
+    /** @param recordWindows Record commit windows: set by the
+     *  consumers that read them (TraceProcessor's oracle, a FastSim
+     *  with an armed onCommit hook). */
+    TraceStream(const Program &program, SelectionPolicy selection,
+                bool recordWindows);
 
     /**
-     * The block-dispatch loop: retire whole basic blocks and serve
-     * each segmented trace to every frontend in @p frontends, in
-     * order, until the program halts or frontends.front() has
-     * processed @p maxInsts instructions. Every frontend must have
-     * processed as many instructions as the first, so all of them
-     * stop at the same trace boundary.
+     * The block loop: retire basic blocks until a trace completes
+     * and return it checked well formed. It lives in the segmenter
+     * until the next call; its commit window is in window(). Null
+     * once the core has halted or executed @p coreLimit
+     * instructions, possibly mid-block and mid-trace: the next call
+     * resumes exactly there.
+     */
+    Trace *next(InstCount coreLimit = noLimit);
+
+    /**
+     * Serve each trace next() returns to every frontend in
+     * @p frontends, in order, until the program halts or
+     * frontends.front() has processed @p maxInsts instructions.
+     * Every frontend must have processed as many instructions as
+     * the first, so all of them stop at the same trace boundary.
      */
     void runBlocks(std::span<FastFrontend *const> frontends,
                    InstCount maxInsts);
 
     /**
-     * Commit one instruction on the scalar paths: extend the commit
-     * window and feed the segmenter. Returns the trace it completes,
-     * checked well formed, or null; the trace lives in the segmenter
-     * until the next commit, its commit window in window().
+     * Segment one recorded instruction (FastSim::replay): returns
+     * the trace it completes, checked, or null, as next() does.
      */
     [[gnu::always_inline]] Trace *
     commit(const DynInst &dyn)
     {
-        window_.push_back(dyn);
+        if (recordWindows_)
+            window_.push_back(dyn);
         Trace *trace = segmenter_.feed(dyn);
         if (trace)
             complete(*trace, false);
         return trace;
     }
 
-    /** Step the core once and commit the result. */
-    [[gnu::always_inline]] Trace *
-    step() { return commit(core_.step()); }
-
-    /** The segmenter's partial trace at run end, checked, or null. */
+    /** The segmenter's partial trace at replay end, checked, or null. */
     Trace *flush();
 
     /** The commit window of the trace last returned; a consumer
@@ -197,34 +202,40 @@ class TraceStream
     std::vector<DynInst> &window() { return completed_; }
 
     /** See FastSim::fastForward(). */
-    InstCount fastForward(InstCount coreInsts, bool useBlocks);
+    InstCount fastForward(InstCount coreInsts);
 
-    /** Checkpoint the stream: core, commit window, segmenter. */
+    /**
+     * Checkpoint the stream: core, in-flight commit window (empty
+     * when windowless), segmenter. Equal states save equal bytes.
+     */
     void save(mem::ByteWriter &w) const;
+    /** Mirror of save(); a windowed stream refuses a mid-trace
+     *  checkpoint that carries no window. */
     void restore(mem::ByteReader &r);
 
     const FunctionalCore &core() const { return core_; }
-    /** The block cache, once block dispatch has run. */
-    const BlockCache *blockCache() const { return blocks_.get(); }
+    const BlockCache &blockCache() const { return blocks_; }
 
   private:
-    /** Check @p trace once, then let every frontend process it
-     *  (block dispatch: no commit window). */
-    void serve(std::span<FastFrontend *const> frontends, Trace &trace,
-               bool partial);
-    /** On the scalar paths: check @p trace, then move the commit
-     *  window into completed_. */
+    /** The block loop of next() and, with Segment false (no
+     *  segmenter, no window), of fastForward(). */
+    template <bool Segment>
+    Trace *run(InstCount coreLimit);
+    /** Check @p trace, then move the commit window into completed_. */
     void complete(const Trace &trace, bool partial);
 
-    const Program &program_;
     FunctionalCore core_;
     FillUnit segmenter_;
-    std::unique_ptr<BlockCache> blocks_;
+    BlockCache blocks_;
+    /** The block run() stopped in and how many of its body
+     *  instructions ran; null: look it up at the core's PC. */
+    const DecodedBlock *block_ = nullptr;
+    unsigned bodyDone_ = 0;
+    const bool recordWindows_;
     /**
-     * Commit window of the in-flight trace (scalar paths). A member
-     * rather than a loop local so checkpoints can capture it and a
-     * forked run resumes with the restored prefix intact; run() and
-     * replay() deliberately do not clear it on entry.
+     * Commit window of the in-flight trace. A member rather than a
+     * loop local so checkpoints can capture it and a forked run
+     * resumes with the restored prefix intact.
      */
     std::vector<DynInst> window_;
     /** Commit window of the trace last completed (see window()). */
@@ -246,24 +257,23 @@ class FastFrontend
 
     /**
      * Serve one segmented trace: probe the trace cache and the
-     * buffers, take the slow path on a miss, train the predictor
-     * and tick the engine. @p window is the trace's commit window
-     * on the scalar paths and empty under block dispatch. On a
-     * miss the frontend stamps trace.buildCycle just before filling
-     * its trace cache; it writes no other field and reads no stamp,
-     * so frontends that share one trace cannot see each other.
+     * buffers, train the predictor and feed the engine's dispatch
+     * monitor from the trace body, take the slow path on a miss and
+     * tick the engine. On a miss the frontend stamps
+     * trace.buildCycle just before filling its trace cache; it
+     * writes no other field and reads no stamp, so frontends that
+     * share one trace cannot see each other.
      */
-    void processTrace(const std::vector<DynInst> &window,
-                      Trace &trace);
+    void processTrace(Trace &trace);
 
     /**
      * Refresh the component statistics (I-cache, engine,
      * provenance, and the block counters of @p blocks, the stream's
-     * block cache or null) into stats() and return it.
+     * block cache) into stats() and return it.
      */
-    const FastSimStats &syncStats(const BlockCache *blocks);
+    const FastSimStats &syncStats(const BlockCache &blocks);
     /** syncStats() plus the end-of-run conservation check. */
-    const FastSimStats &finishRun(const BlockCache *blocks);
+    const FastSimStats &finishRun(const BlockCache &blocks);
 
     /**
      * Checkpoint the frontend: the predictor always, and for Full
@@ -309,13 +319,12 @@ class FastSim
     const FastSimStats &run(InstCount maxInsts);
 
     /**
-     * Run the scalar loop until the functional core has executed
-     * @p coreInsts instructions (or the program halts), leaving the
-     * segmenter and commit window mid-flight: no partial-trace
-     * flush, no end-of-run stats bookkeeping. This is the
-     * checkpoint-generation primitive — it can stop mid-block and
-     * mid-trace, and a subsequent run() picks up exactly where it
-     * stopped.
+     * Run until the functional core has executed @p coreInsts
+     * instructions (or the program halts), leaving the segmenter
+     * and commit window mid-flight: no partial-trace flush, no
+     * end-of-run stats bookkeeping. This is the checkpoint-
+     * generation primitive — it can stop mid-block and mid-trace,
+     * and a subsequent run() picks up exactly where it stopped.
      */
     const FastSimStats &runUntil(InstCount coreInsts);
 
@@ -340,8 +349,8 @@ class FastSim
 
     /**
      * Signature of the configuration fields a checkpoint of @p kind
-     * depends on. Host-side knobs (blockCache, hooks) are
-     * excluded: they never change simulated behaviour.
+     * depends on. The hooks are excluded: they never change
+     * simulated behaviour.
      */
     std::uint64_t configSignature(mem::CheckpointKind kind) const;
 
@@ -357,10 +366,9 @@ class FastSim
 
     /**
      * Functional fast-forward (sampling skip): advance the
-     * architectural state by up to @p coreInsts instructions —
-     * through the predecoded block cache when enabled, the scalar
-     * core otherwise, with identical resulting state — while the
-     * frontend stays frozen: nothing is fed to the fill unit, the
+     * architectural state by up to @p coreInsts instructions
+     * through the predecoded block cache while the frontend stays
+     * frozen: nothing is fed to the fill unit, the
      * trace cache, the predictor or the engine, and the in-flight
      * partial trace is abandoned (the skipped stream is a gap, so
      * segmentation restarts at the landing PC). Returns the
@@ -387,17 +395,11 @@ class FastSim
     { return frontend_.traceCache(); }
     const PreconstructionEngine *engine() const
     { return frontend_.engine(); }
-    /** The block cache, when block dispatch is in use. */
-    const BlockCache *blockCache() const
-    { return stream_.blockCache(); }
 
   private:
-    /** Let the frontend process @p trace, if any, and its window. */
-    void serve(Trace *trace)
-    {
-        if (trace)
-            frontend_.processTrace(stream_.window(), *trace);
-    }
+    /** Let the frontend process @p trace, if any, then hand its
+     *  commit window to the onCommit hook. */
+    void serve(Trace *trace);
 
     const Program &program_;
     TraceStream stream_;
@@ -410,7 +412,7 @@ class FastSim
  * per configuration in lockstep (DESIGN.md section 5). Each
  * frontend's statistics are bit-identical to its own
  * FastSim::run(maxInsts). The configurations must share one
- * selection policy, use block dispatch and arm no onCommit hook.
+ * selection policy and arm no onCommit hook.
  * With @p fork, the stream and every frontend first restore that
  * Functional checkpoint. Returns one record per configuration, in
  * order; the frontends are freed on return.

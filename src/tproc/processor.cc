@@ -13,7 +13,7 @@ namespace tpre
 
 TraceProcessor::TraceProcessor(const Program &program,
                                ProcessorConfig config)
-    : config_(config), stream_(program, config.selection),
+    : config_(config), stream_(program, config.selection, true),
       traceCache_(config.traceCacheEntries, config.traceCacheAssoc),
       icache_(config.icache), ntp_(config.ntp),
       backend_(config.backend)
@@ -43,10 +43,10 @@ TraceProcessor::advanceOracle()
 {
     // A halt ends its trace (selection rule 1), so a halted stream
     // holds no partial trace to flush.
-    while (!oracle_.full() && !stream_.core().halted()) {
-        Trace *trace = stream_.step();
+    while (!oracle_.full()) {
+        Trace *trace = stream_.next();
         if (!trace)
-            continue;
+            return;
         PendingTrace &pending = oracle_.back();
         pending.trace = std::move(*trace);
         // Take the trace's commit window; the stream reuses the

@@ -25,6 +25,10 @@ TraceBuilder::begin(Addr startPc)
     trace_.fallThrough = invalidAddr;
     trace_.endReason = TraceEndReason::MaxLength;
     trace_.preprocessed = false;
+    // Consumers stamp the finished trace's build cycle in place;
+    // clear it so an in-flight trace checkpoints the same bytes
+    // whichever stamp its predecessor got.
+    trace_.buildCycle = 0;
     active_ = true;
     lastBackward_ = -1;
     targetLen_ = policy_.maxLen;

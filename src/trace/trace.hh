@@ -153,18 +153,49 @@ struct Trace
 };
 
 /**
- * Checkpoint codec for a Trace: every field is POD except the
- * inline body, which travels as a length-prefixed bulk copy of its
- * live prefix. The cached id hash rides along inside TraceId (it is
- * position-independent), so no rehash is needed on restore.
+ * Checkpoint codec for an Instruction, field by field: its padding
+ * never reaches the bytes, so equal instructions save equal bytes.
+ */
+inline void
+saveInst(mem::ByteWriter &w, const Instruction &inst)
+{
+    w.put(inst.op);
+    w.put(inst.rd);
+    w.put(inst.rs1);
+    w.put(inst.rs2);
+    w.put(inst.imm);
+    w.put(inst.sh1);
+    w.put(inst.sh2);
+}
+
+inline Instruction
+restoreInst(mem::ByteReader &r)
+{
+    // Braced initializers evaluate left to right, in field order.
+    return {r.get<Opcode>(),       r.get<RegIndex>(),
+            r.get<RegIndex>(),     r.get<RegIndex>(),
+            r.get<std::int32_t>(), r.get<std::uint8_t>(),
+            r.get<std::uint8_t>()};
+}
+
+/**
+ * Checkpoint codec for a Trace, field by field like saveInst(): the
+ * id without its cached hash (restore recomputes it), then the
+ * length-prefixed live prefix of the body.
  */
 inline void
 saveTrace(mem::ByteWriter &w, const Trace &trace)
 {
-    w.put(trace.id);
+    w.put(trace.id.startPc);
+    w.put(trace.id.branchFlags);
+    w.put(trace.id.numBranches);
     w.put<std::uint8_t>(static_cast<std::uint8_t>(trace.len()));
-    for (const TraceInst &ti : trace.insts)
-        w.put(ti);
+    for (const TraceInst &ti : trace.insts) {
+        w.put(ti.pc);
+        saveInst(w, ti.inst);
+        w.put(ti.taken);
+        w.put(ti.srcPos);
+    }
     w.put(trace.fallThrough);
     w.put(trace.endReason);
     w.put(trace.preprocessed);
@@ -175,14 +206,17 @@ saveTrace(mem::ByteWriter &w, const Trace &trace)
 inline void
 restoreTrace(mem::ByteReader &r, Trace &trace)
 {
-    trace.id = r.get<TraceId>();
+    trace.id = TraceId{r.get<Addr>(), r.get<std::uint16_t>(),
+                       r.get<std::uint8_t>()};
     const auto n = r.get<std::uint8_t>();
     if (n > kMaxTraceLen)
         fatal("restoreTrace: body length %u exceeds %u", n,
               kMaxTraceLen);
     trace.insts.clear();
-    for (std::uint8_t i = 0; i < n; ++i)
-        trace.insts.push_back(r.get<TraceInst>());
+    for (std::uint8_t i = 0; i < n; ++i) {
+        trace.insts.push_back({r.get<Addr>(), restoreInst(r),
+                               r.get<bool>(), r.get<std::uint8_t>()});
+    }
     trace.fallThrough = r.get<Addr>();
     trace.endReason = r.get<TraceEndReason>();
     trace.preprocessed = r.get<bool>();

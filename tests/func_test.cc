@@ -742,7 +742,9 @@ TEST(BlockCacheTest, RebindInvalidatesAfterImageReload)
 TEST(BlockCacheTest, ExecBodyMatchesScalarSteps)
 {
     // Block dispatch (bulk body, terminator through step()) against
-    // the scalar core, compared at every block boundary.
+    // the scalar core, compared at every block boundary; the
+    // recording execBody() must also write the records step()
+    // returns, effective addresses included.
     constexpr InstCount budget = 200000;
     for (const char *name : {"gcc", "go"}) {
         SCOPED_TRACE(name);
@@ -750,17 +752,30 @@ TEST(BlockCacheTest, ExecBodyMatchesScalarSteps)
         const GeneratedWorkload wl = gen.generate();
         FunctionalCore scalar(wl.program);
         FunctionalCore bulk(wl.program);
+        FunctionalCore recorded(wl.program);
+        std::vector<DynInst> records;
         BlockCache blocks(wl.program);
 
         while (!bulk.halted() && bulk.instsExecuted() < budget) {
             const DecodedBlock &block = blocks.lookup(bulk.pc());
             bulk.execBody(block.insts, block.bodyLen);
-            for (unsigned i = 0; i < block.bodyLen; ++i)
-                scalar.step();
+            records.resize(block.bodyLen);
+            recorded.execBody(block.insts, block.bodyLen,
+                              records.data());
+            for (const DynInst &got : records) {
+                const DynInst want = scalar.step();
+                ASSERT_EQ(got.pc, want.pc);
+                ASSERT_EQ(got.inst, want.inst);
+                ASSERT_EQ(got.nextPc, want.nextPc);
+                ASSERT_EQ(got.taken, want.taken);
+                ASSERT_EQ(got.effAddr, want.effAddr);
+            }
             if (block.end != BlockEnd::Clipped) {
                 bulk.step();
+                recorded.step();
                 scalar.step();
             }
+            ASSERT_EQ(recorded.state().regs, scalar.state().regs);
             ASSERT_EQ(bulk.pc(), scalar.pc());
             ASSERT_EQ(bulk.instsExecuted(), scalar.instsExecuted());
             ASSERT_EQ(bulk.halted(), scalar.halted());

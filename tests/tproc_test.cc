@@ -620,88 +620,8 @@ TEST(FastSimTest, TraceWorkingSetTracked)
 }
 
 // ---------------------------------------------------------------
-// Block dispatch (DESIGN.md section 14) vs the scalar loop.
-// ---------------------------------------------------------------
-
-TEST(FastSimBlockDispatchTest, StatsBitIdenticalToScalarLoop)
-{
-    WorkloadGenerator gen(specint95Profile("li"));
-    auto wl = gen.generate();
-    FastSimConfig cfg;
-    cfg.preconEnabled = true;
-    cfg.precon.bufferEntries = 64;
-
-    cfg.blockCache = false;
-    FastSim scalar(wl.program, cfg);
-    const FastSimStats scalarStats = scalar.run(150000);
-
-    cfg.blockCache = true;
-    FastSim block(wl.program, cfg);
-    const FastSimStats &blockStats = block.run(150000);
-
-    const auto v = check::fastStatsEqual(scalarStats, blockStats);
-    EXPECT_FALSE(v.has_value()) << *v;
-    // The fast path actually ran: blocks decoded once, then hit.
-    EXPECT_GT(blockStats.blocks.decoded, 0u);
-    EXPECT_GT(blockStats.blocks.hits, blockStats.blocks.decoded);
-    EXPECT_EQ(scalarStats.blocks.decoded, 0u);
-}
-
-TEST(FastSimBlockDispatchTest, MidBlockBudgetSpillMatchesScalar)
-{
-    // A 40-instruction straight-line loop body: traces complete
-    // every 16 instructions, so the budget stop lands mid-block
-    // and the fast loop must spill back out exactly there.
-    ProgramBuilder b;
-    b.li(1, 1000);
-    auto loop = b.here();
-    for (int i = 0; i < 40; ++i)
-        b.addi(2, 2, 1);
-    b.addi(1, 1, -1);
-    b.bne(1, 0, loop);
-    b.halt();
-    Program p = b.build();
-
-    for (InstCount budget : {100u, 1000u, 1001u}) {
-        FastSimConfig cfg;
-        cfg.blockCache = false;
-        FastSim scalar(p, cfg);
-        const FastSimStats scalarStats = scalar.run(budget);
-
-        cfg.blockCache = true;
-        FastSim block(p, cfg);
-        const FastSimStats &blockStats = block.run(budget);
-
-        EXPECT_EQ(scalarStats.instructions, blockStats.instructions)
-            << "budget " << budget;
-        const auto v =
-            check::fastStatsEqual(scalarStats, blockStats);
-        EXPECT_FALSE(v.has_value()) << *v;
-    }
-}
-
-TEST(FastSimBlockDispatchTest, CommitHookForcesScalarLoop)
-{
-    // An armed onCommit hook needs full dynamic records, which bulk
-    // retirement never materializes — the block cache must stand
-    // down even when enabled.
-    WorkloadGenerator gen(specint95Profile("compress"));
-    auto wl = gen.generate();
-    FastSimConfig cfg;
-    cfg.blockCache = true;
-    InstCount committed = 0;
-    cfg.hooks.onCommit = [&committed](const DynInst &) {
-        ++committed;
-    };
-    FastSim sim(wl.program, cfg);
-    const FastSimStats &st = sim.run(50000);
-    EXPECT_EQ(st.blocks.decoded, 0u);
-    EXPECT_EQ(st.blocks.hits, 0u);
-    EXPECT_EQ(committed, st.instructions);
-}
-
-// ---------------------------------------------------------------
-// TraceStream: the scalar trace source both simulators read.
+// The one block loop (DESIGN.md section 14) against the reference
+// interpreter and a FunctionalCore::step() loop.
 // ---------------------------------------------------------------
 
 bool
@@ -722,6 +642,206 @@ expectWindowAt(const std::vector<DynInst> &window,
             << "commit record " << at + i;
 }
 
+/** An onCommit hook that appends to @p into. */
+std::function<void(const DynInst &)>
+recordInto(std::vector<DynInst> &into)
+{
+    return [&into](const DynInst &dyn) { into.push_back(dyn); };
+}
+
+/**
+ * A 40-instruction straight-line loop body: traces complete every
+ * 16 instructions, so budget stops land mid-block.
+ */
+Program
+straightLineLoop()
+{
+    ProgramBuilder b;
+    b.li(1, 1000);
+    auto loop = b.here();
+    for (int i = 0; i < 40; ++i)
+        b.addi(2, 2, 1);
+    b.addi(1, 1, -1);
+    b.bne(1, 0, loop);
+    b.halt();
+    return b.build();
+}
+
+/** A core count @p prefix instructions into a reference trace. */
+struct MidTrace
+{
+    /** Instructions before the trace. */
+    InstCount start = 0;
+    /** The trace's index in the reference. */
+    std::size_t pick = 0;
+};
+
+/** The first reference trace starting at or past @p from that is
+ *  long enough to stop @p prefix instructions inside. */
+MidTrace
+midTrace(const check::RefRun &ref, InstCount from, unsigned prefix)
+{
+    MidTrace m;
+    while (m.start < from || ref.traces[m.pick].len() <= prefix + 1) {
+        m.start += ref.traces[m.pick].len();
+        ++m.pick;
+        EXPECT_LT(m.pick, ref.traces.size());
+    }
+    return m;
+}
+
+/**
+ * Expect @p core to hold @p ref's functional state: compared as
+ * checkpoint bytes, which cover the pc, the count, the halt flag,
+ * the registers and the memory pages in allocation order.
+ */
+void
+expectSameCore(const FunctionalCore &core, const FunctionalCore &ref)
+{
+    EXPECT_EQ(core.pc(), ref.pc());
+    EXPECT_EQ(core.instsExecuted(), ref.instsExecuted());
+    EXPECT_EQ(core.halted(), ref.halted());
+    mem::ByteWriter a;
+    mem::ByteWriter b;
+    core.save(a);
+    ref.save(b);
+    EXPECT_EQ(a.take(), b.take());
+}
+
+/** Step @p core until it has executed @p n instructions or halts. */
+void
+stepTo(FunctionalCore &core, InstCount n)
+{
+    while (!core.halted() && core.instsExecuted() < n)
+        core.step();
+}
+
+std::vector<std::uint8_t>
+streamBytes(const TraceStream &stream)
+{
+    mem::ByteWriter w;
+    stream.save(w);
+    return w.take();
+}
+
+TEST(FastSimBlockLoopTest, HooklessRunEqualsHookedRun)
+{
+    constexpr InstCount budget = 150000;
+    WorkloadGenerator gen(specint95Profile("li"));
+    auto wl = gen.generate();
+    FastSimConfig cfg;
+    cfg.preconEnabled = true;
+    cfg.precon.bufferEntries = 64;
+
+    FastSim hookless(wl.program, cfg);
+    const FastSimStats plain = hookless.run(budget);
+
+    std::vector<DynInst> committed;
+    cfg.hooks.onCommit = recordInto(committed);
+    FastSim hooked(wl.program, cfg);
+    const FastSimStats &stats = hooked.run(budget);
+
+    const auto v = check::fastStatsEqual(plain, stats);
+    EXPECT_FALSE(v.has_value()) << *v;
+    // Both ran the block loop: blocks decoded once, then hit.
+    for (const FastSimStats *s : {&plain, &stats}) {
+        EXPECT_GT(s->blocks.decoded, 0u);
+        EXPECT_GT(s->blocks.hits, s->blocks.decoded);
+    }
+    // The hook saw every committed instruction once, in order.
+    const check::RefRun ref =
+        check::referenceRun(wl.program, cfg.selection, budget);
+    EXPECT_EQ(committed.size(), stats.instructions);
+    ASSERT_EQ(committed.size(), ref.stream.size());
+    for (std::size_t i = 0; i < committed.size(); ++i)
+        ASSERT_TRUE(sameDyn(committed[i], ref.stream[i]))
+            << "commit record " << i;
+}
+
+TEST(FastSimBlockLoopTest, MidBlockBudgetSpillMatchesTheReference)
+{
+    // The budget stop lands mid-block, where the loop must spill
+    // out after exactly the trace the reference ends on.
+    const Program p = straightLineLoop();
+    for (InstCount budget : {100u, 1000u, 1001u}) {
+        SCOPED_TRACE(budget);
+        FastSimConfig cfg;
+        const check::RefRun ref =
+            check::referenceRun(p, cfg.selection, budget);
+
+        FastSim hookless(p, cfg);
+        const FastSimStats plain = hookless.run(budget);
+        EXPECT_EQ(plain.instructions, ref.stream.size());
+        EXPECT_EQ(plain.traces, ref.traces.size());
+        EXPECT_EQ(hookless.instsExecuted(), ref.stream.size());
+
+        std::vector<DynInst> committed;
+        cfg.hooks.onCommit = recordInto(committed);
+        FastSim hooked(p, cfg);
+        const auto v = check::fastStatsEqual(plain, hooked.run(budget));
+        EXPECT_FALSE(v.has_value()) << *v;
+        ASSERT_EQ(committed.size(), ref.stream.size());
+        for (std::size_t i = 0; i < committed.size(); ++i)
+            EXPECT_TRUE(sameDyn(committed[i], ref.stream[i])) << i;
+    }
+}
+
+/**
+ * runUntil(k) for each k of @p stops (ascending, none past
+ * @p budget) on a hookless and a hooked FastSim: the core stops at
+ * exactly k instructions in the state a step() loop reaches, and a
+ * run(budget) from there equals an uninterrupted run.
+ */
+void
+expectRunUntilSweep(const Program &program,
+                    const std::vector<InstCount> &stops,
+                    InstCount budget)
+{
+    for (const bool hooked : {false, true}) {
+        SCOPED_TRACE(hooked ? "hooked" : "hookless");
+        FastSimConfig cfg;
+        if (hooked)
+            cfg.hooks.onCommit = [](const DynInst &) {};
+        FastSim whole(program, cfg);
+        const FastSimStats uninterrupted = whole.run(budget);
+
+        FunctionalCore ref(program);
+        for (const InstCount k : stops) {
+            SCOPED_TRACE(k);
+            stepTo(ref, k);
+            FastSim sim(program, cfg);
+            sim.runUntil(k);
+            ASSERT_EQ(sim.instsExecuted(), ref.instsExecuted());
+
+            // The checkpoint's stream half, restored, holds the core.
+            const mem::Checkpoint cp =
+                sim.checkpoint(mem::CheckpointKind::Functional);
+            TraceStream stream(program, cfg.selection, hooked);
+            mem::ByteReader r(cp.bytes);
+            stream.restore(r);
+            expectSameCore(stream.core(), ref);
+
+            const auto v =
+                check::fastStatsEqual(uninterrupted, sim.run(budget));
+            EXPECT_FALSE(v.has_value()) << *v;
+        }
+    }
+}
+
+TEST(TraceStreamTest, RunUntilStopsAtExactCoreCounts)
+{
+    std::vector<InstCount> every;
+    for (InstCount k = 0; k <= 300; ++k)
+        every.push_back(k);
+    expectRunUntilSweep(straightLineLoop(), every, 3000);
+
+    WorkloadGenerator gen(specint95Profile("gcc"));
+    auto wl = gen.generate();
+    expectRunUntilSweep(wl.program,
+                        {1, 2, 3, 17, 1001, 4099, 12345, 30001},
+                        40000);
+}
+
 TEST(TraceStreamTest, PulledWindowsMatchTheirTracesAndTheReference)
 {
     constexpr InstCount budget = 60000;
@@ -733,13 +853,13 @@ TEST(TraceStreamTest, PulledWindowsMatchTheirTracesAndTheReference)
         const check::RefRun ref =
             check::referenceRun(wl.program, selection, budget);
 
-        TraceStream stream(wl.program, selection);
+        TraceStream stream(wl.program, selection, true);
         std::size_t traces = 0;
         std::size_t committed = 0;
-        while (committed < budget && !stream.core().halted()) {
-            const Trace *trace = stream.step();
+        while (committed < budget) {
+            const Trace *trace = stream.next();
             if (!trace)
-                continue;
+                break;
             const std::vector<DynInst> &window = stream.window();
             ASSERT_EQ(window.size(), trace->len());
             for (unsigned i = 0; i < trace->len(); ++i) {
@@ -768,28 +888,23 @@ TEST(TraceStreamTest, RestoredMidTraceStreamYieldsTheSameNextTrace)
         WorkloadGenerator gen(specint95Profile(name));
         auto wl = gen.generate();
         FastSimConfig cfg;
+        // An armed hook makes FastSim's stream record windows.
+        cfg.hooks.onCommit = [](const DynInst &) {};
         const check::RefRun ref =
             check::referenceRun(wl.program, cfg.selection, budget);
 
         // Stop `prefix` instructions into the first trace past the
         // middle of the run that is long enough to stop inside.
-        std::size_t start = 0;
-        std::size_t pick = 0;
-        while (start < budget / 2 ||
-               ref.traces[pick].len() <= prefix + 1) {
-            start += ref.traces[pick].len();
-            ++pick;
-            ASSERT_LT(pick, ref.traces.size());
-        }
-        const Trace &next = ref.traces[pick];
+        const MidTrace m = midTrace(ref, budget / 2, prefix);
+        const Trace &next = ref.traces[m.pick];
 
         FastSim sim(wl.program, cfg);
-        sim.runUntil(start + prefix);
+        sim.runUntil(m.start + prefix);
         const mem::Checkpoint cp =
             sim.checkpoint(mem::CheckpointKind::Functional);
 
         // Flushed at once, the restored stream yields the prefix.
-        TraceStream flushed(wl.program, cfg.selection);
+        TraceStream flushed(wl.program, cfg.selection, true);
         mem::ByteReader fr(cp.bytes);
         flushed.restore(fr);
         const Trace *partial = flushed.flush();
@@ -797,29 +912,81 @@ TEST(TraceStreamTest, RestoredMidTraceStreamYieldsTheSameNextTrace)
         EXPECT_EQ(partial->len(), prefix);
         EXPECT_EQ(partial->id.startPc, next.id.startPc);
         EXPECT_EQ(flushed.window().size(), prefix);
-        expectWindowAt(flushed.window(), ref, start);
+        expectWindowAt(flushed.window(), ref, m.start);
 
-        // Stepped on, it completes the trace the reference cut, and
+        // Pulled on, it completes the trace the reference cut, and
         // that trace's window begins with the restored prefix.
-        TraceStream stream(wl.program, cfg.selection);
+        TraceStream stream(wl.program, cfg.selection, true);
         mem::ByteReader r(cp.bytes);
         stream.restore(r);
-        EXPECT_EQ(stream.core().instsExecuted(), start + prefix);
-        const Trace *trace = nullptr;
-        unsigned steps = 0;
-        while (!trace) {
-            trace = stream.step();
-            ++steps;
-        }
-        EXPECT_EQ(steps, next.len() - prefix);
+        EXPECT_EQ(stream.core().instsExecuted(), m.start + prefix);
+        const Trace *trace = stream.next();
+        ASSERT_NE(trace, nullptr);
+        EXPECT_EQ(stream.core().instsExecuted(), m.start + next.len());
         EXPECT_EQ(check::tracesMatch(next, *trace), std::nullopt);
         EXPECT_EQ(stream.window().size(), next.len());
-        expectWindowAt(stream.window(), ref, start);
+        expectWindowAt(stream.window(), ref, m.start);
     }
 }
 
+TEST(TraceStreamTest, EqualStatesSaveEqualBytes)
+{
+    // Windowed FastSims that reach one mid-trace core count by
+    // different routes checkpoint to the same bytes: no padding
+    // and nothing route-dependent reaches them.
+    constexpr InstCount budget = 40000;
+    WorkloadGenerator gen(specint95Profile("gcc"));
+    auto wl = gen.generate();
+    FastSimConfig cfg;
+    cfg.hooks.onCommit = [](const DynInst &) {};
+    const check::RefRun ref =
+        check::referenceRun(wl.program, cfg.selection, budget);
+    const InstCount stop = midTrace(ref, budget / 2, 3).start + 3;
+    constexpr auto functional = mem::CheckpointKind::Functional;
+
+    FastSim direct(wl.program, cfg);
+    direct.runUntil(stop);
+    const mem::Checkpoint cp = direct.checkpoint(functional);
+
+    FastSim donor(wl.program, cfg);
+    donor.runUntil(stop / 2 + 7);
+    FastSim resumed(wl.program, cfg);
+    resumed.forkFrom(donor.checkpoint(functional));
+    resumed.runUntil(stop);
+    EXPECT_EQ(resumed.checkpoint(functional).bytes, cp.bytes);
+
+    FastSim forked(wl.program, cfg);
+    forked.forkFrom(cp);
+    EXPECT_EQ(forked.checkpoint(functional).bytes, cp.bytes);
+}
+
+TEST(TraceStreamDeathTest, WindowedStreamRefusesWindowlessMidTrace)
+{
+    // 20 instructions in, the stream is 4 into its second trace.
+    const Program p = straightLineLoop();
+    FastSimConfig cfg;
+    FastSim windowless(p, cfg);
+    windowless.runUntil(20);
+    const mem::Checkpoint cp =
+        windowless.checkpoint(mem::CheckpointKind::Functional);
+
+    // A windowless stream resumes from it mid-trace...
+    TraceStream plain(p, cfg.selection, false);
+    mem::ByteReader r(cp.bytes);
+    plain.restore(r);
+    ASSERT_NE(plain.flush(), nullptr);
+
+    // ...a windowed one would serve a short window, so it refuses.
+    TraceStream windowed(p, cfg.selection, true);
+    mem::ByteReader wr(cp.bytes);
+    EXPECT_DEATH(windowed.restore(wr), "windowless mid-trace");
+    cfg.hooks.onCommit = [](const DynInst &) {};
+    FastSim hooked(p, cfg);
+    EXPECT_DEATH(hooked.forkFrom(cp), "windowless mid-trace");
+}
+
 // ---------------------------------------------------------------
-// Fast-forward: block dispatch vs the scalar skip.
+// Fast-forward against a step() loop.
 // ---------------------------------------------------------------
 
 /** Budgets that stop a fresh stream at chosen points of its run. */
@@ -848,7 +1015,7 @@ pickSkipBudgets(const Program &program, InstCount from)
     FunctionalCore scout(program);
     unsigned body = 0;
     while (!scout.halted()) {
-        const DynInst &dyn = scout.step();
+        const DynInst dyn = scout.step();
         if (!dyn.inst.isControl()) {
             ++body;
             continue;
@@ -866,28 +1033,7 @@ pickSkipBudgets(const Program &program, InstCount from)
     return b;
 }
 
-/** Expect the two streams' functional state to be identical. */
-void
-expectSameSkipState(const TraceStream &blocks, const TraceStream &scalar)
-{
-    const FunctionalCore &a = blocks.core();
-    const FunctionalCore &b = scalar.core();
-    EXPECT_EQ(a.pc(), b.pc());
-    EXPECT_EQ(a.instsExecuted(), b.instsExecuted());
-    EXPECT_EQ(a.halted(), b.halted());
-    for (RegIndex r = 0; r < numArchRegs; ++r)
-        EXPECT_EQ(a.state().reg(r), b.state().reg(r))
-            << "r" << unsigned(r);
-    // Memory as its checkpoint records it: pages in allocation
-    // order, so the two paths must also have touched them in order.
-    mem::ByteWriter wa;
-    mem::ByteWriter wb;
-    a.state().mem.save(wa);
-    b.state().mem.save(wb);
-    EXPECT_EQ(wa.take(), wb.take());
-}
-
-TEST(TraceStreamTest, BlockFastForwardMatchesScalarSkip)
+TEST(TraceStreamTest, FastForwardMatchesAStepLoop)
 {
     std::vector<std::string> names = specint95Names();
     names.insert(names.end(), extendedNames().begin(),
@@ -905,35 +1051,27 @@ TEST(TraceStreamTest, BlockFastForwardMatchesScalarSkip)
         ASSERT_GT(b.onTerminator, 0u);
         const InstCount pastHalt = b.toHalt + 1000;
 
-        // Each budget from the entry, where blocks start at the
-        // entry and after every control transfer.
-        for (InstCount budget :
-             {b.midBody, b.bodyEnd, b.onTerminator, pastHalt}) {
-            SCOPED_TRACE(budget);
-            TraceStream blocks(wl.program, selection);
-            TraceStream scalar(wl.program, selection);
-            const InstCount viaBlocks = blocks.fastForward(budget, true);
-            const InstCount viaSkip = scalar.fastForward(budget, false);
-            EXPECT_EQ(viaBlocks, viaSkip);
-            EXPECT_EQ(viaBlocks, std::min(budget, b.toHalt));
-            expectSameSkipState(blocks, scalar);
-        }
-
-        // The same points chained, as the sampler calls it: every
-        // call after the first starts mid-block, at a new leader.
-        TraceStream blocks(wl.program, selection);
-        TraceStream scalar(wl.program, selection);
+        // Each point reached from the entry in one call, where
+        // blocks start at the entry and after every control
+        // transfer, and by chained calls, as the sampler makes
+        // them: every call after the first starts mid-block.
+        FunctionalCore ref(wl.program);
+        TraceStream chained(wl.program, selection, false);
         InstCount at = 0;
-        for (InstCount stop :
+        for (const InstCount stop :
              {b.midBody, b.bodyEnd, b.onTerminator, pastHalt}) {
             SCOPED_TRACE(stop);
-            blocks.fastForward(stop - at, true);
-            scalar.fastForward(stop - at, false);
-            expectSameSkipState(blocks, scalar);
+            stepTo(ref, stop);
+            TraceStream direct(wl.program, selection, false);
+            EXPECT_EQ(direct.fastForward(stop), std::min(stop, b.toHalt));
+            expectSameCore(direct.core(), ref);
+
+            chained.fastForward(stop - at);
+            EXPECT_EQ(streamBytes(chained), streamBytes(direct));
             at = stop;
         }
-        EXPECT_TRUE(blocks.core().halted());
-        EXPECT_EQ(blocks.fastForward(10, true), 0u);
+        EXPECT_TRUE(chained.core().halted());
+        EXPECT_EQ(chained.fastForward(10), 0u);
     }
 }
 
