@@ -758,6 +758,30 @@ TEST(FastSimBlockLoopTest, HooklessRunEqualsHookedRun)
             << "commit record " << i;
 }
 
+TEST(FastSimBlockLoopTest, CommitHookSeesEveryCommittedInstructionOnce)
+{
+    // An armed onCommit hook keeps the block loop (the stream records
+    // commit windows instead) and sees the reference's stream.
+    constexpr InstCount budget = 50000;
+    WorkloadGenerator gen(specint95Profile("compress"));
+    auto wl = gen.generate();
+    FastSimConfig cfg;
+    std::vector<DynInst> committed;
+    cfg.hooks.onCommit = recordInto(committed);
+    FastSim sim(wl.program, cfg);
+    const FastSimStats &st = sim.run(budget);
+    EXPECT_GT(st.blocks.decoded, 0u);
+    EXPECT_GT(st.blocks.hits, st.blocks.decoded);
+    EXPECT_EQ(committed.size(), st.instructions);
+
+    const check::RefRun ref =
+        check::referenceRun(wl.program, cfg.selection, budget);
+    ASSERT_EQ(committed.size(), ref.stream.size());
+    for (std::size_t i = 0; i < committed.size(); ++i)
+        ASSERT_TRUE(sameDyn(committed[i], ref.stream[i]))
+            << "commit record " << i;
+}
+
 TEST(FastSimBlockLoopTest, MidBlockBudgetSpillMatchesTheReference)
 {
     // The budget stop lands mid-block, where the loop must spill
