@@ -6,7 +6,8 @@
  * and random pages), trace segmentation rate, block dispatch and the
  * sampler's block fast-forward, inline trace-body copies,
  * trace-cache probes with cached identity hashes, the Section 6
- * preprocessing kernels and the per-trace invariant checkers.
+ * preprocessing kernels, the per-trace invariant checkers and the
+ * preconstruction engine.
  * Companion to micro_components, which covers the predictor
  * structures; these benches isolate the per-instruction costs the
  * MIPS gate tracks.
@@ -14,6 +15,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <memory>
 #include <string>
@@ -25,6 +27,7 @@
 #include "func/block_cache.hh"
 #include "func/core.hh"
 #include "func/memory.hh"
+#include "precon/engine.hh"
 #include "prep/preprocessor.hh"
 #include "tproc/fast_sim.hh"
 #include "trace/fill_unit.hh"
@@ -302,6 +305,47 @@ BM_TracesMatch(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_TracesMatch);
+
+/**
+ * The preconstruction engine alone, fed gcc's first 20k demand
+ * traces the way FastFrontend::processTrace feeds it: a buffer
+ * probe, the dispatch monitor per instruction, then a tick of
+ * ceil(len/4) cycles with the I-cache port free. Each iteration
+ * replays the whole stream into a fresh engine. Items are
+ * constructed traces; per_trace is their mean cost in seconds.
+ */
+void
+BM_PreconEngine(benchmark::State &state)
+{
+    const std::vector<Trace> traces(
+        gccDemandTraces().begin(),
+        gccDemandTraces().begin() +
+            std::min<std::size_t>(20000, gccDemandTraces().size()));
+    const Program &program = gccWorkload().program;
+    const BimodalPredictor bimodal(16 * 1024);
+    const TraceCache tc(256);
+    std::uint64_t constructed = 0;
+    for (auto _ : state) {
+        state.PauseTiming();
+        ICache icache;
+        PreconstructionEngine engine(program, icache, bimodal, tc);
+        state.ResumeTiming();
+        for (const Trace &t : traces) {
+            if (engine.lookupBuffer(t.id))
+                engine.consumeHit(t.id);
+            for (const TraceInst &ti : t.insts)
+                engine.observeCommit(ti.pc, ti.inst, ti.taken);
+            engine.tick((t.len() + 3) / 4, true);
+        }
+        benchmark::DoNotOptimize(engine.stats());
+        constructed += engine.stats().tracesConstructed;
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(constructed));
+    state.counters["per_trace"] = benchmark::Counter(
+        static_cast<double>(constructed),
+        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_PreconEngine)->Unit(benchmark::kMillisecond);
 
 } // namespace
 

@@ -74,17 +74,11 @@ main()
     BimodalPredictor bp;
     PreconConfig cfg;
     PreconstructionEngine engine(p, ic, bp, tc, cfg);
-    engine.enableDiagLog();
 
     // The processor dispatches the JAL: its return point becomes a
     // region start point (Region 1 of Figure 3).
     const Addr call_pc = p.symbol("after_call") - instBytes;
-    DynInst call;
-    call.pc = call_pc;
-    call.inst = p.instAt(call_pc);
-    call.nextPc = p.symbol("proc");
-    call.taken = true;
-    engine.observeDispatch(call);
+    engine.observeCommit(call_pc, p.instAt(call_pc), true);
     std::printf("=== Region 1 start point pushed: 0x%llx "
                 "(return point of the JAL) ===\n\n",
                 static_cast<unsigned long long>(
@@ -95,15 +89,14 @@ main()
     engine.tick(300, true);
 
     std::printf("=== Traces preconstructed for Region 1 ===\n");
-    for (const TraceId &id : engine.drainBufferedLog()) {
-        const Trace *t = engine.lookupBuffer(id);
-        if (!t)
-            continue;
+    engine.buffers().forEachValid([&p](const Trace &t,
+                                       std::uint64_t) {
+        const TraceId &id = t.id;
         std::printf("trace @0x%llx  branches=%u flags=0x%x  "
                     "(%u insts)\n",
                     static_cast<unsigned long long>(id.startPc),
-                    id.numBranches, id.branchFlags, t->len());
-        for (const TraceInst &ti : t->insts) {
+                    id.numBranches, id.branchFlags, t.len());
+        for (const TraceInst &ti : t.insts) {
             std::string sym = p.symbolAt(ti.pc);
             std::printf("   %08llx  %-28s%s%s\n",
                         static_cast<unsigned long long>(ti.pc),
@@ -111,7 +104,7 @@ main()
                         sym.empty() ? "" : "  <- ",
                         sym.c_str());
         }
-    }
+    });
 
     const auto &st = engine.stats();
     std::printf("\nengine: %llu region(s), %llu traces "

@@ -2,7 +2,6 @@
 
 #include "common/logging.hh"
 #include "common/random.hh"
-#include "obs/obs.hh"
 
 namespace tpre
 {
@@ -56,7 +55,6 @@ NextTracePredictor::predict() const
     const Entry &secondary = secondary_[secondaryIndex()];
 
     ++stats_.predictions;
-    TPRE_OBS_COUNT("ntp.predictions");
     if (primary.pred.valid() && primary.conf >= config_.confThreshold) {
         ++stats_.fromPrimary;
         return primary.pred;
@@ -89,7 +87,6 @@ NextTracePredictor::advance(const TraceId &actual, bool containsCall,
 {
     tpre_assert(actual.valid());
 
-    TPRE_OBS_COUNT("ntp.updates");
     train(primary_[primaryIndex()], actual);
     train(secondary_[secondaryIndex()], actual);
 

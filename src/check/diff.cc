@@ -253,17 +253,8 @@ diffModels(const Program &program, const DiffConfig &cfg)
         fcfg.hooks = tapsFor(obs, false);
 
         FastSim sim(program, fcfg);
-        const ObsCounters before = ObsCounters::captureThread();
         const FastSimStats &stats = sim.run(cfg.maxInsts);
-        const ObsCounters delta =
-            ObsCounters::captureThread() - before;
 
-        if (auto f = prefixed("fastsim",
-                              obsReconcilesFast(delta, {fcfg},
-                                                {stats}))) {
-            result.failure = f;
-            return result;
-        }
         if (auto f = prefixed("fastsim",
                               provenanceReconcilesFast(
                                   stats, sim.traceCache()))) {
@@ -315,23 +306,13 @@ diffModels(const Program &program, const DiffConfig &cfg)
     // instruction. Re-run the same configuration hookless, so the
     // stream records no window: every statistic except the block
     // counters must come out identical, and the run must still
-    // reconcile against its own obs counters and conserve
-    // instructions.
+    // conserve instructions.
     {
         const FastSimConfig hookless = fastConfigOf(cfg);
 
         FastSim sim(program, hookless);
-        const ObsCounters before = ObsCounters::captureThread();
         const FastSimStats &stats = sim.run(cfg.maxInsts);
-        const ObsCounters delta =
-            ObsCounters::captureThread() - before;
 
-        if (auto f = prefixed("windowless",
-                              obsReconcilesFast(delta, {hookless},
-                                                {stats}))) {
-            result.failure = f;
-            return result;
-        }
         if (auto f = prefixed("windowless",
                               fastStatsEqual(liveStats, stats))) {
             result.failure = f;
@@ -348,9 +329,7 @@ diffModels(const Program &program, const DiffConfig &cfg)
     // The fuzz config and two siblings (half the trace-cache
     // entries; preconstruction toggled) run as one group over a
     // single TraceStream. Each frontend must match its own solo
-    // FastSim::run field by field, and the group's obs deltas must
-    // reconcile as a group: the stream fills once, the frontends'
-    // counters add up.
+    // FastSim::run field by field.
     {
         const FastSimConfig lead = fastConfigOf(cfg);
         FastSimConfig half = lead;
@@ -359,18 +338,8 @@ diffModels(const Program &program, const DiffConfig &cfg)
         toggled.preconEnabled = !lead.preconEnabled;
         const std::vector<FastSimConfig> group = {lead, half, toggled};
 
-        const ObsCounters before = ObsCounters::captureThread();
         const std::vector<FastSimStats> shared =
             runSharedStream(program, group, cfg.maxInsts);
-        const ObsCounters delta =
-            ObsCounters::captureThread() - before;
-
-        if (auto f = prefixed("shared-stream",
-                              obsReconcilesFast(delta, group,
-                                                shared))) {
-            result.failure = f;
-            return result;
-        }
         for (std::size_t i = 0; i < group.size(); ++i) {
             FastSim solo(program, group[i]);
             if (auto f = prefixed("shared-stream",
@@ -389,10 +358,7 @@ diffModels(const Program &program, const DiffConfig &cfg)
     // point, typically mid-trace), serialize the checkpoint to
     // bytes, restore the bytes into a fresh simulator, and run the
     // fork to the same budget. The forked run's statistics must be
-    // bit-identical to the uninterrupted run's. Obs counters are
-    // not reconciled here: the fork only performs the second half
-    // of the work, so its thread-local deltas cover a partial run
-    // by design.
+    // bit-identical to the uninterrupted run's.
     {
         const FastSimConfig ccfg = fastConfigOf(cfg);
         FastSim donor(program, ccfg);
@@ -546,16 +512,8 @@ diffModels(const Program &program, const DiffConfig &cfg)
         pcfg.hooks = tapsFor(obs, true);
 
         TraceProcessor proc(program, pcfg);
-        const ObsCounters before = ObsCounters::captureThread();
         const ProcessorStats &stats = proc.run(cfg.maxInsts);
-        const ObsCounters delta =
-            ObsCounters::captureThread() - before;
 
-        if (auto f = prefixed("processor",
-                              obsReconcilesTiming(delta, stats))) {
-            result.failure = f;
-            return result;
-        }
         if (auto f = prefixed("processor",
                               provenanceReconcilesTiming(
                                   stats, proc.traceCache()))) {

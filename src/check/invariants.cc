@@ -10,7 +10,6 @@
 #include "common/logging.hh"
 #include "common/random.hh"
 #include "isa/disasm.hh"
-#include "obs/obs.hh"
 #include "tproc/fast_sim.hh"
 #include "tproc/processor.hh"
 
@@ -483,204 +482,6 @@ streamCallRetBalanced(const std::vector<DynInst> &stream, bool halted)
         return Msg() << "call-ret-balance: halted stream ends at call "
                         "depth " << depth;
     return std::nullopt;
-}
-
-ObsCounters
-ObsCounters::captureThread()
-{
-    const auto &reg = obs::MetricsRegistry::instance();
-    ObsCounters c;
-    c.tcProbes = reg.counterThreadValue("tcache.probes");
-    c.tcHits = reg.counterThreadValue("tcache.hits");
-    c.tcFills = reg.counterThreadValue("tcache.fills");
-    c.pbProbes = reg.counterThreadValue("pb.probes");
-    c.pbHits = reg.counterThreadValue("pb.hits");
-    c.fillInsts = reg.counterThreadValue("fill.insts");
-    c.fillTraces = reg.counterThreadValue("fill.traces");
-    c.fillFlushes = reg.counterThreadValue("fill.flushes");
-    c.ntpPredictions = reg.counterThreadValue("ntp.predictions");
-    c.ntpUpdates = reg.counterThreadValue("ntp.updates");
-    c.preconStartPoints =
-        reg.counterThreadValue("precon.start_points");
-    c.preconRegionsStarted =
-        reg.counterThreadValue("precon.regions_started");
-    c.preconTracesConstructed =
-        reg.counterThreadValue("precon.traces_constructed");
-    c.preconTracesBuffered =
-        reg.counterThreadValue("precon.traces_buffered");
-    c.prepTraces = reg.counterThreadValue("prep.traces");
-    return c;
-}
-
-ObsCounters
-operator-(const ObsCounters &after, const ObsCounters &before)
-{
-    ObsCounters d;
-    d.tcProbes = after.tcProbes - before.tcProbes;
-    d.tcHits = after.tcHits - before.tcHits;
-    d.tcFills = after.tcFills - before.tcFills;
-    d.pbProbes = after.pbProbes - before.pbProbes;
-    d.pbHits = after.pbHits - before.pbHits;
-    d.fillInsts = after.fillInsts - before.fillInsts;
-    d.fillTraces = after.fillTraces - before.fillTraces;
-    d.fillFlushes = after.fillFlushes - before.fillFlushes;
-    d.ntpPredictions = after.ntpPredictions - before.ntpPredictions;
-    d.ntpUpdates = after.ntpUpdates - before.ntpUpdates;
-    d.preconStartPoints =
-        after.preconStartPoints - before.preconStartPoints;
-    d.preconRegionsStarted =
-        after.preconRegionsStarted - before.preconRegionsStarted;
-    d.preconTracesConstructed = after.preconTracesConstructed -
-                                before.preconTracesConstructed;
-    d.preconTracesBuffered =
-        after.preconTracesBuffered - before.preconTracesBuffered;
-    d.prepTraces = after.prepTraces - before.prepTraces;
-    return d;
-}
-
-namespace
-{
-
-/** One exact equality of the instrumentation contract. */
-Violation
-obsEq(const char *what, std::uint64_t obsValue,
-      std::uint64_t statsValue)
-{
-    if (obsValue == statsValue)
-        return std::nullopt;
-    return Msg() << "obs-reconcile: " << what << ": obs counted "
-                 << obsValue << " but stats say " << statsValue;
-}
-
-/** The preconstruction ledger, identical in both sim modes. */
-Violation
-obsPreconReconciles(const ObsCounters &d,
-                    const PreconstructionEngine::Stats &precon,
-                    std::uint64_t statsPbHits)
-{
-    if (auto v = obsEq("precon.start_points vs startPointsPushed",
-                       d.preconStartPoints,
-                       precon.startPointsPushed)) {
-        return v;
-    }
-    if (auto v = obsEq("precon.regions_started vs regionsStarted",
-                       d.preconRegionsStarted,
-                       precon.regionsStarted)) {
-        return v;
-    }
-    if (auto v = obsEq(
-            "precon.traces_constructed vs tracesConstructed",
-            d.preconTracesConstructed, precon.tracesConstructed)) {
-        return v;
-    }
-    if (auto v = obsEq("precon.traces_buffered vs tracesBuffered",
-                       d.preconTracesBuffered,
-                       precon.tracesBuffered)) {
-        return v;
-    }
-    if (auto v = obsEq("pb.hits vs engine bufferHits", d.pbHits,
-                       precon.bufferHits)) {
-        return v;
-    }
-    return obsEq("pb.hits vs pbHits", d.pbHits, statsPbHits);
-}
-
-} // namespace
-
-Violation
-obsReconcilesFast(const ObsCounters &d,
-                  const std::vector<FastSimConfig> &configs,
-                  const std::vector<FastSimStats> &stats)
-{
-    if (!obs::kEnabled)
-        return std::nullopt;
-    tpre_assert(!stats.empty() && stats.size() == configs.size());
-    std::uint64_t traces = 0, tcHits = 0, fills = 0, pbProbes = 0,
-                  pbHits = 0;
-    PreconstructionEngine::Stats precon;
-    for (std::size_t i = 0; i < stats.size(); ++i) {
-        const FastSimStats &s = stats[i];
-        traces += s.traces;
-        tcHits += s.tcHits;
-        fills += s.pbHits + s.tcMisses;
-        pbHits += s.pbHits;
-        if (configs[i].preconEnabled)
-            pbProbes += s.tcMisses + s.pbHits;
-        precon.startPointsPushed += s.precon.startPointsPushed;
-        precon.regionsStarted += s.precon.regionsStarted;
-        precon.tracesConstructed += s.precon.tracesConstructed;
-        precon.tracesBuffered += s.precon.tracesBuffered;
-        precon.bufferHits += s.precon.bufferHits;
-    }
-    if (auto v = obsEq("tcache.probes vs traces", d.tcProbes,
-                       traces)) {
-        return v;
-    }
-    if (auto v = obsEq("tcache.hits vs tcHits", d.tcHits, tcHits))
-        return v;
-    if (auto v = obsEq("tcache.fills vs pbHits + tcMisses",
-                       d.tcFills, fills)) {
-        return v;
-    }
-    if (auto v = obsEq("pb.probes vs tcMisses + pbHits of precon "
-                       "frontends",
-                       d.pbProbes, pbProbes)) {
-        return v;
-    }
-    const FastSimStats &stream = stats.front();
-    if (auto v = obsEq("fill.insts vs instructions", d.fillInsts,
-                       stream.instructions)) {
-        return v;
-    }
-    if (auto v = obsEq("fill.traces + fill.flushes vs traces",
-                       d.fillTraces + d.fillFlushes, stream.traces)) {
-        return v;
-    }
-    return obsPreconReconciles(d, precon, pbHits);
-}
-
-Violation
-obsReconcilesTiming(const ObsCounters &d, const ProcessorStats &stats)
-{
-    if (!obs::kEnabled)
-        return std::nullopt;
-    // Each pb promotion re-probes the cache for the stored image,
-    // so probes exceed lookups by one per pb hit. The stats side
-    // includes a final looked-up-but-undispatched trace when the
-    // run stops on its instruction budget — and so does the obs
-    // side, since both are counted inside the same lookup.
-    if (auto v = obsEq("tcache.probes vs tcHits + tcMisses + 2*pbHits",
-                       d.tcProbes,
-                       stats.tcHits + stats.tcMisses +
-                           2 * stats.pbHits)) {
-        return v;
-    }
-    if (auto v = obsEq("tcache.fills vs pbHits + tcMisses",
-                       d.tcFills, stats.pbHits + stats.tcMisses)) {
-        return v;
-    }
-    if (d.pbProbes != 0 || stats.pbHits != 0) {
-        if (auto v = obsEq("pb.probes vs tcMisses + pbHits",
-                           d.pbProbes,
-                           stats.tcMisses + stats.pbHits)) {
-            return v;
-        }
-    }
-    if (auto v = obsEq("ntp.updates vs traces", d.ntpUpdates,
-                       stats.traces)) {
-        return v;
-    }
-    if (auto v = obsEq(
-            "ntp.predictions vs ntpCorrect + ntpWrong + ntpNone",
-            d.ntpPredictions,
-            stats.ntpCorrect + stats.ntpWrong + stats.ntpNone)) {
-        return v;
-    }
-    if (auto v = obsEq("prep.traces vs tracesProcessed",
-                       d.prepTraces, stats.prep.tracesProcessed)) {
-        return v;
-    }
-    return obsPreconReconciles(d, stats.precon, stats.pbHits);
 }
 
 namespace

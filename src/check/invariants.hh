@@ -30,7 +30,6 @@
 
 namespace tpre
 {
-struct FastSimConfig;
 struct FastSimStats;
 struct ProcessorStats;
 class TraceCache;
@@ -103,72 +102,6 @@ Violation streamCallRetBalanced(const std::vector<DynInst> &stream,
                                 bool halted);
 
 /**
- * Snapshot of the tpre::obs counters the simulators pin — read
- * from the *calling thread's* metric cells only, so bracketing a
- * simulator run with two captureThread() calls isolates that run's
- * deltas even while sibling worker threads simulate concurrently
- * (a whole simulation always executes on one thread).
- *
- * The instrumentation contract: these deltas must reconcile
- * *exactly* with the run's SimResult/TProcStats counters — see
- * obsReconcilesFast / obsReconcilesTiming for the per-mode
- * algebra. All zeros under TPRE_OBS_DISABLED.
- */
-struct ObsCounters
-{
-    std::uint64_t tcProbes = 0;       ///< tcache.probes
-    std::uint64_t tcHits = 0;         ///< tcache.hits
-    std::uint64_t tcFills = 0;        ///< tcache.fills
-    std::uint64_t pbProbes = 0;       ///< pb.probes
-    std::uint64_t pbHits = 0;         ///< pb.hits
-    std::uint64_t fillInsts = 0;      ///< fill.insts
-    std::uint64_t fillTraces = 0;     ///< fill.traces
-    std::uint64_t fillFlushes = 0;    ///< fill.flushes
-    std::uint64_t ntpPredictions = 0; ///< ntp.predictions
-    std::uint64_t ntpUpdates = 0;     ///< ntp.updates
-    std::uint64_t preconStartPoints = 0;       ///< precon.start_points
-    std::uint64_t preconRegionsStarted = 0;    ///< precon.regions_started
-    std::uint64_t preconTracesConstructed = 0; ///< precon.traces_constructed
-    std::uint64_t preconTracesBuffered = 0;    ///< precon.traces_buffered
-    std::uint64_t prepTraces = 0;     ///< prep.traces
-
-    /** Read the calling thread's current cells. */
-    static ObsCounters captureThread();
-};
-
-/** Per-field difference (after - before of two captures). */
-ObsCounters operator-(const ObsCounters &after,
-                      const ObsCounters &before);
-
-/**
- * The obs counter deltas of one FastSim::run, or of one
- * shared-stream group (runSharedStream), must reconcile exactly with
- * the statistics of its frontends, one record of @p stats per entry
- * of @p configs. The fill unit counts the stream once, so every
- * committed instruction and trace it segments matches any one
- * frontend's instructions and traces. Every trace-cache, buffer and
- * engine counter matches the sum over the frontends: one probe per
- * trace, one fill per pb-promote or miss-donate, buffer probes on
- * every miss of a frontend with preconstruction, and the
- * preconstruction ledger equal on both sides. Holds for the
- * stand-alone PreconstructionBuffers configuration (the diff
- * harness's); trivially green under TPRE_OBS_DISABLED.
- */
-Violation obsReconcilesFast(const ObsCounters &delta,
-                            const std::vector<FastSimConfig> &configs,
-                            const std::vector<FastSimStats> &stats);
-
-/**
- * Same contract for a TraceProcessor::run: the trace cache sees a
- * second probe after each pb promotion (tcProbes == tcHits +
- * tcMisses + 2*pbHits), the NTP advances once per dispatched trace
- * and predicts once per non-empty successor window, and the
- * preprocessor counts each first-time trace exactly once.
- */
-Violation obsReconcilesTiming(const ObsCounters &delta,
-                              const ProcessorStats &stats);
-
-/**
  * The trace-provenance contract: the per-origin ledger a run's
  * TraceCache accumulated must reconcile *exactly* with the run's
  * counters, in both simulation modes —
@@ -181,9 +114,8 @@ Violation obsReconcilesTiming(const ObsCounters &delta,
  *   builds - evictions == lines still valid in the cache
  *
  * plus per-origin structural sanity (firstUses <= builds,
- * firstUses <= hits, evictions <= builds). Unlike the obs
- * contract, provenance is plain stats bookkeeping, so this holds
- * under TPRE_OBS_DISABLED too.
+ * firstUses <= hits, evictions <= builds). Provenance is plain
+ * stats bookkeeping, so this holds under TPRE_OBS_DISABLED too.
  */
 Violation provenanceReconciles(const ProvenanceTable &prov,
                                std::uint64_t tcHits,

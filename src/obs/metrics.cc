@@ -126,20 +126,6 @@ MetricsRegistry::histogramValue(std::string_view name) const
     return data;
 }
 
-std::uint64_t
-MetricsRegistry::counterThreadValue(std::string_view name) const
-{
-    std::size_t cell;
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        const MetricInfo *info = find(name);
-        if (!info)
-            return 0;
-        cell = info->cell;
-    }
-    return threadBlock().cells[cell].load(std::memory_order_relaxed);
-}
-
 std::vector<MetricRow>
 MetricsRegistry::snapshot() const
 {

@@ -10,13 +10,7 @@
  * contention, no allocation). Readers aggregate across all live
  * thread blocks plus the folded cells of exited threads under the
  * registry mutex, so reads are exact but cost a lock — callers are
- * report generators and invariant checkers, never simulators.
- *
- * Per-thread reads (counterThreadValue) exist for the
- * instrumentation contract: one simulation runs entirely on one
- * thread, so the before/after delta of the calling thread's cells
- * reconciles exactly with that run's SimResult counters even while
- * sibling workers simulate concurrently (check/invariants.hh).
+ * report generators and tests, never simulators.
  *
  * Hot-path call sites use the TPRE_OBS_* macros from obs/obs.hh,
  * which compile to nothing under -DTPRE_OBS_DISABLED=ON; the
@@ -123,13 +117,6 @@ class MetricsRegistry
 
     /** Aggregated histogram; empty for unregistered names. */
     HistogramData histogramValue(std::string_view name) const;
-
-    /**
-     * The calling thread's own cell for a counter (or gauge, raw):
-     * exact for work done on this thread, blind to every other.
-     * 0 for unregistered names.
-     */
-    std::uint64_t counterThreadValue(std::string_view name) const;
 
     /** Every registered metric, aggregated, sorted by name. */
     std::vector<MetricRow> snapshot() const;

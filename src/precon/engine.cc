@@ -45,11 +45,8 @@ const Trace *
 PreconstructionEngine::lookupBuffer(const TraceId &id)
 {
     const Trace *trace = buffers_.lookup(id);
-    TPRE_OBS_COUNT("pb.probes");
-    if (trace) {
+    if (trace)
         ++stats_.bufferHits;
-        TPRE_OBS_COUNT("pb.hits");
-    }
     return trace;
 }
 
@@ -102,18 +99,10 @@ PreconstructionEngine::observeCommit(Addr pc,
     }
     if (stack_.push(candidate, kind)) {
         ++stats_.startPointsPushed;
-        TPRE_OBS_COUNT("precon.start_points");
         TPRE_OBS_HIST("precon.stack_depth", stack_.size());
         TPRE_TRACE_COUNTER("precon", "stack_depth",
                            obs::Domain::Cycles, now_, stack_.size());
     }
-}
-
-void
-PreconstructionEngine::observeMisspeculation(
-    const std::vector<Addr> &addrs)
-{
-    stack_.removeMisspeculated(addrs);
 }
 
 bool
@@ -125,7 +114,6 @@ PreconstructionEngine::emitTrace(Region &region, Trace &trace)
 
     ++stats_.tracesConstructed;
     ++region.tracesEmitted;
-    TPRE_OBS_COUNT("precon.traces_constructed");
     // Provenance stamp: this trace exists because the engine built
     // it ahead of demand, at this engine cycle. The stamp survives
     // buffering, promotion into the trace cache and preprocessing,
@@ -142,22 +130,10 @@ PreconstructionEngine::emitTrace(Region &region, Trace &trace)
             terminateRegion(region, RegionEndReason::Warm);
         return true;
     }
-    const TraceId id = trace.id;
     if (!buffers_.insert(trace, region.seq()))
         return false;
     ++stats_.tracesBuffered;
-    TPRE_OBS_COUNT("precon.traces_buffered");
-    if (diagLog_)
-        bufferedLog_.push_back(id);
     return true;
-}
-
-std::vector<TraceId>
-PreconstructionEngine::drainBufferedLog()
-{
-    std::vector<TraceId> out = std::move(bufferedLog_);
-    bufferedLog_.clear();
-    return out;
 }
 
 void
@@ -227,7 +203,6 @@ PreconstructionEngine::issueFetch()
     const ICache::AccessResult res =
         icache_.fetchLine(chosen_line, true);
     ++stats_.linesFetched;
-    TPRE_OBS_COUNT("precon.lines_fetched");
     chosen->pendingFetches.push_back(
         {chosen_line, now_ + res.latency});
     if (pendingFetchCount_++ == 0)
@@ -362,7 +337,6 @@ PreconstructionEngine::startRegion()
         regions_.back()->obsStartCycle = now_;
         ++stats_.regionsStarted;
         started = true;
-        TPRE_OBS_COUNT("precon.regions_started");
         TPRE_TRACE_INSTANT("precon", "region_start",
                            obs::Domain::Cycles, now_, sp.addr);
     }
@@ -463,10 +437,6 @@ PreconstructionEngine::save(mem::ByteWriter &w) const
     w.put(nextFetchReady_);
     w.put(now_);
     w.put(stats_);
-    w.put<std::uint32_t>(
-        static_cast<std::uint32_t>(bufferedLog_.size()));
-    w.putBytes(bufferedLog_.data(),
-               bufferedLog_.size() * sizeof(TraceId));
 }
 
 void
@@ -507,9 +477,6 @@ PreconstructionEngine::restore(mem::ByteReader &r)
     nextFetchReady_ = r.get<Cycle>();
     now_ = r.get<Cycle>();
     stats_ = r.get<Stats>();
-    bufferedLog_.resize(r.get<std::uint32_t>());
-    r.getBytes(bufferedLog_.data(),
-               bufferedLog_.size() * sizeof(TraceId));
 }
 
 void

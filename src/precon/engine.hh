@@ -115,22 +115,12 @@ class PreconstructionEngine : public PreconTraceSink
     /**
      * Observe one dispatched instruction: pushes region start
      * points for calls and taken backward branches, and detects
-     * the processor catching up with active regions.
-     */
-    void observeDispatch(const DynInst &dyn)
-    { observeCommit(dyn.pc, dyn.inst, dyn.taken); }
-
-    /**
-     * The monitor proper: observeDispatch() minus the DynInst
-     * wrapper. FastFrontend derives commit events straight from
-     * trace bodies, which hold exactly these three fields — taking
-     * them unpacked keeps that loop free of per-instruction DynInst
+     * the processor catching up with active regions. Takes the
+     * three fields a trace body holds, so FastFrontend feeds it
+     * straight from trace bodies with no per-instruction DynInst
      * assembly.
      */
     void observeCommit(Addr pc, const Instruction &inst, bool taken);
-
-    /** Timing mode: start points from squashed instructions. */
-    void observeMisspeculation(const std::vector<Addr> &addrs);
 
     // ------------------------------------------------------------
     // Time
@@ -146,15 +136,9 @@ class PreconstructionEngine : public PreconTraceSink
     // PreconTraceSink
     bool emitTrace(Region &region, Trace &trace) override;
 
-    /** Record every buffered TraceId for diagnostics. */
-    void enableDiagLog() { diagLog_ = true; }
-    /** Return and clear the diagnostic log of buffered ids. */
-    std::vector<TraceId> drainBufferedLog();
-
     const Stats &stats() const { return stats_; }
     const PreconConfig &config() const { return config_; }
     const PreconstructionBuffers &buffers() const { return buffers_; }
-    std::size_t activeRegions() const { return regions_.size(); }
 
     void clear();
 
@@ -210,8 +194,6 @@ class PreconstructionEngine : public PreconTraceSink
      *  this cycle, so the scan is skipped entirely until then. */
     Cycle nextFetchReady_ = 0;
     Cycle now_ = 0;
-    bool diagLog_ = false;
-    std::vector<TraceId> bufferedLog_;
     Stats stats_;
 };
 

@@ -85,16 +85,6 @@ StartPointStack::eraseAll(Addr addr)
     rebuildSig();
 }
 
-void
-StartPointStack::removeMisspeculated(const std::vector<Addr> &addrs)
-{
-    std::erase_if(stack_, [&addrs](const StartPoint &sp) {
-        return std::find(addrs.begin(), addrs.end(), sp.addr) !=
-               addrs.end();
-    });
-    rebuildSig();
-}
-
 bool
 StartPointStack::contains(Addr addr) const
 {

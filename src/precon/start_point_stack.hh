@@ -82,9 +82,6 @@ class StartPointStack
         }
     }
 
-    /** Drop entries pushed by misspeculated instructions. */
-    void removeMisspeculated(const std::vector<Addr> &addrs);
-
     /** Is @p addr anywhere on the stack? */
     bool contains(Addr addr) const;
 

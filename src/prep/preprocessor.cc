@@ -20,22 +20,12 @@ Preprocessor::process(Trace &trace)
         return;
     TPRE_OBS_WALL_SPAN("prep", "process");
     ++stats_.tracesProcessed;
-    TPRE_OBS_COUNT("prep.traces");
-    if (config_.constProp) {
-        const unsigned n = constantPropagate(trace);
-        stats_.constsPropagated += n;
-        TPRE_OBS_COUNT("prep.consts_propagated", n);
-    }
-    if (config_.fuse) {
-        const unsigned n = fuseShiftAdds(trace);
-        stats_.opsFused += n;
-        TPRE_OBS_COUNT("prep.ops_fused", n);
-    }
-    if (config_.schedule) {
-        const unsigned n = scheduleTrace(trace);
-        stats_.instsMoved += n;
-        TPRE_OBS_COUNT("prep.insts_moved", n);
-    }
+    if (config_.constProp)
+        stats_.constsPropagated += constantPropagate(trace);
+    if (config_.fuse)
+        stats_.opsFused += fuseShiftAdds(trace);
+    if (config_.schedule)
+        stats_.instsMoved += scheduleTrace(trace);
     trace.preprocessed = true;
 }
 

@@ -14,6 +14,110 @@
 namespace tpre
 {
 
+namespace
+{
+
+/*
+ * Row-end obs counters (DESIGN.md section 11). These families
+ * restate simulator statistics, so each row publishes them once,
+ * from its raw stats, instead of bumping them per event. A family
+ * is registered only when its event happened, as a per-event bump
+ * would register it, so /metrics lists the same families.
+ */
+#define TPRE_PUBLISH_COUNT(name, n)                                 \
+    do {                                                            \
+        if (const std::uint64_t tprePublishN_ = (n))                \
+            TPRE_OBS_COUNT(name, tprePublishN_);                    \
+    } while (0)
+
+std::uint64_t
+capacityEvictions(const ProvenanceTable &prov)
+{
+    return prov.of(TraceOrigin::FillUnit).evictCapacity +
+           prov.of(TraceOrigin::Precon).evictCapacity;
+}
+
+void
+publishEngine(const PreconstructionEngine::Stats &st)
+{
+    TPRE_PUBLISH_COUNT("pb.hits", st.bufferHits);
+    TPRE_PUBLISH_COUNT("precon.start_points", st.startPointsPushed);
+    TPRE_PUBLISH_COUNT("precon.regions_started", st.regionsStarted);
+    TPRE_PUBLISH_COUNT("precon.traces_constructed",
+                       st.tracesConstructed);
+    TPRE_PUBLISH_COUNT("precon.traces_buffered", st.tracesBuffered);
+    TPRE_PUBLISH_COUNT("precon.lines_fetched", st.linesFetched);
+}
+
+/** The trace-cache, buffer and engine families of one frontend. */
+void
+publishFrontend(const FastSimStats &st, bool precon)
+{
+    TPRE_PUBLISH_COUNT("tcache.probes", st.traces);
+    TPRE_PUBLISH_COUNT("tcache.hits", st.tcHits);
+    TPRE_PUBLISH_COUNT("tcache.fills", st.tcMisses + st.pbHits);
+    TPRE_PUBLISH_COUNT("tcache.evictions",
+                       capacityEvictions(st.provenance));
+    // Every miss of a frontend with preconstruction probes the
+    // buffers; a buffer hit is one of those.
+    if (precon)
+        TPRE_PUBLISH_COUNT("pb.probes", st.tcMisses + st.pbHits);
+    publishEngine(st.precon);
+}
+
+/** The fill families of one trace stream, however many frontends
+ *  it served. */
+void
+publishStream(InstCount insts, std::uint64_t traces,
+              std::uint64_t flushes = 0)
+{
+    TPRE_PUBLISH_COUNT("fill.insts", insts);
+    TPRE_PUBLISH_COUNT("fill.traces", traces);
+    TPRE_PUBLISH_COUNT("fill.flushes", flushes);
+}
+
+void
+publishNtp(std::uint64_t predictions, std::uint64_t updates)
+{
+    TPRE_PUBLISH_COUNT("ntp.predictions", predictions);
+    TPRE_PUBLISH_COUNT("ntp.updates", updates);
+}
+
+void
+publishTiming(const TraceProcessor &proc, const ProcessorConfig &cfg)
+{
+    const ProcessorStats &st = proc.stats();
+    // A buffer promotion probes the trace cache again for the
+    // stored image, and that probe hits.
+    TPRE_PUBLISH_COUNT("tcache.probes",
+                       st.tcHits + st.tcMisses + 2 * st.pbHits);
+    TPRE_PUBLISH_COUNT("tcache.hits", st.tcHits + st.pbHits);
+    TPRE_PUBLISH_COUNT("tcache.fills", st.tcMisses + st.pbHits);
+    TPRE_PUBLISH_COUNT("tcache.evictions",
+                       capacityEvictions(st.provenance));
+    if (cfg.preconEnabled)
+        TPRE_PUBLISH_COUNT("pb.probes", st.tcMisses + st.pbHits);
+    publishEngine(st.precon);
+    publishStream(proc.instsSegmented(), proc.tracesSegmented());
+    publishNtp(st.ntpCorrect + st.ntpWrong + st.ntpNone, st.traces);
+    // Each preprocessed trace runs every enabled pass once, so a
+    // pass's family is registered even when it changed nothing.
+    if (st.prep.tracesProcessed > 0) {
+        TPRE_OBS_COUNT("prep.traces", st.prep.tracesProcessed);
+        if (cfg.prep.constProp)
+            TPRE_OBS_COUNT("prep.consts_propagated",
+                           st.prep.constsPropagated);
+        if (cfg.prep.fuse)
+            TPRE_OBS_COUNT("prep.ops_fused", st.prep.opsFused);
+        if (cfg.prep.schedule)
+            TPRE_OBS_COUNT("prep.insts_moved", st.prep.instsMoved);
+    }
+}
+
+#undef TPRE_PUBLISH_COUNT
+
+} // namespace
+
 SimResult
 makeFastResult(const SimConfig &config, const FastSimStats &st)
 {
@@ -117,11 +221,17 @@ replayTrace(const std::string &tptPath, SimConfig config)
 
     TPRE_OBS_WALL_SPAN("sim", "replay");
     TPRE_OBS_COUNT("sim.replays");
-    tracefmt::ReplayFrontend frontend(reader, config.toFastConfig());
+    const FastSimConfig fastConfig = config.toFastConfig();
+    tracefmt::ReplayFrontend frontend(reader, fastConfig);
     const tracefmt::ReplayStats &rs = frontend.run(config.maxInsts);
     if (!frontend.ok())
         fatal("replay %s: %s", tptPath.c_str(),
               frontend.error().c_str());
+
+    publishFrontend(rs.fast, fastConfig.preconEnabled);
+    publishStream(rs.fast.instructions, rs.fast.traces - rs.flushes,
+                  rs.flushes);
+    publishNtp(rs.ntpPredictions, rs.fast.traces);
 
     SimResult result = makeFastResult(config, rs.fast);
     result.wallSeconds = rs.wallSeconds;
@@ -276,6 +386,8 @@ Simulator::warmCheckpoint(const SimConfig &config,
         wcfg.selection = config.selection;
         FastSim warmSim(wl.program, wcfg);
         warmSim.runUntil(config.warmupInsts);
+        publishFrontend(warmSim.syncStats(), false);
+        publishStream(warmSim.instsExecuted(), warmSim.stats().traces);
         entry->checkpoint = std::make_shared<const mem::Checkpoint>(
             warmSim.checkpoint(mem::CheckpointKind::Functional));
     });
@@ -328,14 +440,18 @@ Simulator::runGroup(const std::vector<SimConfig> &configs)
     TPRE_OBS_WALL_SPAN("sim", "run");
     TPRE_OBS_COUNT("sim.runs", configs.size());
     const auto start = std::chrono::steady_clock::now();
-    const std::vector<FastSimStats> stats = runSharedStream(
-        wl->program, fastConfigs, budget, warm.checkpoint.get());
+    InstCount segmented = 0;
+    const std::vector<FastSimStats> stats =
+        runSharedStream(wl->program, fastConfigs, budget,
+                        warm.checkpoint.get(), &segmented);
     const double rowSeconds =
         secondsSince(start) / static_cast<double>(configs.size());
+    publishStream(segmented, stats.front().traces);
 
     std::vector<SimResult> results;
     results.reserve(configs.size());
     for (std::size_t i = 0; i < configs.size(); ++i) {
+        publishFrontend(stats[i], fastConfigs[i].preconEnabled);
         SimResult &result =
             results.emplace_back(makeFastResult(configs[i], stats[i]));
         finishResult(result, configs[i], rowSeconds, warmRun,
@@ -406,12 +522,21 @@ Simulator::run(const SimConfig &config)
         const InstCount budget =
             warmRun ? config.maxInsts - config.warmupInsts
                     : config.maxInsts;
+        const InstCount coreStart = sim.instsExecuted();
+        InstCount skipped = 0;
         if (sampleRun) {
-            result = makeSampledResult(
-                config, sample::runSampled(sim, sampleSpec, budget));
+            const sample::SampledRun run =
+                sample::runSampled(sim, sampleSpec, budget);
+            skipped = run.skippedInsts;
+            result = makeSampledResult(config, run);
         } else {
             result = makeFastResult(config, sim.run(budget));
         }
+        // Sampled rows publish the detailed portions only: the raw
+        // stats, and the instructions not fast-forwarded.
+        publishFrontend(sim.stats(), fcfg.preconEnabled);
+        publishStream(sim.instsExecuted() - coreStart - skipped,
+                      sim.stats().traces);
 
         if (dump) {
             if (!tracefmt::writeFileBytes(config.tptDump,
@@ -427,9 +552,10 @@ Simulator::run(const SimConfig &config)
         if (!config.tptDump.empty())
             warn("tptDump is only supported in Fast mode; "
                  "ignoring %s", config.tptDump.c_str());
-        TraceProcessor proc(wl->program,
-                            config.toProcessorConfig());
+        const ProcessorConfig pcfg = config.toProcessorConfig();
+        TraceProcessor proc(wl->program, pcfg);
         const ProcessorStats &st = proc.run(config.maxInsts);
+        publishTiming(proc, pcfg);
         result.instructions = st.instructions;
         result.cycles = st.cycles;
         result.ipc = st.ipc();

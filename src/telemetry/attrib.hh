@@ -31,6 +31,7 @@
 #include <cstdint>
 #include <string>
 
+#include "obs/obs.hh"
 #include "telemetry/provenance.hh"
 #include "trace/trace.hh"
 
@@ -183,8 +184,8 @@ std::string renderAttribJson(const AttribTable &table);
 
 /**
  * The TPRE_ATTRIB knob: unset or "1" enables attribution, "0"
- * disables it, anything else is fatal (parseFlag). Parsed on
- * every call — callers
+ * disables it, anything else is fatal (parseFlag). Attribution is
+ * active only when obs::kEnabled too. Parsed on every call — callers
  * that need a stable answer (the TraceCache) sample it once at
  * construction.
  */

@@ -586,7 +586,8 @@ FastSim::syncStats()
 std::vector<FastSimStats>
 runSharedStream(const Program &program,
                 const std::vector<FastSimConfig> &configs,
-                InstCount maxInsts, const mem::Checkpoint *fork)
+                InstCount maxInsts, const mem::Checkpoint *fork,
+                InstCount *segmentedInsts)
 {
     tpre_assert(!configs.empty(), "runSharedStream: no configs");
     const SelectionPolicy &selection = configs.front().selection;
@@ -620,7 +621,10 @@ runSharedStream(const Program &program,
         }
     }
 
+    const InstCount coreStart = stream.core().instsExecuted();
     stream.runBlocks(served, maxInsts);
+    if (segmentedInsts)
+        *segmentedInsts = stream.core().instsExecuted() - coreStart;
     std::vector<FastSimStats> stats;
     stats.reserve(frontends.size());
     for (FastFrontend &frontend : frontends)

@@ -415,13 +415,15 @@ class FastSim
  * selection policy and arm no onCommit hook.
  * With @p fork, the stream and every frontend first restore that
  * Functional checkpoint. Returns one record per configuration, in
- * order; the frontends are freed on return.
+ * order; the frontends are freed on return. @p segmentedInsts, when
+ * given, receives the instructions the stream segmented.
  */
 std::vector<FastSimStats>
 runSharedStream(const Program &program,
                 const std::vector<FastSimConfig> &configs,
                 InstCount maxInsts,
-                const mem::Checkpoint *fork = nullptr);
+                const mem::Checkpoint *fork = nullptr,
+                InstCount *segmentedInsts = nullptr);
 
 } // namespace tpre
 

@@ -197,7 +197,7 @@ TraceProcessor::dispatchFront()
         if (dyn.inst.isCondBranch())
             bimodal_.update(dyn.pc, dyn.taken);
         if (engine_)
-            engine_->observeDispatch(dyn);
+            engine_->observeCommit(dyn.pc, dyn.inst, dyn.taken);
         if (config_.hooks.onCommit)
             config_.hooks.onCommit(dyn);
     }

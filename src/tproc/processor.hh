@@ -111,6 +111,14 @@ class TraceProcessor
     /** The primary trace cache (provenance reconciliation). */
     const TraceCache &traceCache() const { return traceCache_; }
 
+    /** Instructions the oracle's stream has segmented. */
+    InstCount instsSegmented() const
+    { return stream_.core().instsExecuted(); }
+    /** Traces it has segmented: the dispatched ones and those
+     *  still queued. */
+    std::uint64_t tracesSegmented() const
+    { return stats_.traces + oracle_.size(); }
+
   private:
     /** One oracle-segmented trace plus its dynamic records. */
     struct PendingTrace
@@ -129,6 +137,7 @@ class TraceProcessor
       public:
         static constexpr std::size_t capacity = 4;
 
+        std::size_t size() const { return size_; }
         bool empty() const { return size_ == 0; }
         bool full() const { return size_ == capacity; }
         PendingTrace &front() { return slots_[head_]; }

@@ -1,5 +1,7 @@
 #include "trace/fill_unit.hh"
 
+#include "obs/obs.hh"
+
 namespace tpre
 {
 
@@ -21,7 +23,6 @@ FillUnit::flush()
         builder_.abandon();
         return nullptr;
     }
-    TPRE_OBS_COUNT("fill.flushes");
     return &builder_.finalize();
 }
 

@@ -10,7 +10,6 @@
 #define TPRE_TRACE_FILL_UNIT_HH
 
 #include "func/core.hh"
-#include "obs/obs.hh"
 #include "trace/selector.hh"
 
 namespace tpre
@@ -37,7 +36,6 @@ class FillUnit
     Trace *
     feed(const DynInst &dyn)
     {
-        TPRE_OBS_COUNT("fill.insts");
         if (!builder_.active())
             builder_.begin(dyn.pc);
 
@@ -45,7 +43,6 @@ class FillUnit
             builder_.append(dyn.inst, dyn.pc, dyn.taken, dyn.nextPc);
         if (!done)
             return nullptr;
-        TPRE_OBS_COUNT("fill.traces");
         return &builder_.finalize();
     }
 
@@ -72,12 +69,10 @@ class FillUnit
     Trace *
     feedRun(const Instruction *insts, Addr pc, unsigned n)
     {
-        TPRE_OBS_COUNT("fill.insts", n);
         if (!builder_.active())
             builder_.begin(pc);
         if (!builder_.appendRun(insts, pc, n))
             return nullptr;
-        TPRE_OBS_COUNT("fill.traces");
         return &builder_.finalize();
     }
 

@@ -172,11 +172,9 @@ TraceCache::recordEviction(const Entry &entry, EvictReason reason)
 const Trace *
 TraceCache::lookup(const TraceId &id)
 {
-    TPRE_OBS_COUNT("tcache.probes");
     Entry *entry = findEntry(id);
     if (!entry)
         return nullptr;
-    TPRE_OBS_COUNT("tcache.hits");
     entry->lastUse = tick();
     recordUse(*entry);
     return &entry->trace;
@@ -206,7 +204,6 @@ const Trace *
 TraceCache::insert(const Trace &trace, bool servedAtInsert)
 {
     tpre_assert(trace.id.valid(), "inserting invalid trace");
-    TPRE_OBS_COUNT("tcache.fills");
     ++prov_.of(trace.origin).builds;
     // Classify once per insert (the only place a body enters the
     // cache); hits and evictions reuse the cached class.
@@ -232,10 +229,8 @@ TraceCache::insert(const Trace &trace, bool servedAtInsert)
         return &existing->trace;
     }
     Entry &victim = victimIn(setOf(trace.id));
-    if (victim.valid) {
-        TPRE_OBS_COUNT("tcache.evictions");
+    if (victim.valid)
         recordEviction(victim, EvictReason::Capacity);
-    }
     victim.valid = true;
     victim.trace = trace;
     victim.cls = cls;

@@ -44,9 +44,7 @@ class TraceCache
      *        directly (preconstruction-buffer promotion on the
      *        fast path inserts-then-serves without a second
      *        lookup); the provenance ledger records the serve as a
-     *        hit and the line's first use. The tcache.hits obs
-     *        counter is untouched — that counter pins lookup()
-     *        hits only.
+     *        hit and the line's first use.
      *
      * @return the stored image, so hit paths that insert-then-serve
      *         (preconstruction-buffer promotion) need no second

@@ -44,6 +44,11 @@ ReplayFrontend::run(InstCount maxInsts)
             ++stats_.ntpCorrect;
         ntp.advance(demanded.id, demanded.containsCall(),
                     demanded.endsInReturn());
+        // No selection rule ends a trace short of the length cap
+        // with MaxLength: only the final flush serves one.
+        if (demanded.endReason == TraceEndReason::MaxLength &&
+            demanded.len() < config_.selection.maxLen)
+            ++stats_.flushes;
         if (userTrace)
             userTrace(demanded, served, fromStorage);
     };

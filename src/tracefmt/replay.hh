@@ -53,6 +53,9 @@ struct ReplayStats
     std::uint64_t ntpPredictions = 0;
     std::uint64_t ntpCorrect = 0;
     std::uint64_t ntpNoPrediction = 0;
+    /** 1 when the replay ended mid-trace and flushed that partial
+     *  trace (counted among fast.traces), else 0. */
+    std::uint64_t flushes = 0;
 
     /** Decode + replay throughput in million instructions/second. */
     double

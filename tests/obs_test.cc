@@ -2,9 +2,9 @@
  * @file
  * Tests for the tpre::obs observability layer: metrics registry
  * semantics (counters, gauges, histograms, idempotent registration,
- * multi-thread aggregation under par::runJobs, per-thread reads),
- * event-ring wraparound, and the Chrome trace_event JSON export
- * checked field by field against golden snippets.
+ * multi-thread aggregation under par::runJobs), event-ring
+ * wraparound, and the Chrome trace_event JSON export checked field
+ * by field against golden snippets.
  *
  * The tests drive the obs *classes* directly, so they pass both in
  * the default build and under -DTPRE_OBS_DISABLED=ON (where only
@@ -54,8 +54,6 @@ TEST(MetricsRegistryTest, UnregisteredNamesReadZero)
     EXPECT_EQ(reg.gaugeValue("obs_test.never_registered"), 0);
     EXPECT_EQ(
         reg.histogramValue("obs_test.never_registered").count, 0u);
-    EXPECT_EQ(
-        reg.counterThreadValue("obs_test.never_registered"), 0u);
 }
 
 TEST(MetricsRegistryTest, RegistrationIsIdempotent)
@@ -152,18 +150,6 @@ TEST(MetricsRegistryTest, AggregatesAcrossRunJobsWorkers)
     // see every increment either way.
     EXPECT_EQ(MetricsRegistry::instance().counterValue(name),
               kJobs * kPerJob);
-}
-
-TEST(MetricsRegistryTest, ThreadValueIsBlindToOtherThreads)
-{
-    const std::string name = uniqueName("thread_local");
-    obs::Counter counter(name);
-    counter.add(5);
-    std::thread other([&] { counter.add(100); });
-    other.join();
-    const auto &reg = MetricsRegistry::instance();
-    EXPECT_EQ(reg.counterThreadValue(name), 5u);
-    EXPECT_EQ(reg.counterValue(name), 105u);
 }
 
 TEST(ObsMacroTest, CountMacroFollowsBuildConfiguration)

@@ -66,17 +66,6 @@ TEST(StartPointStackTest, RemoveReached)
     EXPECT_TRUE(st.contains(0x200));
 }
 
-TEST(StartPointStackTest, RemoveMisspeculated)
-{
-    StartPointStack st(16, 4);
-    st.push(0x100, StartPointKind::CallReturn);
-    st.push(0x200, StartPointKind::CallReturn);
-    st.push(0x300, StartPointKind::CallReturn);
-    st.removeMisspeculated({0x100, 0x300});
-    EXPECT_EQ(st.size(), 1u);
-    EXPECT_TRUE(st.contains(0x200));
-}
-
 TEST(StartPointStackTest, CompletedRegionsNotRepushed)
 {
     StartPointStack st(16, 4);
@@ -118,30 +107,6 @@ TEST(StartPointStackTest, SustainedOverflowKeepsNewestWindow)
     for (Addr a = 8; a >= 5; --a)
         EXPECT_EQ(st.pop().addr, a * 0x10);
     EXPECT_TRUE(st.empty());
-}
-
-TEST(StartPointStackTest, MispredictFlushEmptiesStack)
-{
-    // A deep misprediction squashes every start point the wrong
-    // path pushed; the flushed addresses are not remembered as
-    // completed, so the right path may push them again.
-    StartPointStack st(16, 4);
-    st.push(0x100, StartPointKind::CallReturn);
-    st.push(0x200, StartPointKind::LoopExit);
-    st.push(0x300, StartPointKind::CallReturn);
-    st.removeMisspeculated({0x300, 0x100, 0x200});
-    EXPECT_TRUE(st.empty());
-    EXPECT_TRUE(st.push(0x200, StartPointKind::LoopExit));
-}
-
-TEST(StartPointStackTest, MispredictFlushIgnoresAbsentAddrs)
-{
-    StartPointStack st(16, 4);
-    st.push(0x100, StartPointKind::CallReturn);
-    st.removeMisspeculated({});
-    st.removeMisspeculated({0x900, 0xA00});
-    EXPECT_EQ(st.size(), 1u);
-    EXPECT_TRUE(st.contains(0x100));
 }
 
 TEST(StartPointStackTest, RemoveReachedAbsentIsNoOp)
@@ -471,7 +436,7 @@ TEST(PreconExampleTest, RegionOneConstructedBeforeReturn)
     ASSERT_TRUE(call.inst.isCall());
     call.nextPc = ex.program.symbol("proc");
     call.taken = true;
-    engine.observeDispatch(call);
+    engine.observeCommit(call.pc, call.inst, call.taken);
     EXPECT_EQ(engine.stats().startPointsPushed, 1u);
 
     // Give the engine time with a free I-cache port (the callee is
@@ -578,7 +543,8 @@ TEST(PreconEngineTest, TerminatesAtIndirectJump)
     jal.imm = 0;
     fake.inst = jal;
     fake.taken = true;
-    engine.observeDispatch(fake); // pushes start (= base+4)
+    // Pushes start (= base+4).
+    engine.observeCommit(fake.pc, fake.inst, fake.taken);
     engine.tick(100, true);
 
     EXPECT_EQ(engine.stats().tracesConstructed, 1u);
@@ -609,7 +575,7 @@ TEST(PreconEngineTest, CatchUpTerminatesRegion)
     jal.rd = linkReg;
     call.inst = jal;
     call.taken = true;
-    engine.observeDispatch(call);
+    engine.observeCommit(call.pc, call.inst, call.taken);
     engine.tick(1, true); // region starts
 
     // The processor reaches the region start: catch-up.
@@ -618,7 +584,7 @@ TEST(PreconEngineTest, CatchUpTerminatesRegion)
     Instruction alu;
     alu.op = Opcode::Addi;
     reach.inst = alu;
-    engine.observeDispatch(reach);
+    engine.observeCommit(reach.pc, reach.inst, reach.taken);
     engine.tick(1, true);
     EXPECT_EQ(engine.stats().regionsCaughtUp, 1u);
 }
@@ -657,7 +623,7 @@ TEST(PreconEngineTest, BiasPruningFollowsDominantDirection)
     jal.rd = linkReg;
     call.inst = jal;
     call.taken = true;
-    engine.observeDispatch(call);
+    engine.observeCommit(call.pc, call.inst, call.taken);
     engine.tick(100, true);
 
     // Not-taken path: 1 (branch) + 7 (ALUs) + 1 (jalr) = 9 insts,
@@ -693,7 +659,7 @@ TEST(PreconEngineTest, UnbiasedBranchForksBothPaths)
     jal.rd = linkReg;
     call.inst = jal;
     call.taken = true;
-    engine.observeDispatch(call);
+    engine.observeCommit(call.pc, call.inst, call.taken);
     engine.tick(200, true);
 
     // Both directions of the weak branch are explored.
@@ -721,7 +687,7 @@ TEST(PreconEngineTest, NoFetchWhenPortBusy)
     jal.rd = linkReg;
     call.inst = jal;
     call.taken = true;
-    engine.observeDispatch(call);
+    engine.observeCommit(call.pc, call.inst, call.taken);
 
     engine.tick(100, false); // slow path owns the port
     EXPECT_EQ(engine.stats().linesFetched, 0u);
@@ -754,7 +720,7 @@ TEST(PreconEngineTest, BufferHitConsumedOnce)
     jal.rd = linkReg;
     call.inst = jal;
     call.taken = true;
-    engine.observeDispatch(call);
+    engine.observeCommit(call.pc, call.inst, call.taken);
     engine.tick(200, true);
     ASSERT_GT(engine.stats().tracesBuffered, 0u);
 
