@@ -155,6 +155,43 @@ tapsFor(Observed &obs, bool archCheckPreprocessed)
     return hooks;
 }
 
+/**
+ * The checks a finished run of either simulator gets: its
+ * provenance and attribution ledgers against its stats, the images
+ * its hooks saw served, its committed stream and trace boundaries
+ * against the reference (all of them when @p exact, else the common
+ * prefix), its conservation and its engine's buffers.
+ */
+template <class Sim, class Stats>
+std::optional<std::string>
+runChecked(const char *model, const char *attribModel, const Sim &sim,
+           const Stats &stats, const Observed &obs, const RefRun &ref,
+           bool exact, const SelectionPolicy &selection)
+{
+    if (auto f = prefixed(model,
+                          provenanceReconciles(stats, sim.traceCache())))
+        return f;
+    // The attribution decomposition must decant the provenance
+    // ledger exactly (trivially green — all-zero table — when
+    // attribution is compiled out or TPRE_ATTRIB=0).
+    if (auto f = prefixed(attribModel,
+                          attribReconciles(stats, sim.traceCache())))
+        return f;
+    if (obs.served)
+        return prefixed(model, obs.served);
+    if (auto f = compareStreams(model, ref.stream, obs.stream, exact))
+        return f;
+    if (auto f = compareBoundaries(model, ref.traces, obs.boundaries,
+                                   exact))
+        return f;
+    if (auto f = prefixed(model, statsConserved(stats)))
+        return f;
+    if (!sim.engine())
+        return std::nullopt;
+    return prefixed(model,
+                    buffersWellFormed(sim.engine()->buffers(), selection));
+}
+
 /** The FastSim configuration a DiffConfig describes. */
 FastSimConfig
 fastConfigOf(const DiffConfig &cfg)
@@ -255,48 +292,10 @@ diffModels(const Program &program, const DiffConfig &cfg)
         FastSim sim(program, fcfg);
         const FastSimStats &stats = sim.run(cfg.maxInsts);
 
-        if (auto f = prefixed("fastsim",
-                              provenanceReconcilesFast(
-                                  stats, sim.traceCache()))) {
-            result.failure = f;
+        result.failure = runChecked("fastsim", "attrib-fast", sim, stats,
+                                    obs, ref, true, cfg.selection);
+        if (result.failure)
             return result;
-        }
-        // The attribution decomposition must decant the provenance
-        // ledger exactly (trivially green — all-zero table — when
-        // attribution is compiled out or TPRE_ATTRIB=0).
-        if (auto f = prefixed("attrib-fast",
-                              attribReconcilesFast(
-                                  stats, sim.traceCache()))) {
-            result.failure = f;
-            return result;
-        }
-        if (obs.served) {
-            result.failure = prefixed("fastsim", obs.served);
-            return result;
-        }
-        if (auto f = compareStreams("fastsim", ref.stream, obs.stream,
-                                    true)) {
-            result.failure = f;
-            return result;
-        }
-        if (auto f = compareBoundaries("fastsim", ref.traces,
-                                       obs.boundaries, true)) {
-            result.failure = f;
-            return result;
-        }
-        if (auto f = prefixed("fastsim", statsConserved(stats))) {
-            result.failure = f;
-            return result;
-        }
-        if (sim.engine()) {
-            if (auto f = prefixed(
-                    "fastsim",
-                    buffersWellFormed(sim.engine()->buffers(),
-                                      cfg.selection))) {
-                result.failure = f;
-                return result;
-            }
-        }
         liveStats = stats;
     }
 
@@ -514,40 +513,13 @@ diffModels(const Program &program, const DiffConfig &cfg)
         TraceProcessor proc(program, pcfg);
         const ProcessorStats &stats = proc.run(cfg.maxInsts);
 
-        if (auto f = prefixed("processor",
-                              provenanceReconcilesTiming(
-                                  stats, proc.traceCache()))) {
-            result.failure = f;
-            return result;
-        }
-        if (auto f = prefixed("attrib-timing",
-                              attribReconcilesTiming(
-                                  stats, proc.traceCache()))) {
-            result.failure = f;
-            return result;
-        }
-        if (obs.served) {
-            result.failure = prefixed("processor", obs.served);
-            return result;
-        }
         // Dispatch runs ahead of retirement, so on a budget stop the
         // processor's stream may legitimately be shorter or longer
         // than the reference; it must agree on the common prefix and
         // exactly when the program ran to completion.
-        if (auto f = compareStreams("processor", ref.stream,
-                                    obs.stream, ref.halted)) {
-            result.failure = f;
-            return result;
-        }
-        if (auto f = compareBoundaries("processor", ref.traces,
-                                       obs.boundaries, ref.halted)) {
-            result.failure = f;
-            return result;
-        }
-        if (auto f = prefixed("processor", statsConserved(stats))) {
-            result.failure = f;
-            return result;
-        }
+        result.failure = runChecked("processor", "attrib-timing", proc,
+                                    stats, obs, ref, ref.halted,
+                                    cfg.selection);
     }
 
     return result;

@@ -10,8 +10,7 @@
 #include "common/logging.hh"
 #include "common/random.hh"
 #include "isa/disasm.hh"
-#include "tproc/fast_sim.hh"
-#include "tproc/processor.hh"
+#include "tproc/trace_supply.hh"
 
 namespace tpre::check
 {
@@ -560,22 +559,7 @@ provenanceReconciles(const ProvenanceTable &prov,
 }
 
 Violation
-provenanceReconcilesFast(const FastSimStats &stats,
-                         const TraceCache &cache)
-{
-    if (auto v = provEq("stats table builds vs cache table builds",
-                        stats.provenance.totalBuilds(),
-                        cache.provenance().totalBuilds())) {
-        return v;
-    }
-    return provenanceReconciles(cache.provenance(), stats.tcHits,
-                                stats.pbHits, stats.tcMisses,
-                                cache.numValid());
-}
-
-Violation
-provenanceReconcilesTiming(const ProcessorStats &stats,
-                           const TraceCache &cache)
+provenanceReconciles(const SupplyStats &stats, const TraceCache &cache)
 {
     if (auto v = provEq("stats table builds vs cache table builds",
                         stats.provenance.totalBuilds(),
@@ -703,45 +687,15 @@ attribReconciles(const AttribTable &attrib,
 }
 
 Violation
-attribReconcilesFast(const FastSimStats &stats,
-                     const TraceCache &cache)
+attribReconciles(const SupplyStats &stats, const TraceCache &cache)
 {
+    const auto builds = [](const AttribTable &attrib) {
+        return attrib.originSum(TraceOrigin::FillUnit).builds +
+               attrib.originSum(TraceOrigin::Precon).builds;
+    };
     if (auto v = attribEq("total",
                           "stats table builds vs cache table builds",
-                          stats.attrib.originSum(TraceOrigin::FillUnit)
-                                  .builds +
-                              stats.attrib
-                                  .originSum(TraceOrigin::Precon)
-                                  .builds,
-                          cache.attrib()
-                                  .originSum(TraceOrigin::FillUnit)
-                                  .builds +
-                              cache.attrib()
-                                  .originSum(TraceOrigin::Precon)
-                                  .builds)) {
-        return v;
-    }
-    return attribReconciles(cache.attrib(), cache.provenance(),
-                            cache.attribActive());
-}
-
-Violation
-attribReconcilesTiming(const ProcessorStats &stats,
-                       const TraceCache &cache)
-{
-    if (auto v = attribEq("total",
-                          "stats table builds vs cache table builds",
-                          stats.attrib.originSum(TraceOrigin::FillUnit)
-                                  .builds +
-                              stats.attrib
-                                  .originSum(TraceOrigin::Precon)
-                                  .builds,
-                          cache.attrib()
-                                  .originSum(TraceOrigin::FillUnit)
-                                  .builds +
-                              cache.attrib()
-                                  .originSum(TraceOrigin::Precon)
-                                  .builds)) {
+                          builds(stats.attrib), builds(cache.attrib()))) {
         return v;
     }
     return attribReconciles(cache.attrib(), cache.provenance(),

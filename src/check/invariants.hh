@@ -30,8 +30,7 @@
 
 namespace tpre
 {
-struct FastSimStats;
-struct ProcessorStats;
+struct SupplyStats;
 class TraceCache;
 } // namespace tpre
 
@@ -123,13 +122,10 @@ Violation provenanceReconciles(const ProvenanceTable &prov,
                                std::uint64_t tcMisses,
                                std::uint64_t residentValid);
 
-/** provenanceReconciles() over a finished FastSim run. */
-Violation provenanceReconcilesFast(const FastSimStats &stats,
-                                   const TraceCache &cache);
-
-/** provenanceReconciles() over a finished TraceProcessor run. */
-Violation provenanceReconcilesTiming(const ProcessorStats &stats,
-                                     const TraceCache &cache);
+/** provenanceReconciles() over a finished run of either
+ *  simulator: its stats and its trace cache. */
+Violation provenanceReconciles(const SupplyStats &stats,
+                               const TraceCache &cache);
 
 /**
  * The reuse-attribution contract (DESIGN.md section 17): when
@@ -149,13 +145,9 @@ Violation provenanceReconcilesTiming(const ProcessorStats &stats,
 Violation attribReconciles(const AttribTable &attrib,
                            const ProvenanceTable &prov, bool active);
 
-/** attribReconciles() over a finished FastSim run. */
-Violation attribReconcilesFast(const FastSimStats &stats,
-                               const TraceCache &cache);
-
-/** attribReconciles() over a finished TraceProcessor run. */
-Violation attribReconcilesTiming(const ProcessorStats &stats,
-                                 const TraceCache &cache);
+/** attribReconciles() over a finished run of either simulator. */
+Violation attribReconciles(const SupplyStats &stats,
+                           const TraceCache &cache);
 
 } // namespace tpre::check
 

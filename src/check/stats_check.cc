@@ -68,12 +68,26 @@ preconStatsSane(const PreconstructionEngine::Stats &s)
 }
 
 Violation
-statsConserved(const FastSimStats &s)
+supplyConserved(const SupplyStats &s, bool inFlightLookup)
 {
-    if (s.tcHits + s.pbHits + s.tcMisses != s.traces)
+    const std::uint64_t lookups = s.tcHits + s.pbHits + s.tcMisses;
+    if (lookups != s.traces &&
+        !(inFlightLookup && lookups == s.traces + 1))
         return fail("tcHits " + num(s.tcHits) + " + pbHits " +
                     num(s.pbHits) + " + tcMisses " + num(s.tcMisses) +
-                    " != traces fetched " + num(s.traces));
+                    " != traces fetched " + num(s.traces) +
+                    (inFlightLookup ? " (nor one in-flight lookup more)"
+                                    : ""));
+    if (Violation v = icacheStatsSane(s.icache))
+        return v;
+    return preconStatsSane(s.precon);
+}
+
+Violation
+statsConserved(const FastSimStats &s)
+{
+    if (Violation v = supplyConserved(s, false))
+        return v;
     if (s.slowPathInstsFromMisses > s.slowPathInsts)
         return fail("slow-path insts from misses " +
                     num(s.slowPathInstsFromMisses) +
@@ -82,9 +96,7 @@ statsConserved(const FastSimStats &s)
         return fail("slow-path insts " + num(s.slowPathInsts) +
                     " exceed committed instructions " +
                     num(s.instructions));
-    if (Violation v = icacheStatsSane(s.icache))
-        return v;
-    return preconStatsSane(s.precon);
+    return std::nullopt;
 }
 
 Violation
@@ -93,95 +105,32 @@ fastStatsEqual(const FastSimStats &live,
 {
     // Walk every counter; report the first mismatch by name so a
     // replay divergence pinpoints the stray field immediately.
-    std::vector<std::tuple<const char *, std::uint64_t,
-                           std::uint64_t>>
-        fields = {
-            {"instructions", live.instructions,
-             replayed.instructions},
-            {"cycles", live.cycles, replayed.cycles},
-            {"traces", live.traces, replayed.traces},
-            {"tcHits", live.tcHits, replayed.tcHits},
-            {"pbHits", live.pbHits, replayed.pbHits},
-            {"tcMisses", live.tcMisses, replayed.tcMisses},
-            {"slowPathInsts", live.slowPathInsts,
-             replayed.slowPathInsts},
-            {"slowPathInstsFromMisses",
-             live.slowPathInstsFromMisses,
-             replayed.slowPathInstsFromMisses},
-            {"traceWorkingSet", live.traceWorkingSet,
-             replayed.traceWorkingSet},
-            {"icache.demandAccesses", live.icache.demandAccesses,
-             replayed.icache.demandAccesses},
-            {"icache.demandMisses", live.icache.demandMisses,
-             replayed.icache.demandMisses},
-            {"icache.preconAccesses", live.icache.preconAccesses,
-             replayed.icache.preconAccesses},
-            {"icache.preconMisses", live.icache.preconMisses,
-             replayed.icache.preconMisses},
-            {"precon.startPointsPushed",
-             live.precon.startPointsPushed,
-             replayed.precon.startPointsPushed},
-            {"precon.regionsStarted", live.precon.regionsStarted,
-             replayed.precon.regionsStarted},
-            {"precon.regionsCompleted",
-             live.precon.regionsCompleted,
-             replayed.precon.regionsCompleted},
-            {"precon.regionsCaughtUp", live.precon.regionsCaughtUp,
-             replayed.precon.regionsCaughtUp},
-            {"precon.regionsPrefetchFull",
-             live.precon.regionsPrefetchFull,
-             replayed.precon.regionsPrefetchFull},
-            {"precon.regionsBuffersFull",
-             live.precon.regionsBuffersFull,
-             replayed.precon.regionsBuffersFull},
-            {"precon.regionsWarm", live.precon.regionsWarm,
-             replayed.precon.regionsWarm},
-            {"precon.tracesConstructed",
-             live.precon.tracesConstructed,
-             replayed.precon.tracesConstructed},
-            {"precon.tracesBuffered", live.precon.tracesBuffered,
-             replayed.precon.tracesBuffered},
-            {"precon.tracesAlreadyInTc",
-             live.precon.tracesAlreadyInTc,
-             replayed.precon.tracesAlreadyInTc},
-            {"precon.bufferHits", live.precon.bufferHits,
-             replayed.precon.bufferHits},
-            {"precon.linesFetched", live.precon.linesFetched,
-             replayed.precon.linesFetched},
-        };
-
+    std::vector<std::tuple<std::string, std::uint64_t, std::uint64_t>>
+        fields;
+#define TPRE_FIELD(f) fields.emplace_back(prefix + #f, a.f, b.f)
     for (std::size_t i = 0; i < kNumOrigins; ++i) {
         const auto origin = static_cast<TraceOrigin>(i);
         const OriginProvenance &a = live.provenance.of(origin);
         const OriginProvenance &b = replayed.provenance.of(origin);
         const std::string prefix =
-            std::string("provenance.") + traceOriginName(origin) +
-            ".";
-        const std::pair<const char *, std::pair<std::uint64_t,
-                                                std::uint64_t>>
-            rows[] = {
-                {"builds", {a.builds, b.builds}},
-                {"hits", {a.hits, b.hits}},
-                {"firstUses", {a.firstUses, b.firstUses}},
-                {"firstUseLatencySum",
-                 {a.firstUseLatencySum, b.firstUseLatencySum}},
-                {"evictCapacity", {a.evictCapacity, b.evictCapacity}},
-                {"evictRefresh", {a.evictRefresh, b.evictRefresh}},
-                {"evictInvalidate",
-                 {a.evictInvalidate, b.evictInvalidate}},
-                {"evictClear", {a.evictClear, b.evictClear}},
-                {"evictedUnused", {a.evictedUnused, b.evictedUnused}},
-            };
-        for (const auto &[name, vals] : rows) {
-            if (vals.first != vals.second)
-                return fail(prefix + name + " diverges: live " +
-                            num(vals.first) + ", replay " +
-                            num(vals.second));
-        }
+            std::string("provenance.") + traceOriginName(origin) + ".";
+        TPRE_FIELD(builds);
+        TPRE_FIELD(hits);
+        TPRE_FIELD(firstUses);
+        TPRE_FIELD(firstUseLatencySum);
+        TPRE_FIELD(evictCapacity);
+        TPRE_FIELD(evictRefresh);
+        TPRE_FIELD(evictInvalidate);
+        TPRE_FIELD(evictClear);
+        TPRE_FIELD(evictedUnused);
     }
 
     // Attribution is deterministic bookkeeping on the same trace
     // stream, so it replays exactly too (all zeros when inactive).
+    const auto sum = [](const auto &counts) {
+        return std::accumulate(counts.begin(), counts.end(),
+                               std::uint64_t{0});
+    };
     for (std::size_t i = 0; i < kNumOrigins; ++i) {
         const auto origin = static_cast<TraceOrigin>(i);
         for (std::size_t c = 0; c < kNumLoopClasses; ++c) {
@@ -191,45 +140,56 @@ fastStatsEqual(const FastSimStats &live,
             const std::string prefix =
                 std::string("attrib.") + traceOriginName(origin) +
                 "." + loopClassName(cls) + ".";
-            const std::pair<const char *,
-                            std::pair<std::uint64_t, std::uint64_t>>
-                rows[] = {
-                    {"builds", {a.builds, b.builds}},
-                    {"hits", {a.hits, b.hits}},
-                    {"firstUses", {a.firstUses, b.firstUses}},
-                    {"firstUseLatencySum",
-                     {a.firstUseLatencySum, b.firstUseLatencySum}},
-                    {"evictions", {a.evictions(), b.evictions()}},
-                    {"evictedUnused",
-                     {a.evictedUnused, b.evictedUnused}},
-                    {"instBuilt[*]",
-                     {std::accumulate(a.instBuilt.begin(),
-                                      a.instBuilt.end(),
-                                      std::uint64_t{0}),
-                      std::accumulate(b.instBuilt.begin(),
-                                      b.instBuilt.end(),
-                                      std::uint64_t{0})}},
-                    {"instServed[*]",
-                     {std::accumulate(a.instServed.begin(),
-                                      a.instServed.end(),
-                                      std::uint64_t{0}),
-                      std::accumulate(b.instServed.begin(),
-                                      b.instServed.end(),
-                                      std::uint64_t{0})}},
-                };
-            for (const auto &[name, vals] : rows) {
-                if (vals.first != vals.second)
-                    return fail(prefix + name + " diverges: live " +
-                                num(vals.first) + ", replay " +
-                                num(vals.second));
-            }
+            TPRE_FIELD(builds);
+            TPRE_FIELD(hits);
+            TPRE_FIELD(firstUses);
+            TPRE_FIELD(firstUseLatencySum);
+            fields.emplace_back(prefix + "evictions", a.evictions(),
+                                b.evictions());
+            TPRE_FIELD(evictedUnused);
+            fields.emplace_back(prefix + "instBuilt[*]",
+                                sum(a.instBuilt), sum(b.instBuilt));
+            fields.emplace_back(prefix + "instServed[*]",
+                                sum(a.instServed), sum(b.instServed));
         }
     }
 
+    {
+        const FastSimStats &a = live;
+        const FastSimStats &b = replayed;
+        const std::string prefix;
+        TPRE_FIELD(instructions);
+        TPRE_FIELD(cycles);
+        TPRE_FIELD(traces);
+        TPRE_FIELD(tcHits);
+        TPRE_FIELD(pbHits);
+        TPRE_FIELD(tcMisses);
+        TPRE_FIELD(slowPathInsts);
+        TPRE_FIELD(slowPathInstsFromMisses);
+        TPRE_FIELD(traceWorkingSet);
+        TPRE_FIELD(icache.demandAccesses);
+        TPRE_FIELD(icache.demandMisses);
+        TPRE_FIELD(icache.preconAccesses);
+        TPRE_FIELD(icache.preconMisses);
+        TPRE_FIELD(precon.startPointsPushed);
+        TPRE_FIELD(precon.regionsStarted);
+        TPRE_FIELD(precon.regionsCompleted);
+        TPRE_FIELD(precon.regionsCaughtUp);
+        TPRE_FIELD(precon.regionsPrefetchFull);
+        TPRE_FIELD(precon.regionsBuffersFull);
+        TPRE_FIELD(precon.regionsWarm);
+        TPRE_FIELD(precon.tracesConstructed);
+        TPRE_FIELD(precon.tracesBuffered);
+        TPRE_FIELD(precon.tracesAlreadyInTc);
+        TPRE_FIELD(precon.bufferHits);
+        TPRE_FIELD(precon.linesFetched);
+    }
+#undef TPRE_FIELD
+
     for (const auto &[name, a, b] : fields) {
         if (a != b)
-            return fail(std::string(name) + " diverges: live " +
-                        num(a) + ", replay " + num(b));
+            return fail(name + " diverges: live " + num(a) +
+                        ", replay " + num(b));
     }
     return std::nullopt;
 }
@@ -324,21 +284,15 @@ statsConserved(const ProcessorStats &s)
     // The processor chains the next trace's TC lookup into the
     // dispatch cycle, so a budget stop can leave exactly one counted
     // lookup whose trace never dispatched.
-    const std::uint64_t lookups = s.tcHits + s.pbHits + s.tcMisses;
-    if (lookups != s.traces && lookups != s.traces + 1)
-        return fail("tcHits " + num(s.tcHits) + " + pbHits " +
-                    num(s.pbHits) + " + tcMisses " + num(s.tcMisses) +
-                    " != traces fetched " + num(s.traces) +
-                    " (nor one in-flight lookup more)");
+    if (Violation v = supplyConserved(s, true))
+        return v;
     // The last dispatched trace gets no successor prediction, so the
     // predictor outcome counters cover at most traces - 1.
     if (s.ntpCorrect + s.ntpWrong + s.ntpNone > s.traces)
         return fail("next-trace predictor outcomes " +
                     num(s.ntpCorrect + s.ntpWrong + s.ntpNone) +
                     " exceed traces " + num(s.traces));
-    if (Violation v = icacheStatsSane(s.icache))
-        return v;
-    return preconStatsSane(s.precon);
+    return std::nullopt;
 }
 
 } // namespace tpre::check

@@ -25,6 +25,14 @@ Violation icacheStatsSane(const ICache::Stats &s);
 /** Conservation of the preconstruction engine's ledgers. */
 Violation preconStatsSane(const PreconstructionEngine::Stats &s);
 
+/**
+ * Conservation shared by both simulators: every trace probe counted
+ * exactly once (tcHits + pbHits + tcMisses == traces, or one more
+ * when @p inFlightLookup allows a counted probe whose trace has not
+ * been dispatched yet), and sane I-cache and engine ledgers.
+ */
+Violation supplyConserved(const SupplyStats &s, bool inFlightLookup);
+
 /** Conservation across a finished FastSim run. */
 Violation statsConserved(const FastSimStats &s);
 

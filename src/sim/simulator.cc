@@ -30,39 +30,35 @@ namespace
             TPRE_OBS_COUNT(name, tprePublishN_);                    \
     } while (0)
 
-std::uint64_t
-capacityEvictions(const ProvenanceTable &prov)
-{
-    return prov.of(TraceOrigin::FillUnit).evictCapacity +
-           prov.of(TraceOrigin::Precon).evictCapacity;
-}
-
+/**
+ * The trace-cache, buffer and engine families of one trace supply.
+ * Every trace probes the cache once, and every miss of a supply
+ * with preconstruction probes the buffers; a buffer hit is one of
+ * those.
+ */
 void
-publishEngine(const PreconstructionEngine::Stats &st)
+publishSupply(const SupplyStats &st, bool precon)
 {
-    TPRE_PUBLISH_COUNT("pb.hits", st.bufferHits);
-    TPRE_PUBLISH_COUNT("precon.start_points", st.startPointsPushed);
-    TPRE_PUBLISH_COUNT("precon.regions_started", st.regionsStarted);
-    TPRE_PUBLISH_COUNT("precon.traces_constructed",
-                       st.tracesConstructed);
-    TPRE_PUBLISH_COUNT("precon.traces_buffered", st.tracesBuffered);
-    TPRE_PUBLISH_COUNT("precon.lines_fetched", st.linesFetched);
-}
-
-/** The trace-cache, buffer and engine families of one frontend. */
-void
-publishFrontend(const FastSimStats &st, bool precon)
-{
-    TPRE_PUBLISH_COUNT("tcache.probes", st.traces);
+    TPRE_PUBLISH_COUNT("tcache.probes",
+                       st.tcHits + st.tcMisses + st.pbHits);
     TPRE_PUBLISH_COUNT("tcache.hits", st.tcHits);
     TPRE_PUBLISH_COUNT("tcache.fills", st.tcMisses + st.pbHits);
-    TPRE_PUBLISH_COUNT("tcache.evictions",
-                       capacityEvictions(st.provenance));
-    // Every miss of a frontend with preconstruction probes the
-    // buffers; a buffer hit is one of those.
+    TPRE_PUBLISH_COUNT(
+        "tcache.evictions",
+        st.provenance.of(TraceOrigin::FillUnit).evictCapacity +
+            st.provenance.of(TraceOrigin::Precon).evictCapacity);
     if (precon)
         TPRE_PUBLISH_COUNT("pb.probes", st.tcMisses + st.pbHits);
-    publishEngine(st.precon);
+    TPRE_PUBLISH_COUNT("pb.hits", st.precon.bufferHits);
+    TPRE_PUBLISH_COUNT("precon.start_points",
+                       st.precon.startPointsPushed);
+    TPRE_PUBLISH_COUNT("precon.regions_started",
+                       st.precon.regionsStarted);
+    TPRE_PUBLISH_COUNT("precon.traces_constructed",
+                       st.precon.tracesConstructed);
+    TPRE_PUBLISH_COUNT("precon.traces_buffered",
+                       st.precon.tracesBuffered);
+    TPRE_PUBLISH_COUNT("precon.lines_fetched", st.precon.linesFetched);
 }
 
 /** The fill families of one trace stream, however many frontends
@@ -87,17 +83,7 @@ void
 publishTiming(const TraceProcessor &proc, const ProcessorConfig &cfg)
 {
     const ProcessorStats &st = proc.stats();
-    // A buffer promotion probes the trace cache again for the
-    // stored image, and that probe hits.
-    TPRE_PUBLISH_COUNT("tcache.probes",
-                       st.tcHits + st.tcMisses + 2 * st.pbHits);
-    TPRE_PUBLISH_COUNT("tcache.hits", st.tcHits + st.pbHits);
-    TPRE_PUBLISH_COUNT("tcache.fills", st.tcMisses + st.pbHits);
-    TPRE_PUBLISH_COUNT("tcache.evictions",
-                       capacityEvictions(st.provenance));
-    if (cfg.preconEnabled)
-        TPRE_PUBLISH_COUNT("pb.probes", st.tcMisses + st.pbHits);
-    publishEngine(st.precon);
+    publishSupply(st, cfg.preconEnabled);
     publishStream(proc.instsSegmented(), proc.tracesSegmented());
     publishNtp(st.ntpCorrect + st.ntpWrong + st.ntpNone, st.traces);
     // Each preprocessed trace runs every enabled pass once, so a
@@ -116,10 +102,13 @@ publishTiming(const TraceProcessor &proc, const ProcessorConfig &cfg)
 
 #undef TPRE_PUBLISH_COUNT
 
-} // namespace
-
+/**
+ * The SimResult fields both modes map alike from their supply
+ * counters. The miss rate is left to the caller: each mode keeps its
+ * own floating-point expression for it.
+ */
 SimResult
-makeFastResult(const SimConfig &config, const FastSimStats &st)
+supplyResult(const SimConfig &config, const SupplyStats &st)
 {
     SimResult result;
     result.config = config;
@@ -128,13 +117,28 @@ makeFastResult(const SimConfig &config, const FastSimStats &st)
     result.traces = st.traces;
     result.tcMisses = st.tcMisses;
     result.pbHits = st.pbHits;
-    result.missesPerKi = st.missesPerKiloInst();
     const double ki = static_cast<double>(st.instructions) / 1000.0;
     if (ki > 0) {
         result.icacheSupplyPerKi =
             static_cast<double>(st.slowPathInsts) / ki;
         result.icacheMissesPerKi =
             static_cast<double>(st.icache.totalMisses()) / ki;
+    }
+    result.precon = st.precon;
+    result.provenance = st.provenance;
+    result.attrib = st.attrib;
+    return result;
+}
+
+} // namespace
+
+SimResult
+makeFastResult(const SimConfig &config, const FastSimStats &st)
+{
+    SimResult result = supplyResult(config, st);
+    result.missesPerKi = st.missesPerKiloInst();
+    const double ki = static_cast<double>(st.instructions) / 1000.0;
+    if (ki > 0) {
         result.icacheMissSupplyPerKi =
             static_cast<double>(st.slowPathInstsFromMisses) / ki;
         result.coverage =
@@ -142,9 +146,6 @@ makeFastResult(const SimConfig &config, const FastSimStats &st)
                                 st.slowPathInsts) /
             static_cast<double>(st.instructions);
     }
-    result.precon = st.precon;
-    result.provenance = st.provenance;
-    result.attrib = st.attrib;
     result.blocksDecoded = st.blocks.decoded;
     result.blockHits = st.blocks.hits;
     result.blockInvalidations = st.blocks.invalidations;
@@ -155,14 +156,15 @@ SimResult
 makeSampledResult(const SimConfig &config,
                   const sample::SampledRun &run)
 {
+    // The ledgers stay raw, not extrapolated: they are internally
+    // conserved (preconStatsSane) and cover the detailed portions
+    // only. A sampled run overwrites every count and rate.
+    SimResult result = makeFastResult(config, run.raw);
     if (!run.sampled) {
-        SimResult result = makeFastResult(config, run.raw);
         result.sampleFallback = run.fallback;
         return result;
     }
 
-    SimResult result;
-    result.config = config;
     result.sampled = true;
     result.sampleWindows = run.windows;
     result.sampledInsts = run.sampledInsts;
@@ -193,15 +195,6 @@ makeSampledResult(const SimConfig &config,
     result.ci95MissesPerKi = run.missesPerKi.ci95;
     result.ci95Coverage = run.coverage.ci95;
     result.ci95IcacheMissesPerKi = run.icacheMissesPerKi.ci95;
-
-    // Raw, not extrapolated: these ledgers are internally conserved
-    // (preconStatsSane) and cover the detailed portions only.
-    result.precon = run.raw.precon;
-    result.provenance = run.raw.provenance;
-    result.attrib = run.raw.attrib;
-    result.blocksDecoded = run.raw.blocks.decoded;
-    result.blockHits = run.raw.blocks.hits;
-    result.blockInvalidations = run.raw.blocks.invalidations;
     return result;
 }
 
@@ -228,7 +221,7 @@ replayTrace(const std::string &tptPath, SimConfig config)
         fatal("replay %s: %s", tptPath.c_str(),
               frontend.error().c_str());
 
-    publishFrontend(rs.fast, fastConfig.preconEnabled);
+    publishSupply(rs.fast, fastConfig.preconEnabled);
     publishStream(rs.fast.instructions, rs.fast.traces - rs.flushes,
                   rs.flushes);
     publishNtp(rs.ntpPredictions, rs.fast.traces);
@@ -386,7 +379,7 @@ Simulator::warmCheckpoint(const SimConfig &config,
         wcfg.selection = config.selection;
         FastSim warmSim(wl.program, wcfg);
         warmSim.runUntil(config.warmupInsts);
-        publishFrontend(warmSim.syncStats(), false);
+        publishSupply(warmSim.syncStats(), false);
         publishStream(warmSim.instsExecuted(), warmSim.stats().traces);
         entry->checkpoint = std::make_shared<const mem::Checkpoint>(
             warmSim.checkpoint(mem::CheckpointKind::Functional));
@@ -451,7 +444,7 @@ Simulator::runGroup(const std::vector<SimConfig> &configs)
     std::vector<SimResult> results;
     results.reserve(configs.size());
     for (std::size_t i = 0; i < configs.size(); ++i) {
-        publishFrontend(stats[i], fastConfigs[i].preconEnabled);
+        publishSupply(stats[i], fastConfigs[i].preconEnabled);
         SimResult &result =
             results.emplace_back(makeFastResult(configs[i], stats[i]));
         finishResult(result, configs[i], rowSeconds, warmRun,
@@ -534,7 +527,7 @@ Simulator::run(const SimConfig &config)
         }
         // Sampled rows publish the detailed portions only: the raw
         // stats, and the instructions not fast-forwarded.
-        publishFrontend(sim.stats(), fcfg.preconEnabled);
+        publishSupply(sim.stats(), fcfg.preconEnabled);
         publishStream(sim.instsExecuted() - coreStart - skipped,
                       sim.stats().traces);
 
@@ -556,26 +549,13 @@ Simulator::run(const SimConfig &config)
         TraceProcessor proc(wl->program, pcfg);
         const ProcessorStats &st = proc.run(config.maxInsts);
         publishTiming(proc, pcfg);
-        result.instructions = st.instructions;
-        result.cycles = st.cycles;
-        result.ipc = st.ipc();
-        result.traces = st.traces;
-        result.tcMisses = st.tcMisses;
-        result.pbHits = st.pbHits;
+        result = supplyResult(config, st);
         const double ki =
             static_cast<double>(st.instructions) / 1000.0;
-        if (ki > 0) {
-            result.missesPerKi =
-                static_cast<double>(st.tcMisses) / ki;
-            result.icacheSupplyPerKi =
-                static_cast<double>(st.slowPathInsts) / ki;
-            result.icacheMissesPerKi =
-                static_cast<double>(st.icache.totalMisses()) / ki;
-        }
-        result.precon = st.precon;
+        if (ki > 0)
+            result.missesPerKi = static_cast<double>(st.tcMisses) / ki;
+        result.ipc = st.ipc();
         result.prep = st.prep;
-        result.provenance = st.provenance;
-        result.attrib = st.attrib;
     }
 
     finishResult(result, config, secondsSince(start), warmRun,

@@ -99,27 +99,6 @@ checkSegmented([[maybe_unused]] const Trace &trace,
 
 } // namespace
 
-LineWalk
-fetchTraceLines(ICache &icache, const Trace &trace)
-{
-    LineWalk walk;
-    Addr cur_line = invalidAddr;
-    bool line_missed = false;
-    for (const TraceInst &ti : trace.insts) {
-        const Addr line = icache.lineAddr(ti.pc);
-        if (line != cur_line) {
-            const ICache::AccessResult res =
-                icache.fetchLine(line, false);
-            line_missed = !res.hit;
-            if (line_missed)
-                walk.missLatency += res.latency;
-            cur_line = line;
-        }
-        walk.instsFromMisses += line_missed;
-    }
-    return walk;
-}
-
 // ------------------------------------------------------------------
 // TraceStream
 
@@ -283,19 +262,13 @@ TraceStream::restore(mem::ByteReader &r)
 FastFrontend::FastFrontend(const Program &program,
                            const FastSimConfig &config)
     : config_(config),
-      traceCache_(config.traceCacheEntries, config.traceCacheAssoc),
-      icache_(config.icache),
-      bimodal_(16 * 1024)
-{
-    if (config_.preconEnabled) {
-        config_.precon.policy.selection = config_.selection;
-        engine_ = std::make_unique<PreconstructionEngine>(
-            program, icache_, bimodal_, traceCache_, config_.precon);
-    }
-}
+      supply_(program, config.traceCacheEntries, config.traceCacheAssoc,
+              config.icache, config.selection,
+              config.preconEnabled ? &config.precon : nullptr, nullptr)
+{}
 
 void
-FastFrontend::processTrace(Trace &trace)
+FastFrontend::processTrace(Trace &trace, bool partial)
 {
     ++stats_.traces;
     stats_.instructions += trace.len();
@@ -304,25 +277,14 @@ FastFrontend::processTrace(Trace &trace)
         seenTraces_.insert(trace.id).second)
         ++stats_.traceWorkingSet;
 
-    traceCache_.advanceTo(stats_.cycles);
-    const Trace *stored = traceCache_.lookup(trace.id);
-    const bool hit = stored != nullptr;
-    bool pb_hit = false;
-    if (!hit && engine_) {
-        const Trace *buffered = engine_->lookupBuffer(trace.id);
-        if (buffered) {
-            // Copy the preconstructed trace into the trace cache
-            // and free the buffer entry (Section 3.1). insert()
-            // hands back the stored image directly, so the served
-            // trace needs no second probe; servedAtInsert makes
-            // the provenance ledger count the serve as the line's
-            // first use (its latency is the engine's lead time).
-            stored = traceCache_.insert(*buffered,
-                                        /*servedAtInsert=*/true);
-            engine_->consumeHit(trace.id);
-            pb_hit = true;
-        }
-    }
+    // A TraceId does not carry the length, so a partial trace can
+    // name a longer stored one; it is decided before the probe,
+    // which records a provenance use when it hits.
+    const Trace *stored = nullptr;
+    if (partial)
+        ++stats_.tcMisses;
+    else
+        stored = supply_.probe(trace, stats_.cycles, stats_);
 
     // The stored image must carry exactly the instructions the
     // architectural path demands.
@@ -335,77 +297,41 @@ FastFrontend::processTrace(Trace &trace)
         config_.hooks.onTrace(trace, stored ? *stored : trace,
                               stored != nullptr);
 
-    // Train the slow-path branch predictor on the committed
-    // outcomes and feed the dispatch-stream monitor, from the trace
-    // body and before the body is donated to the trace cache below.
-    // The commit events touch only bimodal_ and the engine's
-    // dispatch state, which the icache/trace-cache section neither
-    // reads nor writes, and follow the buffer probe above (the one
-    // engine interaction that must precede them).
-    for (const TraceInst &ti : trace.insts) {
-        if (ti.inst.isCondBranch())
-            bimodal_.update(ti.pc, ti.taken);
-        // The dispatch monitor reads only pc/inst/taken, all
-        // embedded in the trace: the stored outcome equals the
-        // committed one for conditional branches, and the
-        // start-point heuristics ignore it everywhere else.
-        if (engine_)
-            engine_->observeCommit(ti.pc, ti.inst, ti.taken);
-    }
+    // Training touches only the predictor and the engine's
+    // dispatch state, which the slow path neither reads nor writes;
+    // it must follow the buffer probe above.
+    supply_.train(trace);
 
-    Cycle trace_cycles = 0;
-    bool slow_path_busy = false;
-
-    if (hit || pb_hit) {
+    Cycle trace_cycles;
+    if (stored) {
         // Dispatch takes one cycle; the backend drains the trace
         // at the assumed retire rate.
         trace_cycles = std::max<Cycle>(
             1, static_cast<Cycle>(trace.len() / config_.assumedIpc));
-        if (hit)
-            ++stats_.tcHits;
-        else
-            ++stats_.pbHits;
     } else {
-        ++stats_.tcMisses;
-        TPRE_TRACE_INSTANT("tcache", "miss", obs::Domain::Cycles,
-                           stats_.cycles, trace.len());
-        slow_path_busy = true;
-
-        // Slow path: fetch the trace's instructions through the
-        // I-cache at slowFetchWidth per cycle, stalling for L2 on
-        // line misses, while the fill unit assembles the trace.
-        const LineWalk walk = fetchTraceLines(icache_, trace);
-        trace_cycles =
-            (trace.len() + config_.slowFetchWidth - 1) /
-                config_.slowFetchWidth +
-            walk.missLatency;
-        stats_.slowPathInstsFromMisses += walk.instsFromMisses;
-        stats_.slowPathInsts += trace.len();
+        // Slow path: the fill unit assembles the trace while the
+        // I-cache supplies it.
+        const SlowFetch fetch =
+            supply_.slowFetch(trace, config_.slowFetchWidth, stats_);
+        trace_cycles = fetch.cycles;
+        stats_.slowPathInstsFromMisses += fetch.instsFromMisses;
         TPRE_TRACE_COMPLETE("fill", "slow_build", obs::Domain::Cycles,
                             stats_.cycles, trace_cycles, trace.len());
 
         // The slow path finishes assembling the trace trace_cycles
-        // from now; stamp that as the build cycle of this
-        // frontend's copy.
-        trace.buildCycle = stats_.cycles + trace_cycles;
-        traceCache_.insert(trace);
+        // from now.
+        supply_.fill(trace, stats_.cycles + trace_cycles);
     }
 
     stats_.cycles += trace_cycles;
-
-    if (engine_)
-        engine_->tick(trace_cycles, !slow_path_busy);
+    supply_.tick(trace_cycles, stored != nullptr);
 }
 
 const FastSimStats &
 FastFrontend::syncStats(const BlockCache &blocks)
 {
-    stats_.icache = icache_.stats();
-    if (engine_)
-        stats_.precon = engine_->stats();
+    supply_.syncStats(stats_);
     stats_.blocks = blocks.stats();
-    stats_.provenance = traceCache_.provenance();
-    stats_.attrib = traceCache_.attrib();
     return stats_;
 }
 
@@ -421,14 +347,9 @@ FastFrontend::finishRun(const BlockCache &blocks)
 void
 FastFrontend::save(mem::ByteWriter &w, mem::CheckpointKind kind) const
 {
-    bimodal_.save(w);
+    supply_.save(w, kind);
     if (kind != mem::CheckpointKind::Full)
         return;
-    w.put(engine_ != nullptr);
-    icache_.save(w);
-    traceCache_.save(w);
-    if (engine_)
-        engine_->save(w);
     w.put(stats_);
     w.put<std::uint32_t>(static_cast<std::uint32_t>(seenTraces_.size()));
     for (const TraceId &id : seenTraces_)
@@ -438,7 +359,7 @@ FastFrontend::save(mem::ByteWriter &w, mem::CheckpointKind kind) const
 void
 FastFrontend::restore(mem::ByteReader &r, mem::CheckpointKind kind)
 {
-    bimodal_.restore(r);
+    supply_.restore(r, kind);
     if (kind == mem::CheckpointKind::Functional) {
         // Functional forks inherit only the stream state; the
         // fork's own statistics start from zero (SMARTS-style
@@ -450,17 +371,6 @@ FastFrontend::restore(mem::ByteReader &r, mem::CheckpointKind kind)
         }
         return;
     }
-    const bool hasEngine = r.get<bool>();
-    if (hasEngine != (engine_ != nullptr)) {
-        fatal("FastSim::forkFrom: checkpoint %s a preconstruction "
-              "engine but this simulator %s one",
-              hasEngine ? "has" : "lacks",
-              engine_ ? "has" : "lacks");
-    }
-    icache_.restore(r);
-    traceCache_.restore(r);
-    if (engine_)
-        engine_->restore(r);
     stats_ = r.get<FastSimStats>();
     seenTraces_.clear();
     const auto numSeen = r.get<std::uint32_t>();
@@ -485,11 +395,11 @@ FastSim::FastSim(const Program &program, FastSimConfig config)
 FastSim::~FastSim() = default;
 
 void
-FastSim::serve(Trace *trace)
+FastSim::serve(Trace *trace, bool partial)
 {
     if (!trace)
         return;
-    frontend_.processTrace(*trace);
+    frontend_.processTrace(*trace, partial);
     if (const auto &onCommit = frontend_.config().hooks.onCommit) {
         for (const DynInst &dyn : stream_.window())
             onCommit(dyn);
@@ -528,7 +438,7 @@ FastSim::replay(DynInstSource &source, InstCount maxInsts)
     while (frontend_.stats().instructions < maxInsts &&
            source.next(dyn))
         serve(stream_.commit(dyn));
-    serve(stream_.flush());
+    serve(stream_.flush(), true);
     return frontend_.finishRun(stream_.blockCache());
 }
 

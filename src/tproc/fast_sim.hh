@@ -23,15 +23,12 @@
 #include <unordered_set>
 #include <vector>
 
-#include "bpred/bimodal.hh"
-#include "cache/icache.hh"
 #include "check/hooks.hh"
 #include "func/block_cache.hh"
 #include "func/core.hh"
 #include "mem/checkpoint.hh"
-#include "precon/engine.hh"
+#include "tproc/trace_supply.hh"
 #include "trace/fill_unit.hh"
-#include "trace/trace_cache.hh"
 
 namespace tpre
 {
@@ -66,32 +63,12 @@ struct FastSimConfig
 };
 
 /** Results of a fast frontend simulation. */
-struct FastSimStats
+struct FastSimStats : SupplyStats
 {
-    InstCount instructions = 0;
-    Cycle cycles = 0;
-    std::uint64_t traces = 0;
-    std::uint64_t tcHits = 0;
-    /** Hits served from a preconstruction buffer (copied to TC). */
-    std::uint64_t pbHits = 0;
-    /** Misses of the combined TC + preconstruction buffers. */
-    std::uint64_t tcMisses = 0;
-    /** Instructions supplied by the I-cache (Table 1). */
-    std::uint64_t slowPathInsts = 0;
     /** Instructions supplied by I-cache *misses* (Table 3). */
     std::uint64_t slowPathInstsFromMisses = 0;
-    ICache::Stats icache;
-    PreconstructionEngine::Stats precon;
     /** Distinct trace identities (when tracking is enabled). */
     std::uint64_t traceWorkingSet = 0;
-    /** Per-origin trace-cache line provenance (copied at run end). */
-    ProvenanceTable provenance;
-    /**
-     * Reuse attribution (origin × loop-class cells with inst-type
-     * histograms; copied at run end). All zeros when attribution is
-     * inactive (TPRE_OBS_DISABLED build or TPRE_ATTRIB=0).
-     */
-    AttribTable attrib;
     /**
      * The stream's block-cache counters (decoded/hits/
      * invalidations). Host-side bookkeeping like wallSeconds: they
@@ -124,17 +101,6 @@ class DynInstSource
 };
 
 class FastFrontend;
-
-/** Summed miss latency, and instructions the missed lines supplied. */
-struct LineWalk
-{
-    Cycle missLatency = 0;
-    unsigned instsFromMisses = 0;
-};
-
-/** Fetch @p trace's I-cache lines in path order, one access per run
- *  of instructions on a line: both simulators' slow path. */
-LineWalk fetchTraceLines(ICache &icache, const Trace &trace);
 
 /**
  * The one source of segmented traces (DESIGN.md section 5): the
@@ -243,10 +209,12 @@ class TraceStream
 };
 
 /**
- * The config-shaped half of FastSim (DESIGN.md section 5): trace
- * cache, preconstruction buffers and engine, I-cache, the slow-path
- * bimodal predictor and the statistics. It consumes the traces a
- * TraceStream segments and feeds nothing back into it.
+ * The config-shaped half of FastSim (DESIGN.md section 5): a
+ * TraceSupply (trace cache, preconstruction buffers and engine,
+ * I-cache, slow-path bimodal predictor) under a fixed-bandwidth
+ * cycle model, with working-set tracking and the statistics. It
+ * consumes the traces a TraceStream segments and feeds nothing
+ * back into it.
  */
 class FastFrontend
 {
@@ -262,9 +230,11 @@ class FastFrontend
      * tick the engine. On a miss the frontend stamps
      * trace.buildCycle just before filling its trace cache; it
      * writes no other field and reads no stamp, so frontends that
-     * share one trace cannot see each other.
+     * share one trace cannot see each other. A @p partial trace (a
+     * replay's final flush) may share its id with a longer stored
+     * trace, so it skips the probe and takes the slow path.
      */
-    void processTrace(Trace &trace);
+    void processTrace(Trace &trace, bool partial = false);
 
     /**
      * Refresh the component statistics (I-cache, engine,
@@ -276,8 +246,9 @@ class FastFrontend
     const FastSimStats &finishRun(const BlockCache &blocks);
 
     /**
-     * Checkpoint the frontend: the predictor always, and for Full
-     * checkpoints the caches, the engine and the statistics too.
+     * Checkpoint the frontend: the supply's predictor always, and
+     * for Full checkpoints the rest of the supply and the
+     * statistics too.
      */
     void save(mem::ByteWriter &w, mem::CheckpointKind kind) const;
     /** Mirror of save(); a Functional restore zeroes the stats. */
@@ -285,16 +256,14 @@ class FastFrontend
 
     const FastSimConfig &config() const { return config_; }
     const FastSimStats &stats() const { return stats_; }
-    const TraceCache &traceCache() const { return traceCache_; }
+    const TraceCache &traceCache() const
+    { return supply_.traceCache(); }
     const PreconstructionEngine *engine() const
-    { return engine_.get(); }
+    { return supply_.engine(); }
 
   private:
     FastSimConfig config_;
-    TraceCache traceCache_;
-    ICache icache_;
-    BimodalPredictor bimodal_;
-    std::unique_ptr<PreconstructionEngine> engine_;
+    TraceSupply supply_;
     /**
      * Working-set tracking keys on the *full* trace identity, not
      * its 64-bit hash: a hash collision between distinct ids would
@@ -399,7 +368,7 @@ class FastSim
   private:
     /** Let the frontend process @p trace, if any, then hand its
      *  commit window to the onCommit hook. */
-    void serve(Trace *trace);
+    void serve(Trace *trace, bool partial = false);
 
     const Program &program_;
     TraceStream stream_;

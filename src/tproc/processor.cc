@@ -14,29 +14,14 @@ namespace tpre
 TraceProcessor::TraceProcessor(const Program &program,
                                ProcessorConfig config)
     : config_(config), stream_(program, config.selection, true),
-      traceCache_(config.traceCacheEntries, config.traceCacheAssoc),
-      icache_(config.icache), ntp_(config.ntp),
-      backend_(config.backend)
-{
-    if (config_.preconEnabled) {
-        config_.precon.policy.selection = config_.selection;
-        engine_ = std::make_unique<PreconstructionEngine>(
-            program, icache_, bimodal_, traceCache_,
-            config_.precon);
-    }
-    if (config_.prepEnabled)
-        prep_ = std::make_unique<Preprocessor>(config_.prep);
-}
+      supply_(program, config.traceCacheEntries, config.traceCacheAssoc,
+              config.icache, config.selection,
+              config.preconEnabled ? &config.precon : nullptr,
+              config.prepEnabled ? &config.prep : nullptr),
+      ntp_(config.ntp), backend_(config.backend)
+{}
 
 TraceProcessor::~TraceProcessor() = default;
-
-Trace
-TraceProcessor::prepared(Trace trace)
-{
-    if (prep_)
-        prep_->process(trace);
-    return trace;
-}
 
 void
 TraceProcessor::advanceOracle()
@@ -73,34 +58,26 @@ TraceProcessor::commitCompleted()
 Cycle
 TraceProcessor::slowFetch(const PendingTrace &pending)
 {
-    // Fetch at slowFetchWidth, stalling on the I-cache line misses
-    // along the trace's path.
-    const Trace &trace = pending.trace;
-    Cycle cycles = (trace.len() + config_.slowFetchWidth - 1) /
-                       config_.slowFetchWidth +
-                   fetchTraceLines(icache_, trace).missLatency;
-    stats_.slowPathInsts += trace.len();
+    Cycle cycles =
+        supply_.slowFetch(pending.trace, config_.slowFetchWidth, stats_)
+            .cycles;
 
     // Conventional prediction drives the slow path: bimodal for
     // conditional branches, RAS for returns, BTB for other
     // indirect jumps. Each wrong prediction stalls fetch.
     for (const DynInst &dyn : pending.window) {
+        bool wrong = false;
         if (dyn.inst.isCondBranch()) {
-            if (bimodal_.predict(dyn.pc) != dyn.taken) {
-                cycles += config_.slowMispredictPenalty;
-                ++stats_.slowMispredicts;
-            }
+            wrong = supply_.bimodal().predict(dyn.pc) != dyn.taken;
         } else if (dyn.inst.isReturn()) {
-            if (ras_.pop() != dyn.nextPc) {
-                cycles += config_.slowMispredictPenalty;
-                ++stats_.slowMispredicts;
-            }
+            wrong = ras_.pop() != dyn.nextPc;
         } else if (dyn.inst.isIndirectJump()) {
-            if (btb_.predict(dyn.pc) != dyn.nextPc) {
-                cycles += config_.slowMispredictPenalty;
-                ++stats_.slowMispredicts;
-            }
+            wrong = btb_.predict(dyn.pc) != dyn.nextPc;
             btb_.update(dyn.pc, dyn.nextPc);
+        }
+        if (wrong) {
+            cycles += config_.slowMispredictPenalty;
+            ++stats_.slowMispredicts;
         }
         if (dyn.inst.isCall())
             ras_.push(Instruction::fallThrough(dyn.pc));
@@ -115,31 +92,8 @@ TraceProcessor::doLookup()
 {
     tpre_assert(!oracle_.empty());
     syncEngine(now_ - 1);
-    const PendingTrace &front = oracle_.front();
-    const TraceId &id = front.trace.id;
-
-    traceCache_.advanceTo(now_);
-    const Trace *stored = traceCache_.lookup(id);
-    bool pb = false;
-    if (!stored && engine_) {
-        if (const Trace *buffered = engine_->lookupBuffer(id)) {
-            traceCache_.insert(prepared(*buffered));
-            engine_->consumeHit(id);
-            stored = traceCache_.lookup(id);
-            pb = true;
-        }
-    }
-
-    if (stored) {
-        if (pb)
-            ++stats_.pbHits;
-        else
-            ++stats_.tcHits;
-    } else {
-        ++stats_.tcMisses;
-        TPRE_TRACE_INSTANT("tcache", "miss", obs::Domain::Cycles,
-                           now_, front.trace.len());
-    }
+    PendingTrace &front = oracle_.front();
+    const Trace *stored = supply_.probe(front.trace, now_, stats_);
 
     const bool knows_target =
         predValidForFront_ || afterResolve_;
@@ -156,13 +110,10 @@ TraceProcessor::doLookup()
         slowBusyUntil_ = std::max(slowBusyUntil_, fetchReadyAt_);
         fetchWasSlow_ = true;
         dispatchTrace_ = front.trace;
-        if (!stored) {
-            Trace filled = prepared(front.trace);
-            // The fill unit finishes assembling the line when the
-            // slow fetch completes.
-            filled.buildCycle = fetchReadyAt_;
-            traceCache_.insert(std::move(filled));
-        }
+        // The fill unit finishes assembling the line when the slow
+        // fetch completes.
+        if (!stored)
+            supply_.fill(front.trace, fetchReadyAt_);
     }
     afterResolve_ = false;
     fetchState_ = FetchState::WaitReady;
@@ -193,12 +144,9 @@ TraceProcessor::dispatchFront()
 
     // Train the slow-path structures and feed the dispatch-stream
     // monitor with the dispatched instructions.
-    for (const DynInst &dyn : front.window) {
-        if (dyn.inst.isCondBranch())
-            bimodal_.update(dyn.pc, dyn.taken);
-        if (engine_)
-            engine_->observeCommit(dyn.pc, dyn.inst, dyn.taken);
-        if (config_.hooks.onCommit)
+    supply_.train(front.trace);
+    if (config_.hooks.onCommit) {
+        for (const DynInst &dyn : front.window)
             config_.hooks.onCommit(dyn);
     }
 
@@ -345,7 +293,7 @@ TraceProcessor::nextCycle() const
 void
 TraceProcessor::syncEngine(Cycle upTo)
 {
-    if (!engine_ || upTo <= engineNow_)
+    if (!supply_.engine() || upTo <= engineNow_)
         return;
     // The I-cache port is free for the engine in cycle c iff
     // c >= slowBusyUntil_, which only doLookup() moves, after a
@@ -353,11 +301,11 @@ TraceProcessor::syncEngine(Cycle upTo)
     // cycle-by-cycle loop gave it.
     if (engineNow_ + 1 < slowBusyUntil_) {
         const Cycle busy_end = std::min(upTo, slowBusyUntil_ - 1);
-        engine_->tick(busy_end - engineNow_, false);
+        supply_.tick(busy_end - engineNow_, false);
         engineNow_ = busy_end;
     }
     if (upTo > engineNow_) {
-        engine_->tick(upTo - engineNow_, true);
+        supply_.tick(upTo - engineNow_, true);
         engineNow_ = upTo;
     }
 }
@@ -380,14 +328,10 @@ TraceProcessor::run(InstCount maxInsts)
     }
     syncEngine(now_);
     stats_.cycles = now_;
-    stats_.icache = icache_.stats();
+    supply_.syncStats(stats_);
     stats_.backend = backend_.stats();
-    stats_.provenance = traceCache_.provenance();
-    stats_.attrib = traceCache_.attrib();
-    if (engine_)
-        stats_.precon = engine_->stats();
-    if (prep_)
-        stats_.prep = prep_->stats();
+    if (supply_.prep())
+        stats_.prep = supply_.prep()->stats();
     tpre_check_run(check::enforce(check::statsConserved(stats_),
                                   "TraceProcessor end of run"));
     return stats_;

@@ -23,19 +23,14 @@
 
 #include <array>
 #include <deque>
-#include <memory>
 
-#include "bpred/bimodal.hh"
 #include "bpred/btb.hh"
 #include "bpred/next_trace.hh"
 #include "bpred/ras.hh"
-#include "cache/icache.hh"
 #include "check/hooks.hh"
-#include "precon/engine.hh"
-#include "prep/preprocessor.hh"
 #include "tproc/backend.hh"
 #include "tproc/fast_sim.hh"
-#include "trace/trace_cache.hh"
+#include "tproc/trace_supply.hh"
 
 namespace tpre
 {
@@ -64,27 +59,14 @@ struct ProcessorConfig
 };
 
 /** Timing-mode statistics. */
-struct ProcessorStats
+struct ProcessorStats : SupplyStats
 {
-    InstCount instructions = 0;
-    Cycle cycles = 0;
-    std::uint64_t traces = 0;
-    std::uint64_t tcHits = 0;
-    std::uint64_t pbHits = 0;
-    std::uint64_t tcMisses = 0;
     std::uint64_t ntpCorrect = 0;
     std::uint64_t ntpWrong = 0;
     std::uint64_t ntpNone = 0;
-    std::uint64_t slowPathInsts = 0;
     std::uint64_t slowMispredicts = 0;
-    ICache::Stats icache;
     TimingBackend::Stats backend;
-    PreconstructionEngine::Stats precon;
     Preprocessor::Stats prep;
-    /** Per-origin trace-cache line provenance (copied at run end). */
-    ProvenanceTable provenance;
-    /** Reuse attribution (zeros when inactive); see FastSimStats. */
-    AttribTable attrib;
 
     double
     ipc() const
@@ -109,7 +91,11 @@ class TraceProcessor
     const ProcessorStats &stats() const { return stats_; }
 
     /** The primary trace cache (provenance reconciliation). */
-    const TraceCache &traceCache() const { return traceCache_; }
+    const TraceCache &traceCache() const
+    { return supply_.traceCache(); }
+    /** The preconstruction engine, or null. */
+    const PreconstructionEngine *engine() const
+    { return supply_.engine(); }
 
     /** Instructions the oracle's stream has segmented. */
     InstCount instsSegmented() const
@@ -186,19 +172,14 @@ class TraceProcessor
     void dispatchFront();
     /** Slow-path fetch cycles for the front trace (with stats). */
     Cycle slowFetch(const PendingTrace &pending);
-    Trace prepared(Trace trace);
 
     ProcessorConfig config_;
     TraceStream stream_;
-    TraceCache traceCache_;
-    ICache icache_;
-    BimodalPredictor bimodal_;
+    TraceSupply supply_;
     Btb btb_;
     ReturnAddressStack ras_;
     NextTracePredictor ntp_;
     TimingBackend backend_;
-    std::unique_ptr<PreconstructionEngine> engine_;
-    std::unique_ptr<Preprocessor> prep_;
 
     OracleQueue oracle_;
     /** The trace image to dispatch for the front pending trace. */

@@ -733,7 +733,7 @@ TEST(RowCountersTest, FamiliesMoveByTheRecordedRowDeltas)
          {12783, 5535, 7248, 6800, 2443, 379, 60008, 4261, 0, 0, 0,
           580, 565, 4268, 3908, 2114, 0, 0, 0, 0}},
         {"timing",
-         {1653, 806, 847, 719, 847, 242, 20132, 1414, 0, 1410, 1410,
+         {1411, 564, 847, 719, 847, 242, 20132, 1414, 0, 1410, 1410,
           191, 189, 3784, 3401, 1394, 847, 242, 469, 5020}},
         {"sampled",
          {3682, 1642, 2040, 1912, 2040, 209, 52000, 3682, 0, 0, 0,

@@ -366,6 +366,76 @@ TEST(TraceCacheTest, ClearEmpties)
     EXPECT_EQ(tc.numValid(), 0u);
 }
 
+/**
+ * Promoting a buffered trace with insert(img, servedAtInsert=true)
+ * must be indistinguishable from insert(img) followed by
+ * lookup(id): the same lines stay resident after every step (so the
+ * same victims leave), and the provenance and attribution ledgers
+ * agree. The second form ticks the LRU clock once more, which keeps
+ * the order of every stamp, so victim choice cannot differ.
+ */
+TEST(TraceCacheTest, ServedAtInsertEqualsInsertThenLookup)
+{
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+        Rng rng(seed);
+        // Forty ids, some sharing a start PC, over 8 sets of 2 ways,
+        // with bodies of 1..4 instructions so attribution classes
+        // and instruction histograms vary.
+        std::vector<Trace> pool;
+        for (unsigned i = 0; i < 40; ++i) {
+            Trace t = makeTrace(0x1000 + 4 * (i / 2),
+                                static_cast<std::uint16_t>(i % 2), 1);
+            const unsigned extra = static_cast<unsigned>(rng.nextBelow(4));
+            for (unsigned k = 0; k < extra; ++k) {
+                const Addr pc = t.id.startPc + 4 * (k + 1);
+                t.insts.push_back({pc, k % 2 ? condBranch(-8) : alu(),
+                                   false, 0});
+            }
+            pool.push_back(t);
+        }
+        TraceCache served(16, 2);
+        TraceCache relooked(16, 2);
+        Cycle now = 0;
+        for (unsigned step = 0; step < 400; ++step) {
+            now += rng.nextBelow(5);
+            served.advanceTo(now);
+            relooked.advanceTo(now);
+            Trace t = pool[rng.nextIndex(pool.size())];
+            t.buildCycle = now > 3 ? now - rng.nextBelow(4) : 0;
+            switch (rng.nextBelow(3)) {
+              case 0: // demand fill
+                t.origin = TraceOrigin::FillUnit;
+                served.insert(t);
+                relooked.insert(t);
+                break;
+              case 1: // fetch
+                EXPECT_EQ(served.lookup(t.id) != nullptr,
+                          relooked.lookup(t.id) != nullptr);
+                break;
+              default: { // buffer promotion
+                t.origin = TraceOrigin::Precon;
+                const Trace *a = served.insert(t, true);
+                relooked.insert(t);
+                const Trace *b = relooked.lookup(t.id);
+                ASSERT_NE(b, nullptr);
+                EXPECT_EQ(a->id, b->id);
+                break;
+              }
+            }
+            for (const Trace &p : pool) {
+                ASSERT_EQ(served.contains(p.id), relooked.contains(p.id))
+                    << "seed " << seed << " step " << step;
+            }
+            ASSERT_EQ(renderProvenanceJson(served.provenance()),
+                      renderProvenanceJson(relooked.provenance()))
+                << "seed " << seed << " step " << step;
+            ASSERT_EQ(renderAttribJson(served.attrib()),
+                      renderAttribJson(relooked.attrib()))
+                << "seed " << seed << " step " << step;
+        }
+    }
+}
+
 // ---------------------------------------------------------------
 // FillUnit: segmentation of a real dynamic stream.
 // ---------------------------------------------------------------

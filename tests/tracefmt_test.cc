@@ -11,10 +11,12 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <vector>
 
 #include "check/fuzz.hh"
+#include "check/invariants.hh"
 #include "check/stats_check.hh"
 #include "func/core.hh"
 #include "sim/config.hh"
@@ -351,6 +353,58 @@ TEST(TptReplayTest, ReplayHonoursMaxInstsCutoff)
     ASSERT_TRUE(replay.ok()) << replay.error();
     EXPECT_LE(rs.fast.instructions, f.stream.size());
     EXPECT_LT(rs.fast.instructions, 100 + maxTraceLen);
+}
+
+/**
+ * A replay that ends mid-trace flushes a partial trace whose id can
+ * name a longer trace already in the trace cache (a TraceId carries
+ * no length). The flushed trace must take the slow path: no served
+ * image may differ from the demanded one. Replays a 60k gcc dump
+ * with shorter traces and a budget past the file's end, so every
+ * replay of the sweep ends in a flush.
+ */
+TEST(TptReplayTest, FlushedPartialTraceIsNeverServedALongerImage)
+{
+    SimConfig dump;
+    dump.benchmark = "gcc";
+    dump.maxInsts = 60'000;
+    dump.sampleEvery = dump.sampleWindow = dump.sampleWarmup = 0;
+    dump.traceCacheEntries = 128;
+    dump.preconBufferEntries = 128;
+    const std::string tpt =
+        ::testing::TempDir() + "tracefmt_test_partial_flush.tpt";
+    dump.tptDump = tpt;
+    Simulator sim;
+    sim.run(dump);
+
+    for (unsigned maxLen = 10; maxLen <= 15; ++maxLen) {
+        SimConfig cfg = dump;
+        cfg.tptDump.clear();
+        cfg.selection.maxLen = maxLen;
+        cfg.maxInsts = 2 * dump.maxInsts;
+
+        TptReader reader = TptReader::fromFile(tpt);
+        ASSERT_TRUE(reader.ok()) << reader.error();
+        FastSimConfig fcfg = cfg.toFastConfig();
+        std::uint64_t mismatches = 0;
+        std::uint64_t partialServed = 0;
+        fcfg.hooks.onTrace = [&](const Trace &demanded,
+                                 const Trace &served, bool stored) {
+            mismatches += check::tracesMatch(demanded, served) ? 1 : 0;
+            partialServed +=
+                stored && demanded.len() < maxLen &&
+                demanded.endReason == TraceEndReason::MaxLength;
+        };
+        ReplayFrontend replay(reader, fcfg);
+        const ReplayStats &rs = replay.run(cfg.maxInsts);
+        ASSERT_TRUE(replay.ok()) << replay.error();
+        EXPECT_EQ(rs.flushes, 1u) << "maxLen " << maxLen;
+        EXPECT_EQ(mismatches, 0u) << "maxLen " << maxLen;
+        EXPECT_EQ(partialServed, 0u) << "maxLen " << maxLen;
+        const check::Violation v = check::statsConserved(rs.fast);
+        EXPECT_FALSE(v.has_value()) << *v;
+    }
+    std::remove(tpt.c_str());
 }
 
 TEST(TptReplayDeathTest, ReplayTraceDiesCleanlyOnMissingFile)
