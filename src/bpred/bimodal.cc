@@ -24,7 +24,7 @@ void
 BimodalPredictor::save(mem::ByteWriter &w) const
 {
     w.put<std::uint64_t>(table_.size());
-    w.putBytes(table_.data(), table_.size());
+    w.putArray(table_.data(), table_.size());
 }
 
 void
@@ -36,7 +36,7 @@ BimodalPredictor::restore(mem::ByteReader &r)
               "match the configured %zu",
               static_cast<unsigned long long>(n), table_.size());
     }
-    r.getBytes(table_.data(), table_.size());
+    r.getArray(table_.data(), table_.size());
 }
 
 } // namespace tpre

@@ -21,7 +21,7 @@ PrefetchCache::save(mem::ByteWriter &w) const
 {
     w.put<std::uint32_t>(
         static_cast<std::uint32_t>(lines_.size()));
-    w.putBytes(lines_.data(), lines_.size() * sizeof(Addr));
+    w.putArray(lines_.data(), lines_.size());
 }
 
 void
@@ -34,7 +34,7 @@ PrefetchCache::restore(mem::ByteReader &r)
               n, capacityLines_);
     }
     lines_.resize(n);
-    r.getBytes(lines_.data(), n * sizeof(Addr));
+    r.getArray(lines_.data(), n);
 }
 
 bool

@@ -84,7 +84,12 @@ void
 SetAssocCache::save(mem::ByteWriter &w) const
 {
     w.put<std::uint64_t>(lines_.size());
-    w.putBytes(lines_.data(), lines_.size() * sizeof(Line));
+    // Field by field: a Line has padding after `valid`.
+    for (const Line &line : lines_) {
+        w.put(line.valid);
+        w.put(line.tag);
+        w.put(line.lastUse);
+    }
     w.put(useClock_);
 }
 
@@ -97,7 +102,11 @@ SetAssocCache::restore(mem::ByteReader &r)
               "%zu configured",
               static_cast<unsigned long long>(n), lines_.size());
     }
-    r.getBytes(lines_.data(), lines_.size() * sizeof(Line));
+    for (Line &line : lines_) {
+        line.valid = r.get<bool>();
+        line.tag = r.get<Addr>();
+        line.lastUse = r.get<std::uint64_t>();
+    }
     useClock_ = r.get<std::uint64_t>();
 }
 

@@ -157,25 +157,19 @@ tapsFor(Observed &obs, bool archCheckPreprocessed)
 
 /**
  * The checks a finished run of either simulator gets: its
- * provenance and attribution ledgers against its stats, the images
+ * trace-cache ledger against its stats, the images
  * its hooks saw served, its committed stream and trace boundaries
  * against the reference (all of them when @p exact, else the common
  * prefix), its conservation and its engine's buffers.
  */
 template <class Sim, class Stats>
 std::optional<std::string>
-runChecked(const char *model, const char *attribModel, const Sim &sim,
-           const Stats &stats, const Observed &obs, const RefRun &ref,
-           bool exact, const SelectionPolicy &selection)
+runChecked(const char *model, const Sim &sim, const Stats &stats,
+           const Observed &obs, const RefRun &ref, bool exact,
+           const SelectionPolicy &selection)
 {
     if (auto f = prefixed(model,
                           provenanceReconciles(stats, sim.traceCache())))
-        return f;
-    // The attribution decomposition must decant the provenance
-    // ledger exactly (trivially green — all-zero table — when
-    // attribution is compiled out or TPRE_ATTRIB=0).
-    if (auto f = prefixed(attribModel,
-                          attribReconciles(stats, sim.traceCache())))
         return f;
     if (obs.served)
         return prefixed(model, obs.served);
@@ -292,8 +286,8 @@ diffModels(const Program &program, const DiffConfig &cfg)
         FastSim sim(program, fcfg);
         const FastSimStats &stats = sim.run(cfg.maxInsts);
 
-        result.failure = runChecked("fastsim", "attrib-fast", sim, stats,
-                                    obs, ref, true, cfg.selection);
+        result.failure = runChecked("fastsim", sim, stats, obs, ref,
+                                    true, cfg.selection);
         if (result.failure)
             return result;
         liveStats = stats;
@@ -517,9 +511,8 @@ diffModels(const Program &program, const DiffConfig &cfg)
         // processor's stream may legitimately be shorter or longer
         // than the reference; it must agree on the common prefix and
         // exactly when the program ran to completion.
-        result.failure = runChecked("processor", "attrib-timing", proc,
-                                    stats, obs, ref, ref.halted,
-                                    cfg.selection);
+        result.failure = runChecked("processor", proc, stats, obs,
+                                    ref, ref.halted, cfg.selection);
     }
 
     return result;

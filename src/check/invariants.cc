@@ -558,19 +558,6 @@ provenanceReconciles(const ProvenanceTable &prov,
     return std::nullopt;
 }
 
-Violation
-provenanceReconciles(const SupplyStats &stats, const TraceCache &cache)
-{
-    if (auto v = provEq("stats table builds vs cache table builds",
-                        stats.provenance.totalBuilds(),
-                        cache.provenance().totalBuilds())) {
-        return v;
-    }
-    return provenanceReconciles(cache.provenance(), stats.tcHits,
-                                stats.pbHits, stats.tcMisses,
-                                cache.numValid());
-}
-
 namespace
 {
 
@@ -595,51 +582,15 @@ kindSum(const std::array<std::uint64_t, kNumInstKinds> &counts)
     return n;
 }
 
-} // namespace
-
+/**
+ * Per-cell structural sanity: a resident trace body holds
+ * 1..kMaxTraceLen instructions, so the instruction-type histograms
+ * are bounded by the cell's builds and hits, with the usual
+ * firstUses/evictions ordering inside each cell.
+ */
 Violation
-attribReconciles(const AttribTable &attrib,
-                 const ProvenanceTable &prov, bool active)
+cellsBounded(const AttribTable &attrib)
 {
-    if (!active) {
-        if (!attrib.allZero()) {
-            return Msg() << "attrib-reconcile: attribution is "
-                            "inactive but the table is not all "
-                            "zeros";
-        }
-        return std::nullopt;
-    }
-
-    for (std::size_t i = 0; i < kNumOrigins; ++i) {
-        const auto origin = static_cast<TraceOrigin>(i);
-        const char *name = traceOriginName(origin);
-        const AttribCell sum = attrib.originSum(origin);
-        const OriginProvenance &o = prov.of(origin);
-        const std::pair<const char *,
-                        std::pair<std::uint64_t, std::uint64_t>>
-            rows[] = {
-                {"builds", {sum.builds, o.builds}},
-                {"hits", {sum.hits, o.hits}},
-                {"firstUses", {sum.firstUses, o.firstUses}},
-                {"firstUseLatencySum",
-                 {sum.firstUseLatencySum, o.firstUseLatencySum}},
-                {"evictCapacity",
-                 {sum.evictCapacity, o.evictCapacity}},
-                {"evictRefresh", {sum.evictRefresh, o.evictRefresh}},
-                {"evictInvalidate",
-                 {sum.evictInvalidate, o.evictInvalidate}},
-                {"evictClear", {sum.evictClear, o.evictClear}},
-                {"evictedUnused",
-                 {sum.evictedUnused, o.evictedUnused}},
-            };
-        for (const auto &[what, vals] : rows) {
-            if (auto v =
-                    attribEq(name, what, vals.first, vals.second)) {
-                return v;
-            }
-        }
-    }
-
     for (std::size_t i = 0; i < kNumOrigins; ++i) {
         const auto origin = static_cast<TraceOrigin>(i);
         for (std::size_t c = 0; c < kNumLoopClasses; ++c) {
@@ -686,20 +637,57 @@ attribReconciles(const AttribTable &attrib,
     return std::nullopt;
 }
 
+} // namespace
+
 Violation
-attribReconciles(const SupplyStats &stats, const TraceCache &cache)
+provenanceReconciles(const SupplyStats &stats, const TraceCache &cache)
 {
-    const auto builds = [](const AttribTable &attrib) {
-        return attrib.originSum(TraceOrigin::FillUnit).builds +
-               attrib.originSum(TraceOrigin::Precon).builds;
-    };
-    if (auto v = attribEq("total",
-                          "stats table builds vs cache table builds",
-                          builds(stats.attrib), builds(cache.attrib()))) {
+    const ProvenanceTable prov = cache.provenance();
+    if (auto v = provEq("stats table builds vs cache table builds",
+                        stats.attrib.provenance().totalBuilds(),
+                        prov.totalBuilds())) {
         return v;
     }
-    return attribReconciles(cache.attrib(), cache.provenance(),
-                            cache.attribActive());
+    if (auto v = provenanceReconciles(prov, stats.tcHits, stats.pbHits,
+                                      stats.tcMisses, cache.numValid()))
+        return v;
+    return cellsBounded(cache.attrib());
+}
+
+Violation
+attribReconciles(const AttribTable &attrib,
+                 const ProvenanceTable &prov, bool)
+{
+    for (std::size_t i = 0; i < kNumOrigins; ++i) {
+        const auto origin = static_cast<TraceOrigin>(i);
+        const char *name = traceOriginName(origin);
+        const AttribCell sum = attrib.originSum(origin);
+        const OriginProvenance &o = prov.of(origin);
+        const std::pair<const char *,
+                        std::pair<std::uint64_t, std::uint64_t>>
+            rows[] = {
+                {"builds", {sum.builds, o.builds}},
+                {"hits", {sum.hits, o.hits}},
+                {"firstUses", {sum.firstUses, o.firstUses}},
+                {"firstUseLatencySum",
+                 {sum.firstUseLatencySum, o.firstUseLatencySum}},
+                {"evictCapacity",
+                 {sum.evictCapacity, o.evictCapacity}},
+                {"evictRefresh", {sum.evictRefresh, o.evictRefresh}},
+                {"evictInvalidate",
+                 {sum.evictInvalidate, o.evictInvalidate}},
+                {"evictClear", {sum.evictClear, o.evictClear}},
+                {"evictedUnused",
+                 {sum.evictedUnused, o.evictedUnused}},
+            };
+        for (const auto &[what, vals] : rows) {
+            if (auto v =
+                    attribEq(name, what, vals.first, vals.second)) {
+                return v;
+            }
+        }
+    }
+    return cellsBounded(attrib);
 }
 
 } // namespace tpre::check

@@ -113,8 +113,8 @@ Violation streamCallRetBalanced(const std::vector<DynInst> &stream,
  *   builds - evictions == lines still valid in the cache
  *
  * plus per-origin structural sanity (firstUses <= builds,
- * firstUses <= hits, evictions <= builds). Provenance is plain
- * stats bookkeeping, so this holds under TPRE_OBS_DISABLED too.
+ * firstUses <= hits, evictions <= builds). The ledger is plain
+ * integer bookkeeping, so this holds in every build.
  */
 Violation provenanceReconciles(const ProvenanceTable &prov,
                                std::uint64_t tcHits,
@@ -122,32 +122,27 @@ Violation provenanceReconciles(const ProvenanceTable &prov,
                                std::uint64_t tcMisses,
                                std::uint64_t residentValid);
 
-/** provenanceReconciles() over a finished run of either
- *  simulator: its stats and its trace cache. */
+/**
+ * provenanceReconciles() over a finished run of either simulator:
+ * its stats against its trace cache's ledger, plus the per-cell
+ * bounds of attribReconciles() on the cache's cells.
+ */
 Violation provenanceReconciles(const SupplyStats &stats,
                                const TraceCache &cache);
 
 /**
- * The reuse-attribution contract (DESIGN.md section 17): when
- * attribution is @p active, summing an origin's loop-class cells
- * must reproduce that origin's OriginProvenance row field by field
- * — the decomposition loses nothing relative to the provenance
- * ledger, and transitively (via provenanceReconciles) relative to
- * the run's tcHits / pbHits / tcMisses totals. Per-cell structural
- * sanity bounds the instruction-type histograms: a resident trace
- * body holds 1..kMaxTraceLen instructions, so
+ * The reuse-attribution contract (DESIGN.md section 17): summing
+ * an origin's loop-class cells must reproduce that origin's
+ * OriginProvenance row field by field. Per-cell structural sanity
+ * bounds the instruction-type histograms: a resident trace body
+ * holds 1..kMaxTraceLen instructions, so
  * builds <= sum(instBuilt) <= 16*builds and
  * hits <= sum(instServed) <= 16*hits, with the usual
- * firstUses/evictions ordering inside each cell. When attribution
- * is inactive (TPRE_OBS_DISABLED build or TPRE_ATTRIB=0) the table
- * must be all zeros.
+ * firstUses/evictions ordering inside each cell. The unnamed flag
+ * is ignored: attribution is always on.
  */
 Violation attribReconciles(const AttribTable &attrib,
-                           const ProvenanceTable &prov, bool active);
-
-/** attribReconciles() over a finished run of either simulator. */
-Violation attribReconciles(const SupplyStats &stats,
-                           const TraceCache &cache);
+                           const ProvenanceTable &prov, bool = true);
 
 } // namespace tpre::check
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 #include <sstream>
 #include <tuple>
 #include <utility>
@@ -108,29 +107,9 @@ fastStatsEqual(const FastSimStats &live,
     std::vector<std::tuple<std::string, std::uint64_t, std::uint64_t>>
         fields;
 #define TPRE_FIELD(f) fields.emplace_back(prefix + #f, a.f, b.f)
-    for (std::size_t i = 0; i < kNumOrigins; ++i) {
-        const auto origin = static_cast<TraceOrigin>(i);
-        const OriginProvenance &a = live.provenance.of(origin);
-        const OriginProvenance &b = replayed.provenance.of(origin);
-        const std::string prefix =
-            std::string("provenance.") + traceOriginName(origin) + ".";
-        TPRE_FIELD(builds);
-        TPRE_FIELD(hits);
-        TPRE_FIELD(firstUses);
-        TPRE_FIELD(firstUseLatencySum);
-        TPRE_FIELD(evictCapacity);
-        TPRE_FIELD(evictRefresh);
-        TPRE_FIELD(evictInvalidate);
-        TPRE_FIELD(evictClear);
-        TPRE_FIELD(evictedUnused);
-    }
-
-    // Attribution is deterministic bookkeeping on the same trace
-    // stream, so it replays exactly too (all zeros when inactive).
-    const auto sum = [](const auto &counts) {
-        return std::accumulate(counts.begin(), counts.end(),
-                               std::uint64_t{0});
-    };
+    // The trace cache's line ledger is deterministic bookkeeping on
+    // the same trace stream, so it replays exactly, cell by cell and
+    // kind by kind.
     for (std::size_t i = 0; i < kNumOrigins; ++i) {
         const auto origin = static_cast<TraceOrigin>(i);
         for (std::size_t c = 0; c < kNumLoopClasses; ++c) {
@@ -144,13 +123,19 @@ fastStatsEqual(const FastSimStats &live,
             TPRE_FIELD(hits);
             TPRE_FIELD(firstUses);
             TPRE_FIELD(firstUseLatencySum);
-            fields.emplace_back(prefix + "evictions", a.evictions(),
-                                b.evictions());
+            TPRE_FIELD(evictCapacity);
+            TPRE_FIELD(evictRefresh);
+            TPRE_FIELD(evictInvalidate);
+            TPRE_FIELD(evictClear);
             TPRE_FIELD(evictedUnused);
-            fields.emplace_back(prefix + "instBuilt[*]",
-                                sum(a.instBuilt), sum(b.instBuilt));
-            fields.emplace_back(prefix + "instServed[*]",
-                                sum(a.instServed), sum(b.instServed));
+            for (std::size_t k = 0; k < kNumInstKinds; ++k) {
+                const std::string kind =
+                    instKindName(static_cast<InstKind>(k));
+                fields.emplace_back(prefix + "instBuilt." + kind,
+                                    a.instBuilt[k], b.instBuilt[k]);
+                fields.emplace_back(prefix + "instServed." + kind,
+                                    a.instServed[k], b.instServed[k]);
+            }
         }
     }
 

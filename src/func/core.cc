@@ -14,8 +14,7 @@ FunctionalCore::FunctionalCore(const Program &program)
 void
 FunctionalCore::save(mem::ByteWriter &w) const
 {
-    w.putBytes(state_.regs.data(),
-               state_.regs.size() * sizeof(RegValue));
+    w.putArray(state_.regs.data(), state_.regs.size());
     state_.mem.save(w);
     w.put(pc_);
     w.put(halted_);
@@ -25,8 +24,7 @@ FunctionalCore::save(mem::ByteWriter &w) const
 void
 FunctionalCore::restore(mem::ByteReader &r)
 {
-    r.getBytes(state_.regs.data(),
-               state_.regs.size() * sizeof(RegValue));
+    r.getArray(state_.regs.data(), state_.regs.size());
     // ArchState::reg() reads r0 as a plain load, so a checkpoint
     // whose r0 word is not 0 would make every later read of it lie.
     if (state_.regs[zeroReg] != 0) {

@@ -101,7 +101,7 @@ Memory::save(mem::ByteWriter &w) const
         tpre_assert(num != kEmptySlot,
                     "page pool entry missing from the slot table");
         w.put(num);
-        w.putBytes(page.words, sizeof(page.words));
+        w.putArray(page.words, wordsPerPage);
     }
 }
 
@@ -113,7 +113,7 @@ Memory::restore(mem::ByteReader &r)
     for (std::uint64_t i = 0; i < n; ++i) {
         const auto num = r.get<Addr>();
         Page &page = findOrCreate(num);
-        r.getBytes(page.words, sizeof(page.words));
+        r.getArray(page.words, wordsPerPage);
     }
 }
 

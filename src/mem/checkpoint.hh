@@ -41,6 +41,16 @@
 namespace tpre::mem
 {
 
+/**
+ * A type put()/get() may copy as raw bytes: one with no padding, so
+ * equal values give equal bytes. A padded record is written field
+ * by field instead.
+ */
+template <typename T>
+inline constexpr bool kRawCodable =
+    std::is_trivially_copyable_v<T> &&
+    std::has_unique_object_representations_v<T>;
+
 class ByteWriter
 {
   public:
@@ -48,9 +58,18 @@ class ByteWriter
     void
     put(const T &value)
     {
-        static_assert(std::is_trivially_copyable_v<T>,
-                      "checkpoint fields must be trivially copyable");
-        putBytes(&value, sizeof(T));
+        putArray(&value, 1);
+    }
+
+    /** put() for the @p n values at @p data. */
+    template <typename T>
+    void
+    putArray(const T *data, std::size_t n)
+    {
+        static_assert(kRawCodable<T>,
+                      "checkpoint fields must be unpadded and "
+                      "trivially copyable");
+        putBytes(data, n * sizeof(T));
     }
 
     void
@@ -81,11 +100,20 @@ class ByteReader
     T
     get()
     {
-        static_assert(std::is_trivially_copyable_v<T>,
-                      "checkpoint fields must be trivially copyable");
         T value;
-        getBytes(&value, sizeof(T));
+        getArray(&value, 1);
         return value;
+    }
+
+    /** get() for the @p n values at @p out. */
+    template <typename T>
+    void
+    getArray(T *out, std::size_t n)
+    {
+        static_assert(kRawCodable<T>,
+                      "checkpoint fields must be unpadded and "
+                      "trivially copyable");
+        getBytes(out, n * sizeof(T));
     }
 
     void
@@ -121,7 +149,7 @@ enum class CheckpointKind : std::uint8_t
 struct Checkpoint
 {
     static constexpr std::uint32_t kMagic = 0x54504331; // "TPC1"
-    static constexpr std::uint16_t kVersion = 4;
+    static constexpr std::uint16_t kVersion = 5;
 
     CheckpointKind kind = CheckpointKind::Full;
     /**

@@ -15,22 +15,44 @@ PreconConstructor::PreconConstructor(const Program &program,
 {
 }
 
+namespace
+{
+
+/** Checkpoint one decision path field by field (it has padding). */
+void
+savePath(mem::ByteWriter &w, const DecisionPath &path)
+{
+    w.put(path.bits);
+    w.put(path.len);
+}
+
+DecisionPath
+restorePath(mem::ByteReader &r)
+{
+    DecisionPath path;
+    path.bits = r.get<std::uint64_t>();
+    path.len = r.get<std::uint8_t>();
+    return path;
+}
+
+} // namespace
+
 void
 PreconConstructor::save(mem::ByteWriter &w) const
 {
     w.put(startPc_);
     builder_.save(w);
     w.put(pc_);
-    w.put(decisions_);
+    savePath(w, decisions_);
     w.put<std::uint64_t>(decIndex_);
     w.put<std::uint32_t>(
         static_cast<std::uint32_t>(pendingPaths_.size()));
-    w.putBytes(pendingPaths_.data(),
-               pendingPaths_.size() * sizeof(DecisionPath));
+    for (const DecisionPath &path : pendingPaths_)
+        savePath(w, path);
     w.put(forkBudget_);
     w.put<std::uint32_t>(
         static_cast<std::uint32_t>(callStack_.size()));
-    w.putBytes(callStack_.data(), callStack_.size() * sizeof(Addr));
+    w.putArray(callStack_.data(), callStack_.size());
     w.put(callStackBroken_);
     w.put(tracesFromStart_);
     w.put(pathActive_);
@@ -45,14 +67,14 @@ PreconConstructor::restore(mem::ByteReader &r, Region *region)
     startPc_ = r.get<Addr>();
     builder_.restore(r);
     pc_ = r.get<Addr>();
-    decisions_ = r.get<DecisionPath>();
+    decisions_ = restorePath(r);
     decIndex_ = static_cast<std::size_t>(r.get<std::uint64_t>());
     pendingPaths_.resize(r.get<std::uint32_t>());
-    r.getBytes(pendingPaths_.data(),
-               pendingPaths_.size() * sizeof(DecisionPath));
+    for (DecisionPath &path : pendingPaths_)
+        path = restorePath(r);
     forkBudget_ = r.get<unsigned>();
     callStack_.resize(r.get<std::uint32_t>());
-    r.getBytes(callStack_.data(), callStack_.size() * sizeof(Addr));
+    r.getArray(callStack_.data(), callStack_.size());
     callStackBroken_ = r.get<bool>();
     tracesFromStart_ = r.get<unsigned>();
     pathActive_ = r.get<bool>();

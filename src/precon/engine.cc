@@ -414,7 +414,7 @@ PreconstructionEngine::save(mem::ByteWriter &w) const
     w.put<std::uint32_t>(static_cast<std::uint32_t>(regions_.size()));
     for (const auto &region : regions_) {
         w.put(region->seq());
-        w.put(StartPoint{region->startAddr(), region->kind()});
+        saveStartPoint(w, {region->startAddr(), region->kind()});
         region->save(w);
     }
     w.put<std::uint32_t>(
@@ -448,7 +448,7 @@ PreconstructionEngine::restore(mem::ByteReader &r)
     const auto numRegions = r.get<std::uint32_t>();
     for (std::uint32_t i = 0; i < numRegions; ++i) {
         const auto seq = r.get<std::uint64_t>();
-        const auto origin = r.get<StartPoint>();
+        const StartPoint origin = restoreStartPoint(r);
         regions_.push_back(std::make_unique<Region>(
             seq, origin, config_.prefetchCacheInsts, config_.policy));
         regions_.back()->restore(r);

@@ -83,19 +83,17 @@ Region::save(mem::ByteWriter &w) const
     prefetch_.save(w);
     w.put<std::uint32_t>(
         static_cast<std::uint32_t>(worklist_.size()));
-    w.putBytes(worklist_.data(), worklist_.size() * sizeof(Addr));
+    w.putArray(worklist_.data(), worklist_.size());
     seenStarts_.save(w);
     w.put(state_);
     w.put(endReason_);
     w.put(workers);
     w.put<std::uint32_t>(
         static_cast<std::uint32_t>(pendingFetches.size()));
-    w.putBytes(pendingFetches.data(),
-               pendingFetches.size() * sizeof(PendingFetch));
+    w.putArray(pendingFetches.data(), pendingFetches.size());
     w.put<std::uint32_t>(
         static_cast<std::uint32_t>(neededLines.size()));
-    w.putBytes(neededLines.data(),
-               neededLines.size() * sizeof(Addr));
+    w.putArray(neededLines.data(), neededLines.size());
     w.put(tracesConstructed);
     w.put(reaped);
     w.put(bufferRefusals);
@@ -109,17 +107,15 @@ Region::restore(mem::ByteReader &r)
 {
     prefetch_.restore(r);
     worklist_.resize(r.get<std::uint32_t>());
-    r.getBytes(worklist_.data(), worklist_.size() * sizeof(Addr));
+    r.getArray(worklist_.data(), worklist_.size());
     seenStarts_.restore(r);
     state_ = r.get<RegionState>();
     endReason_ = r.get<RegionEndReason>();
     workers = r.get<unsigned>();
     pendingFetches.resize(r.get<std::uint32_t>());
-    r.getBytes(pendingFetches.data(),
-               pendingFetches.size() * sizeof(PendingFetch));
+    r.getArray(pendingFetches.data(), pendingFetches.size());
     neededLines.resize(r.get<std::uint32_t>());
-    r.getBytes(neededLines.data(),
-               neededLines.size() * sizeof(Addr));
+    r.getArray(neededLines.data(), neededLines.size());
     tracesConstructed = r.get<std::uint64_t>();
     reaped = r.get<bool>();
     bufferRefusals = r.get<unsigned>();

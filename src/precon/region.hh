@@ -71,7 +71,7 @@ class AddrSet
     save(mem::ByteWriter &w) const
     {
         w.put<std::uint64_t>(slots_.size());
-        w.putBytes(slots_.data(), slots_.size() * sizeof(Addr));
+        w.putArray(slots_.data(), slots_.size());
         w.put<std::uint64_t>(count_);
     }
 
@@ -79,7 +79,7 @@ class AddrSet
     restore(mem::ByteReader &r)
     {
         slots_.resize(r.get<std::uint64_t>());
-        r.getBytes(slots_.data(), slots_.size() * sizeof(Addr));
+        r.getArray(slots_.data(), slots_.size());
         count_ = static_cast<std::size_t>(r.get<std::uint64_t>());
     }
 

@@ -20,21 +20,23 @@ void
 StartPointStack::save(mem::ByteWriter &w) const
 {
     w.put<std::uint32_t>(static_cast<std::uint32_t>(stack_.size()));
-    w.putBytes(stack_.data(), stack_.size() * sizeof(StartPoint));
+    for (const StartPoint &sp : stack_)
+        saveStartPoint(w, sp);
     w.put(sig_);
     w.put<std::uint32_t>(
         static_cast<std::uint32_t>(completed_.size()));
-    w.putBytes(completed_.data(), completed_.size() * sizeof(Addr));
+    w.putArray(completed_.data(), completed_.size());
 }
 
 void
 StartPointStack::restore(mem::ByteReader &r)
 {
     stack_.resize(r.get<std::uint32_t>());
-    r.getBytes(stack_.data(), stack_.size() * sizeof(StartPoint));
+    for (StartPoint &sp : stack_)
+        sp = restoreStartPoint(r);
     sig_ = r.get<std::uint64_t>();
     completed_.resize(r.get<std::uint32_t>());
-    r.getBytes(completed_.data(), completed_.size() * sizeof(Addr));
+    r.getArray(completed_.data(), completed_.size());
 }
 
 bool

@@ -34,6 +34,20 @@ struct StartPoint
     StartPointKind kind = StartPointKind::CallReturn;
 };
 
+/** Checkpoint one start point field by field (it has padding). */
+inline void
+saveStartPoint(mem::ByteWriter &w, const StartPoint &sp)
+{
+    w.put(sp.addr);
+    w.put(sp.kind);
+}
+
+inline StartPoint
+restoreStartPoint(mem::ByteReader &r)
+{
+    return StartPoint{r.get<Addr>(), r.get<StartPointKind>()};
+}
+
 /** Fixed-depth newest-first stack with completed-region memory. */
 class StartPointStack
 {

@@ -123,14 +123,6 @@ BenchReport::render(double wallSeconds) const
         any_sampled = any_sampled || r.sampled;
     }
 
-    // The attribution sections exist only when attribution is
-    // active: a TPRE_OBS_DISABLED build or TPRE_ATTRIB=0 run emits
-    // no "attrib" keys at all, and consumers (tools/attrib,
-    // tools/perf_gate.py) treat absence as "not collected" rather
-    // than zero.
-    const bool attribActive =
-        attribDefaultEnabled() && obs::kEnabled;
-
     std::string out;
     out += "{\n";
     out += "  \"bench\": \"" + jsonEscape(bench_) + "\",\n";
@@ -154,15 +146,12 @@ BenchReport::render(double wallSeconds) const
                           : 0.0) +
            ",\n";
     out += "  \"obs\": " + renderObsJson() + ",\n";
-    if (attribActive) {
-        // Whole-report attribution: the per-row tables summed
-        // cell-wise, so one decanting table covers the bench.
-        AttribTable aggregate;
-        for (const SimResult &r : rows_)
-            aggregate.add(r.attrib);
-        out += "  \"attrib\": " + renderAttribJson(aggregate) +
-               ",\n";
-    }
+    // Whole-report attribution: the per-row tables summed
+    // cell-wise, so one decanting table covers the bench.
+    AttribTable aggregate;
+    for (const SimResult &r : rows_)
+        aggregate.add(r.attrib);
+    out += "  \"attrib\": " + renderAttribJson(aggregate) + ",\n";
     out += "  \"rows\": [";
     for (std::size_t i = 0; i < rows_.size(); ++i) {
         const SimResult &r = rows_[i];
@@ -238,10 +227,7 @@ BenchReport::render(double wallSeconds) const
                std::to_string(r.precon.bufferHits) + ", ";
         out += "\"provenance\": " +
                renderProvenanceJson(r.provenance) + ", ";
-        if (attribActive) {
-            out += "\"attrib\": " + renderAttribJson(r.attrib) +
-                   ", ";
-        }
+        out += "\"attrib\": " + renderAttribJson(r.attrib) + ", ";
         out += "\"blocks_decoded\": " + std::to_string(r.blocksDecoded) +
                ", ";
         out += "\"block_hits\": " + std::to_string(r.blockHits) + ", ";

@@ -22,9 +22,7 @@
  *                                 "bounds": [...],
  *                                 "buckets": [...]}, ...}
  *     },
- *     "attrib": {    <- only when attribution is active (obs
- *                       compiled in and TPRE_ATTRIB != 0): the
- *                       per-row tables summed cell-wise
+ *     "attrib": {    <- the per-row tables summed cell-wise
  *       "fill" | "precon": {
  *         "loop_body" | "loop_exit" | "call_chain" |
  *         "straight_line": {
@@ -64,8 +62,8 @@
  *           "precon": {same keys}
  *         },
  *         "attrib": {per-row attribution table; same shape as the
- *                    top-level "attrib"; present only when
- *                    attribution is active},
+ *                    top-level "attrib"; its origin sums are
+ *                    "provenance"},
  *         "wall_seconds": X, "mips": X
  *       }, ...
  *     ]

@@ -45,8 +45,8 @@ publishSupply(const SupplyStats &st, bool precon)
     TPRE_PUBLISH_COUNT("tcache.fills", st.tcMisses + st.pbHits);
     TPRE_PUBLISH_COUNT(
         "tcache.evictions",
-        st.provenance.of(TraceOrigin::FillUnit).evictCapacity +
-            st.provenance.of(TraceOrigin::Precon).evictCapacity);
+        st.attrib.originSum(TraceOrigin::FillUnit).evictCapacity +
+            st.attrib.originSum(TraceOrigin::Precon).evictCapacity);
     if (precon)
         TPRE_PUBLISH_COUNT("pb.probes", st.tcMisses + st.pbHits);
     TPRE_PUBLISH_COUNT("pb.hits", st.precon.bufferHits);
@@ -125,7 +125,7 @@ supplyResult(const SimConfig &config, const SupplyStats &st)
             static_cast<double>(st.icache.totalMisses()) / ki;
     }
     result.precon = st.precon;
-    result.provenance = st.provenance;
+    result.provenance = st.attrib.provenance();
     result.attrib = st.attrib;
     return result;
 }
@@ -269,7 +269,7 @@ finishResult(SimResult &result, const SimConfig &config,
     result.warmFallback = warmFallback;
     TPRE_OBS_COUNT("sim.instructions", result.instructions);
     // Make the run's ledgers visible to a live /metrics scrape.
-    telemetry::publishRunLedgers(result.provenance, result.attrib);
+    telemetry::publishRunLedgers(result.attrib);
 }
 
 double

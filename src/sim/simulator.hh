@@ -48,14 +48,13 @@ struct SimResult
     /**
      * Per-origin (fill unit vs preconstruction engine) trace-cache
      * line provenance: builds, hits, first-use latency, eviction
-     * reasons.
+     * reasons. The sum of attrib over loop classes.
      */
     ProvenanceTable provenance;
     /**
-     * Reuse attribution: the provenance ledger decanted by loop
-     * class and instruction type (DESIGN.md section 17). All zeros
-     * when attribution is inactive (TPRE_OBS_DISABLED build or
-     * TPRE_ATTRIB=0); like provenance it stays raw in sampled runs.
+     * Reuse attribution: the trace cache's line ledger by origin,
+     * loop class and instruction type (DESIGN.md section 17); like
+     * provenance it stays raw in sampled runs.
      */
     AttribTable attrib;
     /**

@@ -1,8 +1,5 @@
 #include "telemetry/attrib.hh"
 
-#include "common/logging.hh"
-#include "common/parse.hh"
-
 namespace tpre
 {
 
@@ -60,15 +57,7 @@ classifyTrace(const Trace &trace)
 void
 AttribCell::add(const AttribCell &other)
 {
-    builds += other.builds;
-    hits += other.hits;
-    firstUses += other.firstUses;
-    firstUseLatencySum += other.firstUseLatencySum;
-    evictCapacity += other.evictCapacity;
-    evictRefresh += other.evictRefresh;
-    evictInvalidate += other.evictInvalidate;
-    evictClear += other.evictClear;
-    evictedUnused += other.evictedUnused;
+    OriginProvenance::add(other);
     for (std::size_t k = 0; k < kNumInstKinds; ++k) {
         instBuilt[k] += other.instBuilt[k];
         instServed[k] += other.instServed[k];
@@ -84,28 +73,20 @@ AttribTable::originSum(TraceOrigin origin) const
     return sum;
 }
 
+ProvenanceTable
+AttribTable::provenance() const
+{
+    ProvenanceTable table;
+    for (std::size_t i = 0; i < cells.size(); ++i)
+        table.origins[i / kNumLoopClasses].add(cells[i]);
+    return table;
+}
+
 void
 AttribTable::add(const AttribTable &other)
 {
     for (std::size_t i = 0; i < cells.size(); ++i)
         cells[i].add(other.cells[i]);
-}
-
-bool
-AttribTable::allZero() const
-{
-    for (const AttribCell &c : cells) {
-        if (c.builds || c.hits || c.firstUses ||
-            c.firstUseLatencySum || c.evictions() ||
-            c.evictedUnused) {
-            return false;
-        }
-        for (std::size_t k = 0; k < kNumInstKinds; ++k) {
-            if (c.instBuilt[k] || c.instServed[k])
-                return false;
-        }
-    }
-    return true;
 }
 
 namespace
@@ -173,12 +154,6 @@ renderAttribJson(const AttribTable &table)
     }
     out += "}";
     return out;
-}
-
-bool
-attribDefaultEnabled()
-{
-    return parseFlag("TPRE_ATTRIB", true);
 }
 
 } // namespace tpre

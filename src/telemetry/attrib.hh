@@ -12,12 +12,9 @@
  * and Loop Structures in the Reuse of Traces" (PAPERS.md) grafted
  * onto the paper's Section 5 provenance question.
  *
- * Unlike provenance, attribution is an observability extra: every
- * accumulation site is compiled out under TPRE_OBS_DISABLED
- * (obs::kEnabled) and runtime-gated by the strict TPRE_ATTRIB=0|1
- * knob, so the per-hit cost can be removed entirely. The table
- * itself stays in the TraceCache checkpoint image in both
- * configurations so checkpoints remain interchangeable.
+ * The cells are the trace cache's only count of line events, in
+ * every build: the per-origin provenance table (section 12) is
+ * their sum over loop classes, so the two ledgers cannot disagree.
  *
  * The types live in namespace tpre (not tpre::telemetry) for the
  * same reason the provenance types do: the trace layer embeds them;
@@ -31,7 +28,7 @@
 #include <cstdint>
 #include <string>
 
-#include "obs/obs.hh"
+#include "obs/obs.hh" // obs::kEnabled, read through this header
 #include "telemetry/provenance.hh"
 #include "trace/trace.hh"
 
@@ -112,30 +109,16 @@ struct TraceClass
 /** Classify @p trace (loop class + instruction-type histogram). */
 TraceClass classifyTrace(const Trace &trace);
 
-/** One (origin × loop-class) attribution cell. */
-struct AttribCell
+/**
+ * One (origin × loop-class) attribution cell: the provenance record
+ * of the lines in it, decanted by instruction kind.
+ */
+struct AttribCell : OriginProvenance
 {
-    std::uint64_t builds = 0;
-    std::uint64_t hits = 0;
-    std::uint64_t firstUses = 0;
-    std::uint64_t firstUseLatencySum = 0;
-    std::uint64_t evictCapacity = 0;
-    std::uint64_t evictRefresh = 0;
-    std::uint64_t evictInvalidate = 0;
-    std::uint64_t evictClear = 0;
-    /** Evicted lines (any reason) that never served a fetch. */
-    std::uint64_t evictedUnused = 0;
     /** Instructions inserted, decanted by kind (builds-weighted). */
     std::array<std::uint64_t, kNumInstKinds> instBuilt{};
     /** Instructions served by fetches, decanted by kind. */
     std::array<std::uint64_t, kNumInstKinds> instServed{};
-
-    std::uint64_t
-    evictions() const
-    {
-        return evictCapacity + evictRefresh + evictInvalidate +
-               evictClear;
-    }
 
     /** Accumulate another cell field-wise. */
     void add(const AttribCell &other);
@@ -160,17 +143,15 @@ struct AttribTable
         return const_cast<AttribTable *>(this)->of(origin, cls);
     }
 
-    /**
-     * Sum one origin's loop-class cells. The reconciliation
-     * contract pins this against the origin's OriginProvenance row
-     * field by field.
-     */
+    /** Sum one origin's loop-class cells. */
     AttribCell originSum(TraceOrigin origin) const;
+
+    /** The per-origin provenance table: each origin's cells summed
+     *  over loop classes. */
+    ProvenanceTable provenance() const;
 
     /** Accumulate another table cell-wise (bench aggregation). */
     void add(const AttribTable &other);
-
-    bool allZero() const;
 };
 
 /**
@@ -182,14 +163,12 @@ struct AttribTable
  */
 std::string renderAttribJson(const AttribTable &table);
 
-/**
- * The TPRE_ATTRIB knob: unset or "1" enables attribution, "0"
- * disables it, anything else is fatal (parseFlag). Attribution is
- * active only when obs::kEnabled too. Parsed on every call — callers
- * that need a stable answer (the TraceCache) sample it once at
- * construction.
- */
-bool attribDefaultEnabled();
+/** Attribution is always on; kept for perfbench's row check. */
+constexpr bool
+attribDefaultEnabled()
+{
+    return true;
+}
 
 } // namespace tpre
 

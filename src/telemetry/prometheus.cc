@@ -293,7 +293,6 @@ namespace
 struct PublishedLedgers
 {
     std::mutex mutex;
-    ProvenanceTable prov;
     AttribTable attrib;
 };
 
@@ -307,12 +306,10 @@ publishedLedgers()
 } // namespace
 
 void
-publishRunLedgers(const ProvenanceTable &prov,
-                  const AttribTable &attrib)
+publishRunLedgers(const AttribTable &attrib)
 {
     PublishedLedgers &pub = publishedLedgers();
     const std::lock_guard<std::mutex> lock(pub.mutex);
-    pub.prov.add(prov);
     pub.attrib.add(attrib);
 }
 
@@ -321,7 +318,7 @@ renderPublishedLedgers()
 {
     PublishedLedgers &pub = publishedLedgers();
     const std::lock_guard<std::mutex> lock(pub.mutex);
-    return renderProvenancePrometheus(pub.prov) +
+    return renderProvenancePrometheus(pub.attrib.provenance()) +
            renderAttribPrometheus(pub.attrib);
 }
 
@@ -330,7 +327,6 @@ resetPublishedLedgers()
 {
     PublishedLedgers &pub = publishedLedgers();
     const std::lock_guard<std::mutex> lock(pub.mutex);
-    pub.prov = ProvenanceTable();
     pub.attrib = AttribTable();
 }
 

@@ -61,13 +61,13 @@ std::string renderProvenancePrometheus(const ProvenanceTable &table);
 std::string renderAttribPrometheus(const AttribTable &table);
 
 /**
- * Fold one finished run's trace-cache ledgers into the
- * process-wide aggregate the /metrics scrape serves. Thread-safe
- * (parallel sweep workers publish concurrently); Simulator::run
- * calls this once per completed run.
+ * Fold one finished run's trace-cache ledger into the
+ * process-wide aggregate the /metrics scrape serves (provenance is
+ * rendered as its sum over loop classes). Thread-safe (parallel
+ * sweep workers publish concurrently); Simulator::run calls this
+ * once per completed run.
  */
-void publishRunLedgers(const ProvenanceTable &prov,
-                       const AttribTable &attrib);
+void publishRunLedgers(const AttribTable &attrib);
 
 /** Render the process-wide aggregate as labeled families. */
 std::string renderPublishedLedgers();

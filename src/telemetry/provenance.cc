@@ -37,21 +37,24 @@ ProvenanceTable::totalEvictions() const
 }
 
 void
+OriginProvenance::add(const OriginProvenance &other)
+{
+    builds += other.builds;
+    hits += other.hits;
+    firstUses += other.firstUses;
+    firstUseLatencySum += other.firstUseLatencySum;
+    evictCapacity += other.evictCapacity;
+    evictRefresh += other.evictRefresh;
+    evictInvalidate += other.evictInvalidate;
+    evictClear += other.evictClear;
+    evictedUnused += other.evictedUnused;
+}
+
+void
 ProvenanceTable::add(const ProvenanceTable &other)
 {
-    for (std::size_t i = 0; i < kNumOrigins; ++i) {
-        OriginProvenance &a = origins[i];
-        const OriginProvenance &b = other.origins[i];
-        a.builds += b.builds;
-        a.hits += b.hits;
-        a.firstUses += b.firstUses;
-        a.firstUseLatencySum += b.firstUseLatencySum;
-        a.evictCapacity += b.evictCapacity;
-        a.evictRefresh += b.evictRefresh;
-        a.evictInvalidate += b.evictInvalidate;
-        a.evictClear += b.evictClear;
-        a.evictedUnused += b.evictedUnused;
-    }
+    for (std::size_t i = 0; i < kNumOrigins; ++i)
+        origins[i].add(other.origins[i]);
 }
 
 std::string

@@ -10,11 +10,15 @@
  * statistic: of the traces the engine built, how many were ever
  * fetched, how long after construction, and how many died unused.
  *
+ * The TraceCache counts each line event once, in its attribution
+ * cells (telemetry/attrib.hh); a ProvenanceTable is their sum over
+ * loop classes (AttribTable::provenance()).
+ *
  * The types live in namespace tpre (not tpre::telemetry) because
  * the trace layer embeds them; the telemetry subsystem renders and
  * reconciles them. Bookkeeping is plain integer arithmetic on the
  * owning simulator's thread — no atomics, no obs macros — so the
- * table stays exact (and checkable) under TPRE_OBS_DISABLED.
+ * table stays exact (and checkable) in every build.
  */
 
 #ifndef TPRE_TELEMETRY_PROVENANCE_HH
@@ -72,6 +76,9 @@ struct OriginProvenance
         return evictCapacity + evictRefresh + evictInvalidate +
                evictClear;
     }
+
+    /** Accumulate another record field-wise. */
+    void add(const OriginProvenance &other);
 
     /** Mean construction-to-first-use latency in cycles. */
     double

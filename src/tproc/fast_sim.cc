@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <deque>
+#include <tuple>
 
 #include "check/check.hh"
 #include "check/invariants.hh"
@@ -351,9 +352,19 @@ FastFrontend::save(mem::ByteWriter &w, mem::CheckpointKind kind) const
     if (kind != mem::CheckpointKind::Full)
         return;
     w.put(stats_);
-    w.put<std::uint32_t>(static_cast<std::uint32_t>(seenTraces_.size()));
-    for (const TraceId &id : seenTraces_)
-        w.put(id);
+    // Sorted: a restored set iterates in another order, and equal
+    // states must save equal bytes.
+    std::vector<TraceId> seen(seenTraces_.begin(), seenTraces_.end());
+    std::sort(seen.begin(), seen.end(),
+              [](const TraceId &a, const TraceId &b) {
+                  return std::tie(a.startPc, a.branchFlags,
+                                  a.numBranches) <
+                         std::tie(b.startPc, b.branchFlags,
+                                  b.numBranches);
+              });
+    w.put<std::uint32_t>(static_cast<std::uint32_t>(seen.size()));
+    for (const TraceId &id : seen)
+        saveTraceId(w, id);
 }
 
 void
@@ -375,7 +386,7 @@ FastFrontend::restore(mem::ByteReader &r, mem::CheckpointKind kind)
     seenTraces_.clear();
     const auto numSeen = r.get<std::uint32_t>();
     for (std::uint32_t i = 0; i < numSeen; ++i)
-        seenTraces_.insert(r.get<TraceId>());
+        seenTraces_.insert(restoreTraceId(r));
     if (r.remaining() != 0) {
         fatal("FastSim::forkFrom: %zu trailing bytes in a full "
               "checkpoint", r.remaining());

@@ -118,7 +118,6 @@ TraceSupply::syncStats(SupplyStats &stats) const
     stats.icache = icache_.stats();
     if (engine_)
         stats.precon = engine_->stats();
-    stats.provenance = traceCache_.provenance();
     stats.attrib = traceCache_.attrib();
 }
 

@@ -44,12 +44,10 @@ struct SupplyStats
     std::uint64_t slowPathInsts = 0;
     ICache::Stats icache;
     PreconstructionEngine::Stats precon;
-    /** Per-origin trace-cache line provenance (copied at run end). */
-    ProvenanceTable provenance;
     /**
-     * Reuse attribution (origin × loop-class cells with inst-type
-     * histograms; copied at run end). All zeros when attribution is
-     * inactive (TPRE_OBS_DISABLED build or TPRE_ATTRIB=0).
+     * The trace cache's line ledger (origin × loop-class cells with
+     * inst-type histograms; copied at run end). Its sum over loop
+     * classes is the per-origin provenance table.
      */
     AttribTable attrib;
 };
@@ -126,8 +124,8 @@ class TraceSupply
             engine_->tick(cycles, icachePortFree);
     }
 
-    /** Copy the component ledgers (I-cache, engine, provenance,
-     *  attribution) into @p stats. */
+    /** Copy the component ledgers (I-cache, engine, trace-cache
+     *  lines) into @p stats. */
     void syncStats(SupplyStats &stats) const;
 
     /**

@@ -178,17 +178,31 @@ restoreInst(mem::ByteReader &r)
             r.get<std::uint8_t>()};
 }
 
+/** Checkpoint codec for a TraceId: its fields without the padding
+ *  or the cached hash (restore recomputes it). */
+inline void
+saveTraceId(mem::ByteWriter &w, const TraceId &id)
+{
+    w.put(id.startPc);
+    w.put(id.branchFlags);
+    w.put(id.numBranches);
+}
+
+inline TraceId
+restoreTraceId(mem::ByteReader &r)
+{
+    return TraceId{r.get<Addr>(), r.get<std::uint16_t>(),
+                   r.get<std::uint8_t>()};
+}
+
 /**
  * Checkpoint codec for a Trace, field by field like saveInst(): the
- * id without its cached hash (restore recomputes it), then the
- * length-prefixed live prefix of the body.
+ * id (saveTraceId), then the length-prefixed live prefix of the body.
  */
 inline void
 saveTrace(mem::ByteWriter &w, const Trace &trace)
 {
-    w.put(trace.id.startPc);
-    w.put(trace.id.branchFlags);
-    w.put(trace.id.numBranches);
+    saveTraceId(w, trace.id);
     w.put<std::uint8_t>(static_cast<std::uint8_t>(trace.len()));
     for (const TraceInst &ti : trace.insts) {
         w.put(ti.pc);
@@ -206,8 +220,7 @@ saveTrace(mem::ByteWriter &w, const Trace &trace)
 inline void
 restoreTrace(mem::ByteReader &r, Trace &trace)
 {
-    trace.id = TraceId{r.get<Addr>(), r.get<std::uint16_t>(),
-                       r.get<std::uint8_t>()};
+    trace.id = restoreTraceId(r);
     const auto n = r.get<std::uint8_t>();
     if (n > kMaxTraceLen)
         fatal("restoreTrace: body length %u exceeds %u", n,

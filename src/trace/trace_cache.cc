@@ -3,16 +3,12 @@
 #include <utility>
 
 #include "common/logging.hh"
-#include "obs/obs.hh"
 
 namespace tpre
 {
 
 TraceCache::TraceCache(std::size_t numEntries, unsigned assoc)
-    : assoc_(assoc),
-      // Parse the knob unconditionally (junk stays fatal in every
-      // build), then force the gate off when obs is compiled out.
-      attribOn_(attribDefaultEnabled() && obs::kEnabled)
+    : assoc_(assoc)
 {
     tpre_assert(assoc >= 1);
     tpre_assert(numEntries >= assoc && numEntries % assoc == 0,
@@ -36,9 +32,6 @@ TraceCache::save(mem::ByteWriter &w) const
     }
     w.put(useClock_);
     w.put(now_);
-    w.put(prov_);
-    // Always serialized (zeros when attribution is inactive) so the
-    // checkpoint image is identical across obs/attrib settings.
     w.put(attrib_);
 }
 
@@ -66,12 +59,10 @@ TraceCache::restore(mem::ByteReader &r)
         restoreTrace(r, e.trace);
         // The class is a pure function of the body; recompute it
         // rather than widening the checkpoint codec.
-        if (attribOn_)
-            e.cls = classifyTrace(e.trace);
+        e.cls = classifyTrace(e.trace);
     }
     useClock_ = r.get<std::uint64_t>();
     now_ = r.get<Cycle>();
-    prov_ = r.get<ProvenanceTable>();
     attrib_ = r.get<AttribTable>();
 }
 
@@ -109,64 +100,32 @@ TraceCache::findEntry(const TraceId &id) const
 void
 TraceCache::recordUse(Entry &entry)
 {
-    OriginProvenance &o = prov_.of(entry.trace.origin);
-    ++o.hits;
-    const bool firstUse = entry.hits++ == 0;
-    // The clocks agree by construction (the owning simulator
-    // drives both), but a zero provenance clock (unit tests)
-    // must not underflow against a stamped build cycle.
-    const Cycle latency = now_ > entry.trace.buildCycle
-                              ? now_ - entry.trace.buildCycle
-                              : 0;
-    if (firstUse) {
-        ++o.firstUses;
-        o.firstUseLatencySum += latency;
-    }
-    if constexpr (obs::kEnabled) {
-        if (attribOn_) {
-            AttribCell &cell =
-                attrib_.of(entry.trace.origin, entry.cls.loopClass);
-            ++cell.hits;
-            for (std::size_t k = 0; k < kNumInstKinds; ++k)
-                cell.instServed[k] += entry.cls.instCounts[k];
-            if (firstUse) {
-                ++cell.firstUses;
-                cell.firstUseLatencySum += latency;
-            }
-        }
+    AttribCell &cell = attrib_.of(entry.trace.origin, entry.cls.loopClass);
+    ++cell.hits;
+    for (std::size_t k = 0; k < kNumInstKinds; ++k)
+        cell.instServed[k] += entry.cls.instCounts[k];
+    if (entry.hits++ == 0) {
+        ++cell.firstUses;
+        // The clocks agree by construction (the owning simulator
+        // drives both), but a zero provenance clock (unit tests)
+        // must not underflow against a stamped build cycle.
+        if (now_ > entry.trace.buildCycle)
+            cell.firstUseLatencySum += now_ - entry.trace.buildCycle;
     }
 }
 
 void
 TraceCache::recordEviction(const Entry &entry, EvictReason reason)
 {
-    OriginProvenance &o = prov_.of(entry.trace.origin);
+    AttribCell &cell = attrib_.of(entry.trace.origin, entry.cls.loopClass);
     switch (reason) {
-      case EvictReason::Capacity: ++o.evictCapacity; break;
-      case EvictReason::Refresh: ++o.evictRefresh; break;
-      case EvictReason::Invalidate: ++o.evictInvalidate; break;
-      case EvictReason::Clear: ++o.evictClear; break;
+      case EvictReason::Capacity: ++cell.evictCapacity; break;
+      case EvictReason::Refresh: ++cell.evictRefresh; break;
+      case EvictReason::Invalidate: ++cell.evictInvalidate; break;
+      case EvictReason::Clear: ++cell.evictClear; break;
     }
     if (entry.hits == 0)
-        ++o.evictedUnused;
-    if constexpr (obs::kEnabled) {
-        if (attribOn_) {
-            AttribCell &cell =
-                attrib_.of(entry.trace.origin, entry.cls.loopClass);
-            switch (reason) {
-              case EvictReason::Capacity:
-                ++cell.evictCapacity;
-                break;
-              case EvictReason::Refresh: ++cell.evictRefresh; break;
-              case EvictReason::Invalidate:
-                ++cell.evictInvalidate;
-                break;
-              case EvictReason::Clear: ++cell.evictClear; break;
-            }
-            if (entry.hits == 0)
-                ++cell.evictedUnused;
-        }
-    }
+        ++cell.evictedUnused;
 }
 
 const Trace *
@@ -204,19 +163,13 @@ const Trace *
 TraceCache::insert(const Trace &trace, bool servedAtInsert)
 {
     tpre_assert(trace.id.valid(), "inserting invalid trace");
-    ++prov_.of(trace.origin).builds;
     // Classify once per insert (the only place a body enters the
     // cache); hits and evictions reuse the cached class.
-    TraceClass cls;
-    if constexpr (obs::kEnabled) {
-        if (attribOn_) {
-            cls = classifyTrace(trace);
-            AttribCell &cell = attrib_.of(trace.origin, cls.loopClass);
-            ++cell.builds;
-            for (std::size_t k = 0; k < kNumInstKinds; ++k)
-                cell.instBuilt[k] += cls.instCounts[k];
-        }
-    }
+    const TraceClass cls = classifyTrace(trace);
+    AttribCell &cell = attrib_.of(trace.origin, cls.loopClass);
+    ++cell.builds;
+    for (std::size_t k = 0; k < kNumInstKinds; ++k)
+        cell.instBuilt[k] += cls.instCounts[k];
     // Refresh in place when the identical trace is already present.
     if (Entry *existing = findEntry(trace.id)) {
         recordEviction(*existing, EvictReason::Refresh);

@@ -83,20 +83,17 @@ class TraceCache
             now_ = now;
     }
 
-    /** Per-origin lifetime ledger of every line this cache held. */
-    const ProvenanceTable &provenance() const { return prov_; }
-
     /**
-     * The reuse-attribution ledger (origin × loop-class cells,
-     * instruction-type histograms). All zeros unless attribution is
-     * active (obs compiled in and TPRE_ATTRIB != 0).
+     * The lifetime ledger of every line this cache held, counted
+     * once per (origin × loop-class) cell with instruction-type
+     * histograms.
      */
     const AttribTable &attrib() const { return attrib_; }
 
-    /** Is attribution bookkeeping live in this cache? */
-    bool attribActive() const { return attribOn_; }
+    /** The ledger summed over loop classes, per origin. */
+    ProvenanceTable provenance() const { return attrib_.provenance(); }
 
-    /** Checkpoint/restore entries, LRU state and provenance. */
+    /** Checkpoint/restore entries, LRU state and the ledger. */
     void save(mem::ByteWriter &w) const;
     void restore(mem::ByteReader &r);
 
@@ -110,8 +107,7 @@ class TraceCache
         Trace trace;
         /**
          * Attribution class, computed once at insert (the body is
-         * immutable while resident). Only meaningful when the cache
-         * has attribution active; recomputed from the trace on
+         * immutable while resident); recomputed from the trace on
          * checkpoint restore rather than serialized.
          */
         TraceClass cls;
@@ -129,7 +125,7 @@ class TraceCache
 
     /** Record a serve on @p entry (lookup hit or promote-serve). */
     void recordUse(Entry &entry);
-    /** Close @p entry's provenance record with @p reason. */
+    /** Close @p entry's ledger record with @p reason. */
     void recordEviction(const Entry &entry, EvictReason reason);
 
   private:
@@ -139,13 +135,6 @@ class TraceCache
     std::uint64_t useClock_ = 0;
     /** Provenance clock (simulated cycles); see advanceTo(). */
     Cycle now_ = 0;
-    ProvenanceTable prov_;
-    /**
-     * Attribution bookkeeping gate, sampled once at construction:
-     * false in TPRE_OBS_DISABLED builds (the accumulation sites
-     * compile down to the flag test alone) and under TPRE_ATTRIB=0.
-     */
-    bool attribOn_;
     AttribTable attrib_;
 };
 

@@ -2,13 +2,13 @@
  * @file
  * Tests for the trace-reuse attribution ledger (DESIGN.md section
  * 17): trace classification, TraceCache accumulation, the
- * provenance reconciliation contract, the strict TPRE_ATTRIB knob,
- * and the JSON / Prometheus renderings.
+ * provenance reconciliation contract, and the JSON / Prometheus
+ * renderings.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <vector>
 #include <string>
 
 #include "check/invariants.hh"
@@ -164,77 +164,12 @@ TEST(ClassifyTest, LinkingJalrIsCallNotIndirectBranch)
 }
 
 // ---------------------------------------------------------------
-// The strict TPRE_ATTRIB knob.
-// ---------------------------------------------------------------
-
-class AttribEnvTest : public ::testing::Test
-{
-  protected:
-    void
-    SetUp() override
-    {
-        const char *env = std::getenv("TPRE_ATTRIB");
-        had_ = env != nullptr;
-        if (had_)
-            saved_ = env;
-        unsetenv("TPRE_ATTRIB");
-    }
-
-    void
-    TearDown() override
-    {
-        if (had_)
-            setenv("TPRE_ATTRIB", saved_.c_str(), 1);
-        else
-            unsetenv("TPRE_ATTRIB");
-    }
-
-  private:
-    bool had_ = false;
-    std::string saved_;
-};
-
-TEST_F(AttribEnvTest, UnsetDefaultsToEnabled)
-{
-    EXPECT_TRUE(attribDefaultEnabled());
-}
-
-TEST_F(AttribEnvTest, ZeroAndOneParseStrictly)
-{
-    setenv("TPRE_ATTRIB", "0", 1);
-    EXPECT_FALSE(attribDefaultEnabled());
-    setenv("TPRE_ATTRIB", "1", 1);
-    EXPECT_TRUE(attribDefaultEnabled());
-}
-
-TEST_F(AttribEnvTest, JunkIsFatal)
-{
-    for (const char *bad : {"on", "true", "2", "01", "", " 1"}) {
-        EXPECT_EXIT(
-            {
-                setenv("TPRE_ATTRIB", bad, 1);
-                attribDefaultEnabled();
-            },
-            ::testing::ExitedWithCode(1), "not 0 or 1")
-            << "TPRE_ATTRIB='" << bad << "' accepted";
-    }
-}
-
-// ---------------------------------------------------------------
 // TraceCache accumulation + reconciliation contract.
 // ---------------------------------------------------------------
 
-class AttribCacheTest : public AttribEnvTest
+TEST(AttribCacheTest, InsertHitEvictAccumulate)
 {
-};
-
-TEST_F(AttribCacheTest, InsertHitEvictAccumulate)
-{
-    if (!obs::kEnabled)
-        GTEST_SKIP() << "attribution compiled out";
-
     TraceCache tc(64);
-    ASSERT_TRUE(tc.attribActive());
 
     Trace loop = traceOf({{alu(), false}, {condBranch(-8), true}});
     loop.buildCycle = 100; // the builder's stamp
@@ -273,16 +208,12 @@ TEST_F(AttribCacheTest, InsertHitEvictAccumulate)
 
     // The ledger must reconcile against provenance at every point.
     EXPECT_FALSE(check::attribReconciles(tc.attrib(),
-                                         tc.provenance(),
-                                         tc.attribActive())
+                                         tc.provenance())
                      .has_value());
 }
 
-TEST_F(AttribCacheTest, PreconOriginLandsInPreconRows)
+TEST(AttribCacheTest, PreconOriginLandsInPreconRows)
 {
-    if (!obs::kEnabled)
-        GTEST_SKIP() << "attribution compiled out";
-
     TraceCache tc(64);
     Trace t = traceOf({{alu(), false}, {call(), true}});
     t.origin = TraceOrigin::Precon;
@@ -296,58 +227,26 @@ TEST_F(AttribCacheTest, PreconOriginLandsInPreconRows)
     EXPECT_TRUE(
         tc.attrib().originSum(TraceOrigin::FillUnit).builds == 0u);
     EXPECT_FALSE(check::attribReconciles(tc.attrib(),
-                                         tc.provenance(),
-                                         tc.attribActive())
+                                         tc.provenance())
                      .has_value());
 }
 
-TEST_F(AttribCacheTest, DisabledCacheStaysAllZero)
+TEST(AttribCacheTest, CellProvenanceMismatchIsAViolation)
 {
-    setenv("TPRE_ATTRIB", "0", 1);
-    TraceCache tc(64);
-    EXPECT_FALSE(tc.attribActive());
-    tc.insert(traceOf({{alu(), false}, {condBranch(-8), true}}));
-    (void)tc.lookup({0x1000, 0x1, 1});
-    EXPECT_TRUE(tc.attrib().allZero());
-    // Provenance is unconditional and keeps counting regardless.
-    EXPECT_EQ(tc.provenance().of(TraceOrigin::FillUnit).builds, 1u);
-    EXPECT_FALSE(check::attribReconciles(tc.attrib(),
-                                         tc.provenance(),
-                                         tc.attribActive())
-                     .has_value());
-}
-
-TEST_F(AttribCacheTest, InactiveNonZeroTableIsAViolation)
-{
-    AttribTable table;
-    table.of(TraceOrigin::FillUnit, LoopClass::LoopBody).builds = 1;
-    const check::Violation violation = check::attribReconciles(
-        table, ProvenanceTable(), /*active=*/false);
-    ASSERT_TRUE(violation.has_value());
-}
-
-TEST_F(AttribCacheTest, CellProvenanceMismatchIsAViolation)
-{
-    if (!obs::kEnabled)
-        GTEST_SKIP() << "attribution compiled out";
-
     TraceCache tc(64);
     tc.insert(traceOf({{alu(), false}}));
     AttribTable skewed = tc.attrib();
     ++skewed.of(TraceOrigin::FillUnit, LoopClass::StraightLine)
           .builds;
-    const check::Violation violation = check::attribReconciles(
-        skewed, tc.provenance(), tc.attribActive());
+    const check::Violation violation =
+        check::attribReconciles(skewed, tc.provenance());
     ASSERT_TRUE(violation.has_value());
     EXPECT_NE(violation->find("attrib-reconcile"),
               std::string::npos);
 }
 
-TEST_F(AttribCacheTest, CheckpointRoundTripPreservesLedger)
+TEST(AttribCacheTest, CheckpointRoundTripPreservesLedger)
 {
-    if (!obs::kEnabled)
-        GTEST_SKIP() << "attribution compiled out";
-
     TraceCache tc(64);
     const Trace loop =
         traceOf({{alu(), false}, {condBranch(-8), true}});
@@ -374,8 +273,7 @@ TEST_F(AttribCacheTest, CheckpointRoundTripPreservesLedger)
                   .hits,
               2u);
     EXPECT_FALSE(check::attribReconciles(restored.attrib(),
-                                         restored.provenance(),
-                                         restored.attribActive())
+                                         restored.provenance())
                      .has_value());
 }
 
@@ -383,7 +281,7 @@ TEST_F(AttribCacheTest, CheckpointRoundTripPreservesLedger)
 // End-to-end: a real run reconciles and lands in SimResult.
 // ---------------------------------------------------------------
 
-TEST_F(AttribCacheTest, SimulatorRunReconciles)
+TEST(AttribCacheTest, SimulatorRunReconciles)
 {
     Simulator sim;
     SimConfig cfg;
@@ -392,20 +290,10 @@ TEST_F(AttribCacheTest, SimulatorRunReconciles)
     cfg.preconBufferEntries = 128;
     const SimResult result = sim.run(cfg);
 
-    const bool active = attribDefaultEnabled() && obs::kEnabled;
     EXPECT_FALSE(check::attribReconciles(result.attrib,
-                                          result.provenance, active)
+                                          result.provenance)
                      .has_value());
-    if (active) {
-        std::uint64_t builds = 0;
-        for (std::size_t o = 0; o < kNumOrigins; ++o)
-            builds += result.attrib
-                          .originSum(static_cast<TraceOrigin>(o))
-                          .builds;
-        EXPECT_GT(builds, 0u);
-    } else {
-        EXPECT_TRUE(result.attrib.allZero());
-    }
+    EXPECT_GT(result.provenance.totalBuilds(), 0u);
 }
 
 // ---------------------------------------------------------------
@@ -477,13 +365,11 @@ TEST(AttribRenderTest, ProvenancePrometheusLabeledFamilies)
 TEST(AttribRenderTest, PublishedLedgersAggregateAcrossRuns)
 {
     telemetry::resetPublishedLedgers();
-    ProvenanceTable prov;
-    prov.origins[std::size_t(TraceOrigin::FillUnit)].builds = 5;
     AttribTable attrib;
     attrib.of(TraceOrigin::FillUnit, LoopClass::StraightLine)
         .builds = 5;
-    telemetry::publishRunLedgers(prov, attrib);
-    telemetry::publishRunLedgers(prov, attrib);
+    telemetry::publishRunLedgers(attrib);
+    telemetry::publishRunLedgers(attrib);
 
     const std::string text = telemetry::renderPublishedLedgers();
     EXPECT_NE(
@@ -500,36 +386,66 @@ TEST(AttribRenderTest, PublishedLedgersAggregateAcrossRuns)
 // BENCH JSON presence contract.
 // ---------------------------------------------------------------
 
-class AttribReportTest : public AttribEnvTest
+TEST(AttribReportTest, ActiveRunsCarryAttribSections)
 {
-  protected:
-    static std::string
-    renderedReport()
-    {
-        BenchReport report("attrib_presence_test", 1);
-        Simulator sim;
-        SimConfig cfg;
-        cfg.benchmark = "compress";
-        cfg.maxInsts = 20000;
-        report.add(sim.run(cfg));
-        return report.render(0.5);
-    }
-};
-
-TEST_F(AttribReportTest, ActiveRunsCarryAttribSections)
-{
-    if (!obs::kEnabled)
-        GTEST_SKIP() << "attribution compiled out";
-    const std::string json = renderedReport();
-    EXPECT_NE(json.find("\"attrib\": {\"fill\""),
+    BenchReport report("attrib_presence_test", 1);
+    Simulator sim;
+    SimConfig cfg;
+    cfg.benchmark = "compress";
+    cfg.maxInsts = 20000;
+    report.add(sim.run(cfg));
+    EXPECT_NE(report.render(0.5).find("\"attrib\": {\"fill\""),
               std::string::npos);
 }
 
-TEST_F(AttribReportTest, DisabledRunsOmitAttribEntirely)
+TEST(AttribReportTest, EveryRowAttribSumsToItsProvenance)
 {
-    setenv("TPRE_ATTRIB", "0", 1);
-    const std::string json = renderedReport();
-    EXPECT_EQ(json.find("\"attrib\""), std::string::npos);
+    // Every build carries the top-level and per-row "attrib"
+    // sections, and each row's origin sums are its "provenance"
+    // object, summed here independently of AttribTable::provenance().
+    BenchReport report("attrib_rows_test", 1);
+    std::vector<SimResult> rows;
+    for (const char *bench : {"compress", "gcc"}) {
+        Simulator sim;
+        SimConfig cfg;
+        cfg.benchmark = bench;
+        cfg.maxInsts = 20000;
+        cfg.preconBufferEntries = 128;
+        rows.push_back(sim.run(cfg));
+        report.add(rows.back());
+    }
+    const std::string json = report.render(0.5);
+    AttribTable total;
+    for (const SimResult &r : rows) {
+        ProvenanceTable sums;
+        for (std::size_t o = 0; o < kNumOrigins; ++o) {
+            for (std::size_t c = 0; c < kNumLoopClasses; ++c) {
+                const AttribCell &cell =
+                    r.attrib.cells[o * kNumLoopClasses + c];
+                OriginProvenance &sum = sums.origins[o];
+                sum.builds += cell.builds;
+                sum.hits += cell.hits;
+                sum.firstUses += cell.firstUses;
+                sum.firstUseLatencySum += cell.firstUseLatencySum;
+                sum.evictCapacity += cell.evictCapacity;
+                sum.evictRefresh += cell.evictRefresh;
+                sum.evictInvalidate += cell.evictInvalidate;
+                sum.evictClear += cell.evictClear;
+                sum.evictedUnused += cell.evictedUnused;
+            }
+        }
+        EXPECT_GT(sums.totalBuilds(), 0u);
+        EXPECT_NE(json.find("\"provenance\": " +
+                            renderProvenanceJson(sums) +
+                            ", \"attrib\": " +
+                            renderAttribJson(r.attrib) + ", "),
+                  std::string::npos)
+            << r.config.benchmark;
+        total.add(r.attrib);
+    }
+    EXPECT_NE(json.find("  \"attrib\": " + renderAttribJson(total) +
+                        ",\n"),
+              std::string::npos);
 }
 
 } // namespace

@@ -354,6 +354,38 @@ TEST(StatsConserved, ProcessorAllowsOneInFlightLookup)
     EXPECT_TRUE(check::statsConserved(s).has_value());
 }
 
+TEST(FastStatsEqual, NamesAPerturbedInstructionKind)
+{
+    WorkloadGenerator gen(specint95Profile("gcc"));
+    auto wl = gen.generate();
+    FastSimConfig cfg;
+    cfg.preconEnabled = true;
+    FastSim sim(wl.program, cfg);
+    const FastSimStats live = sim.run(20000);
+    EXPECT_FALSE(check::fastStatsEqual(live, live).has_value());
+
+    // Move one served instruction between two kinds of one cell:
+    // every sum stays the same, only the kind split moves. The
+    // first differing field in kind order is load_store.
+    const AttribCell &cell =
+        live.attrib.of(TraceOrigin::FillUnit, LoopClass::LoopBody);
+    const auto alu = static_cast<std::size_t>(InstKind::Alu);
+    const auto mem = static_cast<std::size_t>(InstKind::LoadStore);
+    ASSERT_GT(cell.instServed[alu], 0u);
+    FastSimStats replayed = live;
+    AttribCell &moved =
+        replayed.attrib.of(TraceOrigin::FillUnit, LoopClass::LoopBody);
+    --moved.instServed[alu];
+    ++moved.instServed[mem];
+
+    const Violation v = check::fastStatsEqual(live, replayed);
+    ASSERT_TRUE(v.has_value());
+    EXPECT_NE(v->find("attrib.fill.loop_body.instServed.load_store "
+                      "diverges: live "),
+              std::string::npos)
+        << *v;
+}
+
 TEST(RasWellFormed, DefaultStackIsSane)
 {
     ReturnAddressStack ras;

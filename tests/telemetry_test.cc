@@ -365,7 +365,9 @@ TEST(ProvenanceTest, LedgerTracksBuildsHitsAndEvictions)
     tc.insert(provTrace(0x1000, TraceOrigin::FillUnit));
     tc.insert(provTrace(0x2000, TraceOrigin::Precon));
 
-    const ProvenanceTable &prov = tc.provenance();
+    // provenance() is a snapshot summed from the cells: re-read it
+    // after every step.
+    ProvenanceTable prov = tc.provenance();
     EXPECT_EQ(prov.of(TraceOrigin::FillUnit).builds, 1u);
     EXPECT_EQ(prov.of(TraceOrigin::Precon).builds, 1u);
     EXPECT_EQ(prov.totalHits(), 0u);
@@ -373,16 +375,19 @@ TEST(ProvenanceTest, LedgerTracksBuildsHitsAndEvictions)
     // Two lookups: first use + a repeat hit.
     EXPECT_NE(tc.lookup({0x1000, 0, 0}), nullptr);
     EXPECT_NE(tc.lookup({0x1000, 0, 0}), nullptr);
+    prov = tc.provenance();
     EXPECT_EQ(prov.of(TraceOrigin::FillUnit).hits, 2u);
     EXPECT_EQ(prov.of(TraceOrigin::FillUnit).firstUses, 1u);
 
     // Invalidate the never-used precon line: evicted unused.
     EXPECT_TRUE(tc.invalidate({0x2000, 0, 0}));
+    prov = tc.provenance();
     EXPECT_EQ(prov.of(TraceOrigin::Precon).evictInvalidate, 1u);
     EXPECT_EQ(prov.of(TraceOrigin::Precon).evictedUnused, 1u);
 
     // clear() closes the remaining line's record.
     tc.clear();
+    prov = tc.provenance();
     EXPECT_EQ(prov.of(TraceOrigin::FillUnit).evictClear, 1u);
     EXPECT_EQ(prov.totalBuilds() - prov.totalEvictions(),
               tc.numValid());
@@ -397,7 +402,7 @@ TEST(ProvenanceTest, FirstUseLatencyMeasuredOnProvenanceClock)
                         /*buildCycle=*/40));
     tc.advanceTo(150);
     EXPECT_NE(tc.lookup({0x1000, 0, 0}), nullptr);
-    const OriginProvenance &pre = tc.provenance().of(
+    const OriginProvenance pre = tc.provenance().of(
         TraceOrigin::Precon);
     EXPECT_EQ(pre.firstUses, 1u);
     EXPECT_EQ(pre.firstUseLatencySum, 110u);  // 150 - 40
@@ -409,7 +414,7 @@ TEST(ProvenanceTest, ServedAtInsertCountsAsHitAndFirstUse)
     TraceCache tc(4, 2);
     tc.insert(provTrace(0x1000, TraceOrigin::Precon),
               /*servedAtInsert=*/true);
-    const OriginProvenance &pre = tc.provenance().of(
+    const OriginProvenance pre = tc.provenance().of(
         TraceOrigin::Precon);
     EXPECT_EQ(pre.builds, 1u);
     EXPECT_EQ(pre.hits, 1u);
@@ -422,7 +427,7 @@ TEST(ProvenanceTest, CapacityEvictionClosesTheVictimRecord)
     tc.insert(provTrace(0x1000, TraceOrigin::FillUnit));
     tc.insert(provTrace(0x2000, TraceOrigin::FillUnit));
     tc.insert(provTrace(0x3000, TraceOrigin::FillUnit));
-    const OriginProvenance &fill = tc.provenance().of(
+    const OriginProvenance fill = tc.provenance().of(
         TraceOrigin::FillUnit);
     EXPECT_EQ(fill.builds, 3u);
     EXPECT_EQ(fill.evictCapacity, 1u);
@@ -460,7 +465,7 @@ TEST(ProvenanceTest, SimulatorRowReconcilesWithProvenance)
 
 TEST(ProvenanceTest, DiffOracleChecksProvenanceEveryCase)
 {
-    // diffModels embeds provenanceReconciles{Fast,Timing}; a green
+    // diffModels embeds provenanceReconciles; a green
     // diff over a non-trivial case is the end-to-end guarantee the
     // fuzzer relies on.
     Simulator sim;

@@ -10,9 +10,7 @@
  *       from its attribution section: the (origin x loop-class)
  *       reuse ledger plus the instruction-type decomposition. With
  *       --benchmark, sum only that benchmark's rows instead of the
- *       whole-report aggregate. Fails with a pointed message when
- *       the report carries no "attrib" section (TPRE_OBS_DISABLED
- *       build or TPRE_ATTRIB=0 run).
+ *       whole-report aggregate.
  *
  *   run --benchmark NAME [--seed N] [--max-insts N] [--tc N]
  *       [--pb N] [--prep]
@@ -306,13 +304,20 @@ class JsonParser
 // JSON attribution object -> AttribTable.
 // --------------------------------------------------------------
 
+/** Member @p key of @p obj; a report without it is malformed. */
+const JsonValue &
+member(const JsonValue &obj, const char *key)
+{
+    const JsonValue *v = obj.find(key);
+    if (v == nullptr)
+        fatal("attrib: malformed report: no '%s' member", key);
+    return *v;
+}
+
 std::uint64_t
 cellField(const JsonValue &cell, const char *key)
 {
-    const JsonValue *v = cell.find(key);
-    if (v == nullptr)
-        fatal("attrib: cell is missing the '%s' field", key);
-    return v->u64();
+    return member(cell, key).u64();
 }
 
 /** Rebuild one AttribTable from a renderAttribJson() object. */
@@ -322,44 +327,31 @@ tableFromJson(const JsonValue &attrib)
     AttribTable table;
     for (std::size_t o = 0; o < kNumOrigins; ++o) {
         const auto origin = static_cast<TraceOrigin>(o);
-        const JsonValue *originObj =
-            attrib.find(traceOriginName(origin));
-        if (originObj == nullptr)
-            fatal("attrib: section lacks origin '%s'",
-                  traceOriginName(origin));
+        const JsonValue &originObj =
+            member(attrib, traceOriginName(origin));
         for (std::size_t c = 0; c < kNumLoopClasses; ++c) {
             const auto cls = static_cast<LoopClass>(c);
-            const JsonValue *cellObj =
-                originObj->find(loopClassName(cls));
-            if (cellObj == nullptr)
-                fatal("attrib: origin '%s' lacks class '%s'",
-                      traceOriginName(origin), loopClassName(cls));
+            const JsonValue &cellObj =
+                member(originObj, loopClassName(cls));
             AttribCell &cell = table.of(origin, cls);
-            cell.builds = cellField(*cellObj, "builds");
-            cell.hits = cellField(*cellObj, "hits");
-            cell.firstUses = cellField(*cellObj, "first_uses");
+            cell.builds = cellField(cellObj, "builds");
+            cell.hits = cellField(cellObj, "hits");
+            cell.firstUses = cellField(cellObj, "first_uses");
             cell.firstUseLatencySum =
-                cellField(*cellObj, "first_use_latency_sum");
-            cell.evictCapacity =
-                cellField(*cellObj, "evict_capacity");
-            cell.evictRefresh = cellField(*cellObj, "evict_refresh");
+                cellField(cellObj, "first_use_latency_sum");
+            cell.evictCapacity = cellField(cellObj, "evict_capacity");
+            cell.evictRefresh = cellField(cellObj, "evict_refresh");
             cell.evictInvalidate =
-                cellField(*cellObj, "evict_invalidate");
-            cell.evictClear = cellField(*cellObj, "evict_clear");
-            cell.evictedUnused =
-                cellField(*cellObj, "evicted_unused");
+                cellField(cellObj, "evict_invalidate");
+            cell.evictClear = cellField(cellObj, "evict_clear");
+            cell.evictedUnused = cellField(cellObj, "evicted_unused");
+            const JsonValue &built = member(cellObj, "inst_built");
+            const JsonValue &served = member(cellObj, "inst_served");
             for (std::size_t k = 0; k < kNumInstKinds; ++k) {
-                const auto kind = static_cast<InstKind>(k);
-                const JsonValue *built = cellObj->find("inst_built");
-                const JsonValue *served =
-                    cellObj->find("inst_served");
-                if (built == nullptr || served == nullptr)
-                    fatal("attrib: cell lacks inst_built/"
-                          "inst_served");
-                cell.instBuilt[k] =
-                    cellField(*built, instKindName(kind));
-                cell.instServed[k] =
-                    cellField(*served, instKindName(kind));
+                const char *kind =
+                    instKindName(static_cast<InstKind>(k));
+                cell.instBuilt[k] = cellField(built, kind);
+                cell.instServed[k] = cellField(served, kind);
             }
         }
     }
@@ -506,35 +498,20 @@ cmdReport(const std::vector<std::string> &args)
     const JsonValue report = parser.parse();
 
     if (benchmark.empty()) {
-        const JsonValue *attrib = report.find("attrib");
-        if (attrib == nullptr)
-            fatal("attrib: %s has no \"attrib\" section — the run "
-                  "was made with TPRE_ATTRIB=0 or a "
-                  "TPRE_OBS_DISABLED build",
-                  path.c_str());
         const JsonValue *bench = report.find("bench");
-        renderTables(tableFromJson(*attrib),
+        renderTables(tableFromJson(member(report, "attrib")),
                      bench != nullptr ? bench->string : path);
         return 0;
     }
 
     // --benchmark: sum the matching rows' tables.
-    const JsonValue *rows = report.find("rows");
-    if (rows == nullptr)
-        fatal("attrib: %s has no \"rows\" array", path.c_str());
     AttribTable sum;
     std::size_t matched = 0;
-    for (const JsonValue &row : rows->array) {
+    for (const JsonValue &row : member(report, "rows").array) {
         const JsonValue *name = row.find("benchmark");
         if (name == nullptr || name->string != benchmark)
             continue;
-        const JsonValue *attrib = row.find("attrib");
-        if (attrib == nullptr)
-            fatal("attrib: %s rows carry no \"attrib\" section — "
-                  "the run was made with TPRE_ATTRIB=0 or a "
-                  "TPRE_OBS_DISABLED build",
-                  path.c_str());
-        sum.add(tableFromJson(*attrib));
+        sum.add(tableFromJson(member(row, "attrib")));
         ++matched;
     }
     if (matched == 0)
@@ -585,11 +562,6 @@ cmdRun(const std::vector<std::string> &args)
     }
     if (cfg.benchmark.empty())
         return usage();
-
-    if (!attribDefaultEnabled() || !obs::kEnabled)
-        fatal("attrib: attribution is disabled (TPRE_ATTRIB=0 or a "
-              "TPRE_OBS_DISABLED build); `attrib run` has nothing "
-              "to render");
 
     // Validate the name up front for a pointed error instead of a
     // mid-run fatal from the workload cache.

@@ -51,7 +51,7 @@ import json
 import sys
 
 REQUIRED_REPORT_FIELDS = ("bench", "mips", "simulated_instructions",
-                          "wall_seconds")
+                          "wall_seconds", "attrib")
 
 
 def _gate_against(name, mips, entry, tolerance, what):
@@ -127,29 +127,6 @@ def _gate_sub_entry(name, mips, entry, key, why, jobs, tolerance,
     return _gate_against(name, mips, sub, tolerance, what)
 
 
-def _attrib_note(report):
-    """Check the optional attribution section of a report.
-
-    "attrib" is absent by design when the run was made with
-    TPRE_ATTRIB=0 or an observability-disabled build, so absence is
-    a warning note appended to the verdict (exit stays 0) — the
-    throughput gate itself still runs. A present-but-malformed
-    section, however, means the report writer broke contract:
-    that is an error.
-
-    Returns (error_message | None, note | "").
-    """
-    if "attrib" not in report:
-        return None, ("\nperf gate: note: report has no 'attrib' "
-                      "section (TPRE_ATTRIB=0 or an "
-                      "observability-disabled build); attribution "
-                      "dashboards will be empty for this run")
-    if not isinstance(report["attrib"], dict):
-        return ("perf gate: report 'attrib' section is not a JSON "
-                "object"), ""
-    return None, ""
-
-
 def evaluate(report, baseline, tolerance=2.0):
     """Judge one bench report against the baseline table.
 
@@ -167,9 +144,9 @@ def evaluate(report, baseline, tolerance=2.0):
             return 1, (f"perf gate: report lacks required field "
                        f"'{field}'")
 
-    attrib_error, attrib_note = _attrib_note(report)
-    if attrib_error is not None:
-        return 1, attrib_error
+    if not isinstance(report["attrib"], dict):
+        return 1, ("perf gate: report 'attrib' section is not a JSON "
+                   "object")
 
     name = report["bench"]
     mips = report["mips"]
@@ -191,8 +168,7 @@ def evaluate(report, baseline, tolerance=2.0):
     if name not in baseline:
         return 0, (f"perf gate: new benchmark '{name}' has no "
                    f"baseline entry; skipping comparison (commit a "
-                   f"reference MIPS to enable the gate)"
-                   + attrib_note)
+                   f"reference MIPS to enable the gate)")
 
     entry = baseline[name]
 
@@ -214,7 +190,7 @@ def evaluate(report, baseline, tolerance=2.0):
         code, message = _gate_sub_entry(
             name, mips, entry, "parallel", f"ran at {jobs} jobs",
             jobs, tolerance, f"aggregate MIPS at {jobs} jobs")
-    return code, message + attrib_note
+    return code, message
 
 
 def main(argv=None):

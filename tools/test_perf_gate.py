@@ -27,6 +27,7 @@ def good_report(name="fig5", mips=10.0):
         "mips": mips,
         "simulated_instructions": 1000000,
         "wall_seconds": 0.1,
+        "attrib": {"fill": {}, "precon": {}},
     }
 
 
@@ -314,26 +315,23 @@ def test_report_without_sampled_flag_is_detailed():
     assert "sampled-mode" not in msg
 
 
-# --- attribution section: note when absent, error when broken ---
+# --- attribution section: every report carries one ---------------
 
-def test_missing_attrib_notes_but_passes():
+def test_missing_attrib_is_an_error():
+    # Every report carries "attrib"; one without it is malformed,
+    # on the gated path and on the skip paths (new benchmark,
+    # missing parallel sub-entry) alike.
+    for report, base in ((good_report(mips=10.0), baseline_with()),
+                         (good_report(name="fig9"), baseline_with()),
+                         (parallel_report(), baseline_with())):
+        del report["attrib"]
+        code, msg = evaluate(report, base)
+        assert code == 1, msg
+        assert "'attrib'" in msg
+
+
+def test_present_attrib_passes_without_a_note():
     code, msg = evaluate(good_report(mips=10.0), baseline_with())
-    assert code == 0, msg
-    assert "no 'attrib' section" in msg
-    assert "[PASS]" in msg  # the throughput gate itself still ran
-
-
-def test_missing_attrib_does_not_mask_a_regression():
-    code, msg = evaluate(good_report(mips=1.0), baseline_with())
-    assert code == 1
-    assert "[FAIL]" in msg
-    assert "no 'attrib' section" in msg
-
-
-def test_present_attrib_silences_the_note():
-    report = good_report(mips=10.0)
-    report["attrib"] = {"fill": {}, "precon": {}}
-    code, msg = evaluate(report, baseline_with())
     assert code == 0, msg
     assert "attrib" not in msg
 
@@ -345,17 +343,6 @@ def test_malformed_attrib_is_an_error():
         code, msg = evaluate(report, baseline_with())
         assert code == 1, f"attrib={bad!r} accepted: {msg}"
         assert "attrib" in msg
-
-
-def test_missing_attrib_notes_on_skip_paths():
-    # The note rides along even when the MIPS comparison is skipped
-    # (new benchmark, missing parallel sub-entry).
-    code, msg = evaluate(good_report(name="fig9"), baseline_with())
-    assert code == 0
-    assert "no 'attrib' section" in msg
-    code, msg = evaluate(parallel_report(), baseline_with())
-    assert code == 0
-    assert "no 'attrib' section" in msg
 
 
 # --- new benchmark: warn and skip -------------------------------
@@ -430,7 +417,7 @@ def test_baseline_entry_non_positive_mips():
 
 def test_report_missing_fields():
     for field in ("bench", "mips", "simulated_instructions",
-                  "wall_seconds"):
+                  "wall_seconds", "attrib"):
         report = good_report()
         del report[field]
         code, msg = evaluate(report, baseline_with())
