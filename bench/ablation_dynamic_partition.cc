@@ -37,8 +37,6 @@ main(int argc, char **argv)
 {
     bench::Harness harness("ablation_dynamic_partition", argc,
                            argv);
-    if (harness.replaying())
-        return harness.runReplay();
     bench::banner(
         "Trace-cache vs preconstruction storage at equal 32 KB "
         "(Section 5.1)",

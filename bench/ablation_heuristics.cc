@@ -48,8 +48,6 @@ int
 main(int argc, char **argv)
 {
     bench::Harness harness("ablation_heuristics", argc, argv);
-    if (harness.replaying())
-        return harness.runReplay();
     bench::banner(
         "Ablations: preconstruction design choices (fast mode, "
         "128TC+128PB)",

@@ -12,7 +12,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <limits>
 #include <string>
 
 #include "check/stats_check.hh"
@@ -81,10 +80,8 @@ verified(const SimResult &r)
  * open the file in Perfetto) and --telemetry-port N (or
  * TPRE_TELEMETRY_PORT: serve /metrics, /healthz and /runs on
  * 127.0.0.1:N for the duration of the run; port 0 picks an
- * ephemeral port) and --replay FILE (replay a recorded `.tpt`
- * trace through the fast frontend instead of running the binary's
- * own sweep) and --sample (SMARTS-style sampled simulation: apply
- * sample::defaultSpec to every Fast-mode row via applySample(),
+ * ephemeral port) and --sample (SMARTS-style sampled simulation:
+ * apply sample::defaultSpec to every Fast-mode row via applySample(),
  * unless TPRE_SAMPLE_* pins an explicit regime). The crash flight
  * recorder is always installed (opt out with
  * TPRE_FLIGHT_RECORDER=0). Times the run, collects verified result
@@ -121,10 +118,6 @@ class Harness
     /** Worker threads the binary's sweeps shard over. */
     unsigned jobs() const { return opts_.jobs; }
 
-    /** Was --replay FILE given? The binary should short-circuit:
-     *    if (harness.replaying()) return harness.runReplay();   */
-    bool replaying() const { return !opts_.replay.empty(); }
-
     /** Was --sample given (SMARTS-style sampled simulation)? */
     bool sampling() const { return opts_.sample; }
 
@@ -145,38 +138,6 @@ class Harness
         cfg.sampleWindow = spec.window;
         cfg.sampleWarmup = spec.warmup;
         return cfg;
-    }
-
-    /**
-     * Replay the --replay `.tpt` file through the fast frontend
-     * (trace ingestion workflow, README "Trace ingestion & replay"):
-     * no functional execution — the recorded stream drives the fill
-     * unit, trace cache and preconstruction engine directly. The
-     * replayed row is verified and reported like any live row.
-     */
-    int
-    runReplay()
-    {
-        banner("trace replay",
-               "replay reproduces the recorded run's frontend "
-               "behaviour without functional execution");
-        SimConfig cfg;
-        cfg.traceCacheEntries = 256;
-        cfg.preconBufferEntries = 128;
-        // Default to the whole recorded stream; TPRE_INSTS can
-        // still cut the replay short.
-        cfg.maxInsts = runLength(
-            std::numeric_limits<InstCount>::max());
-        const SimResult r = replayTrace(opts_.replay, cfg);
-        std::printf("replayed %s: %s, %llu insts, %llu traces, "
-                    "%.3f misses/KI, %.2f MIPS\n",
-                    opts_.replay.c_str(),
-                    r.config.benchmark.c_str(),
-                    static_cast<unsigned long long>(r.instructions),
-                    static_cast<unsigned long long>(r.traces),
-                    r.missesPerKi, r.mips);
-        record(r);
-        return finish();
     }
 
     /** Chrome-trace output path ("" when --trace-out not given). */
@@ -253,8 +214,6 @@ class Harness
         std::string traceOut;
         /** Telemetry port; -1 = disabled, 0 = ephemeral. */
         int telemetryPort = -1;
-        /** `.tpt` file to replay instead of the binary's sweep. */
-        std::string replay;
         /** SMARTS-style sampled simulation (sample::defaultSpec). */
         bool sample = false;
     };
@@ -288,20 +247,12 @@ class Harness
             } else if (arg.rfind("--telemetry-port=", 0) == 0) {
                 opts.telemetryPort =
                     parsePort(arg.c_str() + 17, "--telemetry-port");
-            } else if (arg == "--replay") {
-                if (i + 1 >= argc)
-                    fatal("--replay needs a .tpt file path");
-                opts.replay = argv[++i];
-            } else if (arg.rfind("--replay=", 0) == 0) {
-                opts.replay = arg.substr(9);
-                if (opts.replay.empty())
-                    fatal("--replay needs a .tpt file path");
             } else if (arg == "--sample") {
                 opts.sample = true;
             } else {
                 fatal("unknown option '%s' (supported: --jobs N, "
                       "--trace-out FILE, --telemetry-port N, "
-                      "--replay FILE, --sample; budget via "
+                      "--sample; budget via "
                       "TPRE_INSTS, sampling regime via "
                       "TPRE_SAMPLE_EVERY/WINDOW/WARMUP)",
                       arg.c_str());

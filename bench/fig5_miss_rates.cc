@@ -54,8 +54,6 @@ main(int argc, char **argv)
     const char *harnessName = nullptr;
     const std::vector<std::string> &names = suiteNames(&harnessName);
     bench::Harness harness(harnessName, argc, argv);
-    if (harness.replaying())
-        return harness.runReplay();
     bench::banner(
         "Figure 5: trace cache misses per 1000 instructions vs "
         "combined size",

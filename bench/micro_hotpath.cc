@@ -1,16 +1,15 @@
 /**
  * @file
- * Hot-path micro-benchmarks (google-benchmark): the allocation-free
+ * Micro-benchmarks (google-benchmark): the allocation-free
  * structures this repository's throughput rests on — functional
  * core step rate, flat-page-table memory access (page-cache hits
  * and random pages), trace segmentation rate, block dispatch and the
  * sampler's block fast-forward, inline trace-body copies,
- * trace-cache probes with cached identity hashes, the Section 6
- * preprocessing kernels, the per-trace invariant checkers and the
- * preconstruction engine.
- * Companion to micro_components, which covers the predictor
- * structures; these benches isolate the per-instruction costs the
- * MIPS gate tracks.
+ * trace-cache probes with cached identity hashes, the bimodal and
+ * next-trace predictors, the Section 6 preprocessing kernels, the
+ * per-trace invariant checkers, the preconstruction engine and
+ * whole fast-mode simulation with preconstruction. Most isolate a
+ * per-instruction cost the MIPS gate tracks.
  */
 
 #include <benchmark/benchmark.h>
@@ -21,6 +20,8 @@
 #include <string>
 #include <vector>
 
+#include "bpred/bimodal.hh"
+#include "bpred/next_trace.hh"
 #include "common/parse.hh"
 #include "check/invariants.hh"
 #include "common/random.hh"
@@ -223,6 +224,35 @@ BM_TraceCacheProbe(benchmark::State &state)
 }
 BENCHMARK(BM_TraceCacheProbe);
 
+void
+BM_BimodalPredictUpdate(benchmark::State &state)
+{
+    BimodalPredictor bp;
+    Rng rng(2);
+    Addr pc = 0x1000;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(bp.predict(pc));
+        bp.update(pc, rng.nextBool(0.7));
+        pc = 0x1000 + 4 * rng.nextBelow(8192);
+    }
+}
+BENCHMARK(BM_BimodalPredictUpdate);
+
+void
+BM_NextTracePredictor(benchmark::State &state)
+{
+    NextTracePredictor ntp;
+    Rng rng(3);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(ntp.predict());
+        TraceId id{0x1000 + 4 * rng.nextBelow(256),
+                   static_cast<std::uint16_t>(rng.nextBelow(8)),
+                   3};
+        ntp.advance(id, rng.nextBool(0.1), rng.nextBool(0.1));
+    }
+}
+BENCHMARK(BM_NextTracePredictor);
+
 /** gcc's demand traces from a 300k-instruction FastSim run. */
 const std::vector<Trace> &
 gccDemandTraces()
@@ -346,6 +376,23 @@ BM_PreconEngine(benchmark::State &state)
         benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
 }
 BENCHMARK(BM_PreconEngine)->Unit(benchmark::kMillisecond);
+
+/** Whole fast-mode simulation of gcc, 128TC+128PB, 100k insts. */
+void
+BM_FastSimWithPrecon(benchmark::State &state)
+{
+    const GeneratedWorkload &wl = gccWorkload();
+    for (auto _ : state) {
+        FastSimConfig cfg;
+        cfg.traceCacheEntries = 128;
+        cfg.preconEnabled = true;
+        cfg.precon.bufferEntries = 128;
+        FastSim sim(wl.program, cfg);
+        benchmark::DoNotOptimize(sim.run(100000));
+    }
+    state.SetItemsProcessed(state.iterations() * 100000);
+}
+BENCHMARK(BM_FastSimWithPrecon)->Unit(benchmark::kMillisecond);
 
 } // namespace
 

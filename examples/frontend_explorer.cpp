@@ -10,6 +10,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <unordered_set>
 
 #include "sim/report.hh"
 #include "sim/simulator.hh"
@@ -28,11 +29,16 @@ main(int argc, char **argv)
 
     Simulator sim;
 
-    // First: characterize the workload's trace working set.
+    // First: characterize the workload's trace working set, the
+    // distinct trace identities a trace hook sees.
     const auto wlp = sim.workload(bench, 7);
     const GeneratedWorkload &wl = *wlp;
+    std::unordered_set<TraceId> seen;
     FastSimConfig probe_cfg;
-    probe_cfg.trackTraceWorkingSet = true;
+    probe_cfg.hooks.onTrace = [&seen](const Trace &demanded,
+                                      const Trace &, bool) {
+        seen.insert(demanded.id);
+    };
     FastSim probe(wl.program, probe_cfg);
     const FastSimStats &pr = probe.run(insts);
     std::printf("benchmark %s: %zu static instructions, %llu "
@@ -41,10 +47,9 @@ main(int argc, char **argv)
                 "cached)\n\n",
                 bench.c_str(), wl.totalInsts,
                 static_cast<unsigned long long>(pr.traces),
-                static_cast<unsigned long long>(pr.traceWorkingSet),
+                static_cast<unsigned long long>(seen.size()),
                 static_cast<unsigned long long>(
-                    pr.traceWorkingSet * maxTraceLen * instBytes /
-                    1024));
+                    seen.size() * maxTraceLen * instBytes / 1024));
 
     // Then: the Figure 5 sweep for this benchmark, with an effort
     // breakdown of the preconstruction engine.

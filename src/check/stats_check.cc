@@ -151,7 +151,6 @@ fastStatsEqual(const FastSimStats &live,
         TPRE_FIELD(tcMisses);
         TPRE_FIELD(slowPathInsts);
         TPRE_FIELD(slowPathInstsFromMisses);
-        TPRE_FIELD(traceWorkingSet);
         TPRE_FIELD(icache.demandAccesses);
         TPRE_FIELD(icache.demandMisses);
         TPRE_FIELD(icache.preconAccesses);

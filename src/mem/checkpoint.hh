@@ -149,7 +149,7 @@ enum class CheckpointKind : std::uint8_t
 struct Checkpoint
 {
     static constexpr std::uint32_t kMagic = 0x54504331; // "TPC1"
-    static constexpr std::uint16_t kVersion = 5;
+    static constexpr std::uint16_t kVersion = 6;
 
     CheckpointKind kind = CheckpointKind::Full;
     /**

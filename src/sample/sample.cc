@@ -94,29 +94,6 @@ contractSpec()
 }
 
 MetricEstimate
-estimateOf(const std::vector<double> &xs)
-{
-    MetricEstimate est;
-    est.windows = xs.size();
-    est.sampledWindows = xs.size();
-    if (xs.empty())
-        return est;
-    double sum = 0.0;
-    for (const double x : xs)
-        sum += x;
-    est.mean = sum / static_cast<double>(xs.size());
-    if (xs.size() < 2)
-        return est;
-    double sq = 0.0;
-    for (const double x : xs)
-        sq += (x - est.mean) * (x - est.mean);
-    est.sd = std::sqrt(sq / static_cast<double>(xs.size() - 1));
-    est.ci95 =
-        1.96 * est.sd / std::sqrt(static_cast<double>(xs.size()));
-    return est;
-}
-
-MetricEstimate
 estimateStratified(const std::vector<Stratum> &xs)
 {
     MetricEstimate est;
@@ -166,6 +143,20 @@ estimateStratified(const std::vector<Stratum> &xs)
 
 namespace
 {
+
+/** The measured window's counter deltas. */
+struct WindowSample
+{
+    /** Instructions measured inside the detailed window. */
+    InstCount insts = 0;
+    Cycle cycles = 0;
+    std::uint64_t traces = 0;
+    std::uint64_t tcMisses = 0;
+    std::uint64_t pbHits = 0;
+    std::uint64_t slowPathInsts = 0;
+    std::uint64_t slowPathInstsFromMisses = 0;
+    std::uint64_t icacheMisses = 0;
+};
 
 WindowSample
 windowDelta(const FastSimStats &s0, const FastSimStats &s1)
@@ -289,8 +280,6 @@ runSampled(FastSim &sim, const SampleSpec &rawSpec, InstCount budget)
                 static_cast<double>(w.slowPathInstsFromMisses)));
 
             run.sampledInsts += w.insts;
-            w.span = span;
-            run.samples.push_back(w);
             ++run.windows;
         }
 

@@ -86,26 +86,6 @@ inline constexpr InstCount contractBudget = 1'000'000;
 SampleSpec contractSpec();
 
 /**
- * Per-stratum statistics: the measured window's counter deltas plus
- * the stratum's total span (window + warm-up + functionally skipped
- * instructions). For the fully-measured ramp strata span == insts.
- */
-struct WindowSample
-{
-    /** Instructions measured inside the detailed window. */
-    InstCount insts = 0;
-    /** Total stratum span the window extrapolates over. */
-    InstCount span = 0;
-    Cycle cycles = 0;
-    std::uint64_t traces = 0;
-    std::uint64_t tcMisses = 0;
-    std::uint64_t pbHits = 0;
-    std::uint64_t slowPathInsts = 0;
-    std::uint64_t slowPathInstsFromMisses = 0;
-    std::uint64_t icacheMisses = 0;
-};
-
-/**
  * One metric observation from one stratum, ready for the stratified
  * estimator: the window's rate, the span it stands for, and how much
  * of that span was not measured (zero for fully-detailed strata).
@@ -150,9 +130,6 @@ struct MetricEstimate
     }
 };
 
-/** Plain per-window mean/sd/ci95 (equal-weight, no strata). */
-MetricEstimate estimateOf(const std::vector<double> &xs);
-
 /** Span-weighted stratified estimate (see MetricEstimate). */
 MetricEstimate estimateStratified(const std::vector<Stratum> &xs);
 
@@ -196,9 +173,6 @@ struct SampledRun
     MetricEstimate icacheMissesPerKi;
     MetricEstimate icacheSupplyPerKi;
     MetricEstimate icacheMissSupplyPerKi;
-
-    /** The raw per-stratum observations (tests, diagnostics). */
-    std::vector<WindowSample> samples;
 };
 
 /**

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 #include <deque>
-#include <tuple>
 
 #include "check/check.hh"
 #include "check/invariants.hh"
@@ -71,7 +70,6 @@ signatureOf(const Program &program, const FastSimConfig &config,
     chain(config.precon.policy.maxTracesPerStart);
     chain(config.precon.policy.loopExitAlignSeeds);
     chain(config.precon.policy.callStackDepth);
-    chain(config.trackTraceWorkingSet);
     return sig;
 }
 
@@ -274,10 +272,6 @@ FastFrontend::processTrace(Trace &trace, bool partial)
     ++stats_.traces;
     stats_.instructions += trace.len();
 
-    if (config_.trackTraceWorkingSet &&
-        seenTraces_.insert(trace.id).second)
-        ++stats_.traceWorkingSet;
-
     // A TraceId does not carry the length, so a partial trace can
     // name a longer stored one; it is decided before the probe,
     // which records a provenance use when it hits.
@@ -352,19 +346,6 @@ FastFrontend::save(mem::ByteWriter &w, mem::CheckpointKind kind) const
     if (kind != mem::CheckpointKind::Full)
         return;
     w.put(stats_);
-    // Sorted: a restored set iterates in another order, and equal
-    // states must save equal bytes.
-    std::vector<TraceId> seen(seenTraces_.begin(), seenTraces_.end());
-    std::sort(seen.begin(), seen.end(),
-              [](const TraceId &a, const TraceId &b) {
-                  return std::tie(a.startPc, a.branchFlags,
-                                  a.numBranches) <
-                         std::tie(b.startPc, b.branchFlags,
-                                  b.numBranches);
-              });
-    w.put<std::uint32_t>(static_cast<std::uint32_t>(seen.size()));
-    for (const TraceId &id : seen)
-        saveTraceId(w, id);
 }
 
 void
@@ -383,10 +364,6 @@ FastFrontend::restore(mem::ByteReader &r, mem::CheckpointKind kind)
         return;
     }
     stats_ = r.get<FastSimStats>();
-    seenTraces_.clear();
-    const auto numSeen = r.get<std::uint32_t>();
-    for (std::uint32_t i = 0; i < numSeen; ++i)
-        seenTraces_.insert(restoreTraceId(r));
     if (r.remaining() != 0) {
         fatal("FastSim::forkFrom: %zu trailing bytes in a full "
               "checkpoint", r.remaining());

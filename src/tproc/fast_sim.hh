@@ -20,7 +20,6 @@
 
 #include <memory>
 #include <span>
-#include <unordered_set>
 #include <vector>
 
 #include "check/hooks.hh"
@@ -53,8 +52,6 @@ struct FastSimConfig
     /** Enable the preconstruction mechanism. */
     bool preconEnabled = false;
     PreconConfig precon;
-    /** Track the number of distinct trace identities seen. */
-    bool trackTraceWorkingSet = false;
     /**
      * Commit/trace taps for the tpre::check differential oracle.
      * An armed onCommit makes the stream record commit windows.
@@ -67,8 +64,6 @@ struct FastSimStats : SupplyStats
 {
     /** Instructions supplied by I-cache *misses* (Table 3). */
     std::uint64_t slowPathInstsFromMisses = 0;
-    /** Distinct trace identities (when tracking is enabled). */
-    std::uint64_t traceWorkingSet = 0;
     /**
      * The stream's block-cache counters (decoded/hits/
      * invalidations). Host-side bookkeeping like wallSeconds: they
@@ -212,9 +207,8 @@ class TraceStream
  * The config-shaped half of FastSim (DESIGN.md section 5): a
  * TraceSupply (trace cache, preconstruction buffers and engine,
  * I-cache, slow-path bimodal predictor) under a fixed-bandwidth
- * cycle model, with working-set tracking and the statistics. It
- * consumes the traces a TraceStream segments and feeds nothing
- * back into it.
+ * cycle model, and the statistics. It consumes the traces a
+ * TraceStream segments and feeds nothing back into it.
  */
 class FastFrontend
 {
@@ -264,12 +258,6 @@ class FastFrontend
   private:
     FastSimConfig config_;
     TraceSupply supply_;
-    /**
-     * Working-set tracking keys on the *full* trace identity, not
-     * its 64-bit hash: a hash collision between distinct ids would
-     * silently undercount traceWorkingSet.
-     */
-    std::unordered_set<TraceId> seenTraces_;
     FastSimStats stats_;
 };
 
@@ -327,7 +315,7 @@ class FastSim
      * Drive the frontend from a pre-recorded committed stream
      * instead of the functional core: segmentation, trace cache,
      * preconstruction and predictor training all take the exact
-     * same path as run(), so replaying the stream a live run
+     * same path as run(), so a replay of the stream a live run
      * committed reproduces its statistics field by field.
      */
     const FastSimStats &replay(DynInstSource &source,

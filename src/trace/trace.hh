@@ -27,9 +27,9 @@ namespace tpre
  * all three fields (Section 3.1 of the paper).
  *
  * The hash is cached alongside the identity: every frontend probe
- * (trace cache, preconstruction buffers, working-set tracking)
- * hashes the same id, so mixing the three fields on each lookup
- * was measurable on the per-trace hot path. The cache fills at
+ * (trace cache, preconstruction buffers) hashes the same id, so
+ * mixing the three fields on each lookup was measurable on the
+ * per-trace hot path. The cache fills at
  * construction (three-field constructor) or on first use; code
  * that mutates the public identity fields in place (the trace
  * builder, tests) must not have observed hash() beforehand —
@@ -239,7 +239,7 @@ restoreTrace(mem::ByteReader &r, Trace &trace)
 
 } // namespace tpre
 
-/** Hash full trace identities (working-set sets, diagnostics). */
+/** Hash full trace identities (sets of distinct traces). */
 template <>
 struct std::hash<tpre::TraceId>
 {

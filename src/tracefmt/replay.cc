@@ -26,7 +26,7 @@ ReplayFrontend::run(InstCount maxInsts)
 
     const auto start = std::chrono::steady_clock::now();
 
-    // Measure next-trace prediction over the replayed trace stream,
+    // Run next-trace prediction over the replayed trace stream,
     // chaining after any caller-provided trace hook. Hooks never
     // influence FastSimStats, so the replay-equality guarantee is
     // untouched.
@@ -36,12 +36,9 @@ ReplayFrontend::run(InstCount maxInsts)
     cfg.hooks.onTrace = [this, &ntp, &userTrace](
                             const Trace &demanded,
                             const Trace &served, bool fromStorage) {
-        const TraceId pred = ntp.predict();
         ++stats_.ntpPredictions;
-        if (!pred.valid())
+        if (!ntp.predict().valid())
             ++stats_.ntpNoPrediction;
-        else if (pred == demanded.id)
-            ++stats_.ntpCorrect;
         ntp.advance(demanded.id, demanded.containsCall(),
                     demanded.endsInReturn());
         // No selection rule ends a trace short of the length cap
@@ -58,7 +55,6 @@ ReplayFrontend::run(InstCount maxInsts)
     stats_.fast = sim.replay(source, maxInsts);
 
     stats_.decoded = reader_.decoded();
-    stats_.fileBytes = reader_.fileBytes();
     stats_.wallSeconds =
         std::chrono::duration<double>(
             std::chrono::steady_clock::now() - start)

@@ -3,15 +3,13 @@
  * ReplayFrontend: drives the trace-processor frontend — fill unit,
  * trace cache, preconstruction engine, predictors — from a decoded
  * `.tpt` stream instead of a FunctionalCore. The replay takes the
- * exact same FastFrontend::processTrace path a live run takes, so
- * replaying the stream a live run committed reproduces its frontend
- * statistics field by field; diffModels() and the bench harness both
- * lean on that equality.
+ * exact same FastFrontend::processTrace path a live run takes, so a
+ * replay of the stream a live run committed reproduces its frontend
+ * statistics field by field; diffModels() leans on that equality.
  *
- * On top of the FastSim stats, the replay measures next-trace
- * predictor accuracy over the replayed trace stream (replay is the
- * natural place for predictor studies: no functional execution to
- * pay for) and decode throughput.
+ * On top of the FastSim stats, the replay runs a next-trace
+ * predictor over the replayed trace stream, counting its lookups,
+ * and measures decode throughput.
  */
 
 #ifndef TPRE_TRACEFMT_REPLAY_HH
@@ -44,14 +42,12 @@ struct ReplayStats
     FastSimStats fast;
     /** Dynamic instructions decoded from the file. */
     InstCount decoded = 0;
-    /** Size of the `.tpt` file image. */
-    std::size_t fileBytes = 0;
     /** Wall-clock time of the decode + replay. */
     double wallSeconds = 0.0;
 
-    /** Next-trace predictor accuracy over the replayed stream. */
+    /** Next-trace predictor lookups over the replayed stream, and
+     *  those that found no prediction. */
     std::uint64_t ntpPredictions = 0;
-    std::uint64_t ntpCorrect = 0;
     std::uint64_t ntpNoPrediction = 0;
     /** 1 when the replay ended mid-trace and flushed that partial
      *  trace (counted among fast.traces), else 0. */
@@ -65,25 +61,6 @@ struct ReplayStats
                    ? 0.0
                    : static_cast<double>(decoded) / wallSeconds /
                          1e6;
-    }
-
-    /** Trace-file density over the whole image (header included). */
-    double
-    bitsPerInst() const
-    {
-        return decoded == 0
-                   ? 0.0
-                   : 8.0 * static_cast<double>(fileBytes) /
-                         static_cast<double>(decoded);
-    }
-
-    double
-    ntpAccuracy() const
-    {
-        return ntpPredictions == 0
-                   ? 0.0
-                   : static_cast<double>(ntpCorrect) /
-                         static_cast<double>(ntpPredictions);
     }
 };
 

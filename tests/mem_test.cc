@@ -150,15 +150,14 @@ TEST(CheckpointForkTest, ForkedRunEqualsUninterruptedRun)
 TEST(CheckpointForkTest, ForkSavesTheDonorsBytes)
 {
     // A fork is in the donor's state, so its Full checkpoint must be
-    // the donor's byte for byte: no padding, and sets saved in an
-    // order that does not depend on their insertion history.
+    // the donor's byte for byte: no padding, and nothing saved in an
+    // order that depends on insertion history.
     const check::FuzzCase fuzzCase = check::makeFuzzCase(3, 30000);
     const Program program = fuzzCase.program();
     FastSimConfig cfg = configFor(fuzzCase);
     cfg.preconEnabled = true;
-    cfg.trackTraceWorkingSet = true;
     FastSim donor(program, cfg);
-    ASSERT_GT(donor.runUntil(20000).traceWorkingSet, 100u);
+    ASSERT_GT(donor.runUntil(20000).traces, 100u);
     const mem::Checkpoint saved =
         donor.checkpoint(mem::CheckpointKind::Full);
 

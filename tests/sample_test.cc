@@ -28,40 +28,6 @@ using sample::SampleSpec;
 using sample::Stratum;
 
 // ---------------------------------------------------------------
-// Plain per-window estimator.
-// ---------------------------------------------------------------
-
-TEST(EstimateOfTest, EmptyIsUnboundedZero)
-{
-    const MetricEstimate est = sample::estimateOf({});
-    EXPECT_EQ(est.windows, 0u);
-    EXPECT_EQ(est.mean, 0.0);
-    EXPECT_EQ(est.ci95, 0.0);
-    EXPECT_FALSE(est.bounded());
-}
-
-TEST(EstimateOfTest, SingleObservationHasNoInterval)
-{
-    const MetricEstimate est = sample::estimateOf({42.0});
-    EXPECT_EQ(est.windows, 1u);
-    EXPECT_EQ(est.mean, 42.0);
-    EXPECT_EQ(est.sd, 0.0);
-    EXPECT_EQ(est.ci95, 0.0);
-    // One variance point cannot bound the estimate.
-    EXPECT_FALSE(est.bounded());
-}
-
-TEST(EstimateOfTest, KnownSampleMeanAndInterval)
-{
-    const MetricEstimate est = sample::estimateOf({1.0, 2.0, 3.0});
-    EXPECT_EQ(est.windows, 3u);
-    EXPECT_DOUBLE_EQ(est.mean, 2.0);
-    EXPECT_DOUBLE_EQ(est.sd, 1.0);
-    EXPECT_DOUBLE_EQ(est.ci95, 1.96 / std::sqrt(3.0));
-    EXPECT_TRUE(est.bounded());
-}
-
-// ---------------------------------------------------------------
 // Stratified estimator.
 // ---------------------------------------------------------------
 

@@ -607,18 +607,6 @@ TEST(FastSimTest, ICacheStatsPopulated)
     EXPECT_GE(st.slowPathInsts, st.slowPathInstsFromMisses);
 }
 
-TEST(FastSimTest, TraceWorkingSetTracked)
-{
-    WorkloadGenerator gen(specint95Profile("compress"));
-    auto wl = gen.generate();
-    FastSimConfig cfg;
-    cfg.trackTraceWorkingSet = true;
-    FastSim sim(wl.program, cfg);
-    const FastSimStats &st = sim.run(100000);
-    EXPECT_GT(st.traceWorkingSet, 10u);
-    EXPECT_LT(st.traceWorkingSet, st.traces);
-}
-
 // ---------------------------------------------------------------
 // The one block loop (DESIGN.md section 14) against the reference
 // interpreter and a FunctionalCore::step() loop.

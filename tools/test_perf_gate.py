@@ -363,23 +363,24 @@ def _committed_baseline():
 
 
 def test_committed_baseline_gates_timing_benches():
-    # fig6/fig8 (timing mode) are gated, not skipped as new benches.
+    # The fig6/fig8 grid (timing mode) is gated, not skipped as a new
+    # bench.
     baseline = _committed_baseline()
-    for name in ("fig6_speedup", "fig8_extended_pipeline"):
-        entry = baseline[name]
-        code, msg = evaluate(good_report(name=name, mips=entry["mips"]),
-                             baseline)
-        assert code == 0 and "[PASS]" in msg, msg
-        code, msg = evaluate(
-            good_report(name=name, mips=entry["mips_floor"] * 0.99),
-            baseline)
-        assert code == 1 and "[FAIL]" in msg, msg
+    name = "fig6_fig8_speedup"
+    entry = baseline[name]
+    code, msg = evaluate(good_report(name=name, mips=entry["mips"]),
+                         baseline)
+    assert code == 0 and "[PASS]" in msg, msg
+    code, msg = evaluate(
+        good_report(name=name, mips=entry["mips_floor"] * 0.99),
+        baseline)
+    assert code == 1 and "[FAIL]" in msg, msg
 
 
 def test_committed_baseline_skips_report_without_entry():
     # A real bench with no committed entry warns and passes.
     baseline = _committed_baseline()
-    name = "table3_miss_supply"
+    name = "tables_icache"
     assert name not in baseline
     code, msg = evaluate(good_report(name=name), baseline)
     assert code == 0
