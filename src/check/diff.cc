@@ -8,7 +8,6 @@
 #include "mem/checkpoint.hh"
 #include "trace/fill_unit.hh"
 #include "tracefmt/reader.hh"
-#include "tracefmt/replay.hh"
 #include "tracefmt/writer.hh"
 
 namespace tpre::check
@@ -476,17 +475,15 @@ diffModels(const Program &program, const DiffConfig &cfg)
         // Replaying the recorded stream through a fresh frontend
         // must reproduce the live run's statistics field by field.
         tracefmt::TptReader replayReader(bytes);
-        const FastSimConfig rcfg = fastConfigOf(cfg);
-        tracefmt::ReplayFrontend frontend(replayReader, rcfg);
-        const tracefmt::ReplayStats &replayed =
-            frontend.run(cfg.maxInsts);
-        if (!frontend.ok()) {
-            result.failure = "tpt-replay: " + frontend.error();
+        FastSim replaySim(replayReader.program(), fastConfigOf(cfg));
+        const FastSimStats &replayed =
+            replaySim.replay(replayReader, cfg.maxInsts);
+        if (!replayReader.ok()) {
+            result.failure = "tpt-replay: " + replayReader.error();
             return result;
         }
         if (auto f = prefixed("tpt-replay",
-                              fastStatsEqual(liveStats,
-                                             replayed.fast))) {
+                              fastStatsEqual(liveStats, replayed))) {
             result.failure = f;
             return result;
         }

@@ -198,6 +198,19 @@ struct DynInst
 };
 
 /**
+ * Abstract producer of a recorded committed instruction stream, the
+ * contract between FastSim::replay() and trace-file decoders
+ * (tracefmt::TptReader). next() yields instructions in commit order
+ * and returns false at end of stream.
+ */
+class DynInstSource
+{
+  public:
+    virtual ~DynInstSource() = default;
+    virtual bool next(DynInst &out) = 0;
+};
+
+/**
  * Functional core: steps a Program one instruction at a time and
  * exposes the dynamic stream consumed by the timing simulators.
  */

@@ -9,10 +9,6 @@
 namespace tpre
 {
 
-Preprocessor::Preprocessor(PrepConfig config) : config_(config)
-{
-}
-
 void
 Preprocessor::process(Trace &trace)
 {
@@ -20,12 +16,9 @@ Preprocessor::process(Trace &trace)
         return;
     TPRE_OBS_WALL_SPAN("prep", "process");
     ++stats_.tracesProcessed;
-    if (config_.constProp)
-        stats_.constsPropagated += constantPropagate(trace);
-    if (config_.fuse)
-        stats_.opsFused += fuseShiftAdds(trace);
-    if (config_.schedule)
-        stats_.instsMoved += scheduleTrace(trace);
+    stats_.constsPropagated += constantPropagate(trace);
+    stats_.opsFused += fuseShiftAdds(trace);
+    stats_.instsMoved += scheduleTrace(trace);
     trace.preprocessed = true;
 }
 

@@ -15,15 +15,7 @@
 namespace tpre
 {
 
-/** Which preprocessing passes to run. */
-struct PrepConfig
-{
-    bool constProp = true;
-    bool fuse = true;
-    bool schedule = true;
-};
-
-/** The trace preprocessing unit. */
+/** The trace preprocessing unit: every trace runs all three passes. */
 class Preprocessor
 {
   public:
@@ -35,16 +27,12 @@ class Preprocessor
         std::uint64_t instsMoved = 0;
     };
 
-    explicit Preprocessor(PrepConfig config = {});
-
     /** Transform a trace in place and mark it preprocessed. */
     void process(Trace &trace);
 
     const Stats &stats() const { return stats_; }
-    const PrepConfig &config() const { return config_; }
 
   private:
-    PrepConfig config_;
     Stats stats_;
 };
 

@@ -8,7 +8,7 @@
 #include "common/logging.hh"
 #include "obs/obs.hh"
 #include "telemetry/prometheus.hh"
-#include "tracefmt/replay.hh"
+#include "tracefmt/reader.hh"
 #include "tracefmt/writer.hh"
 
 namespace tpre
@@ -73,30 +73,22 @@ publishStream(InstCount insts, std::uint64_t traces,
 }
 
 void
-publishNtp(std::uint64_t predictions, std::uint64_t updates)
-{
-    TPRE_PUBLISH_COUNT("ntp.predictions", predictions);
-    TPRE_PUBLISH_COUNT("ntp.updates", updates);
-}
-
-void
 publishTiming(const TraceProcessor &proc, const ProcessorConfig &cfg)
 {
     const ProcessorStats &st = proc.stats();
     publishSupply(st, cfg.preconEnabled);
     publishStream(proc.instsSegmented(), proc.tracesSegmented());
-    publishNtp(st.ntpCorrect + st.ntpWrong + st.ntpNone, st.traces);
-    // Each preprocessed trace runs every enabled pass once, so a
-    // pass's family is registered even when it changed nothing.
+    TPRE_PUBLISH_COUNT("ntp.predictions",
+                       st.ntpCorrect + st.ntpWrong + st.ntpNone);
+    TPRE_PUBLISH_COUNT("ntp.updates", st.traces);
+    // Each preprocessed trace runs every pass once, so a pass's
+    // family is registered even when it changed nothing.
     if (st.prep.tracesProcessed > 0) {
         TPRE_OBS_COUNT("prep.traces", st.prep.tracesProcessed);
-        if (cfg.prep.constProp)
-            TPRE_OBS_COUNT("prep.consts_propagated",
-                           st.prep.constsPropagated);
-        if (cfg.prep.fuse)
-            TPRE_OBS_COUNT("prep.ops_fused", st.prep.opsFused);
-        if (cfg.prep.schedule)
-            TPRE_OBS_COUNT("prep.insts_moved", st.prep.instsMoved);
+        TPRE_OBS_COUNT("prep.consts_propagated",
+                       st.prep.constsPropagated);
+        TPRE_OBS_COUNT("prep.ops_fused", st.prep.opsFused);
+        TPRE_OBS_COUNT("prep.insts_moved", st.prep.instsMoved);
     }
 }
 
@@ -198,41 +190,6 @@ makeSampledResult(const SimConfig &config,
     return result;
 }
 
-SimResult
-replayTrace(const std::string &tptPath, SimConfig config)
-{
-    tracefmt::TptReader reader =
-        tracefmt::TptReader::fromFile(tptPath);
-    if (!reader.ok())
-        fatal("replay %s: %s", tptPath.c_str(),
-              reader.error().c_str());
-
-    config.mode = SimMode::Fast;
-    if (!reader.meta().benchmark.empty())
-        config.benchmark = reader.meta().benchmark;
-    config.workloadSeed = reader.meta().seed;
-
-    TPRE_OBS_WALL_SPAN("sim", "replay");
-    TPRE_OBS_COUNT("sim.replays");
-    const FastSimConfig fastConfig = config.toFastConfig();
-    tracefmt::ReplayFrontend frontend(reader, fastConfig);
-    const tracefmt::ReplayStats &rs = frontend.run(config.maxInsts);
-    if (!frontend.ok())
-        fatal("replay %s: %s", tptPath.c_str(),
-              frontend.error().c_str());
-
-    publishSupply(rs.fast, fastConfig.preconEnabled);
-    publishStream(rs.fast.instructions, rs.fast.traces - rs.flushes,
-                  rs.flushes);
-    publishNtp(rs.ntpPredictions, rs.fast.traces);
-
-    SimResult result = makeFastResult(config, rs.fast);
-    result.wallSeconds = rs.wallSeconds;
-    result.mips = rs.mips();
-    TPRE_OBS_COUNT("sim.instructions", result.instructions);
-    return result;
-}
-
 std::optional<StreamKey>
 streamKey(const SimConfig &config)
 {
@@ -281,6 +238,42 @@ secondsSince(std::chrono::steady_clock::time_point start)
 }
 
 } // namespace
+
+SimResult
+replayTrace(const std::string &tptPath, SimConfig config)
+{
+    tracefmt::TptReader reader =
+        tracefmt::TptReader::fromFile(tptPath);
+    if (!reader.ok())
+        fatal("replay %s: %s", tptPath.c_str(),
+              reader.error().c_str());
+
+    // A replay runs cold, in fast mode, on the file's workload.
+    config.mode = SimMode::Fast;
+    config.warmupInsts = 0;
+    if (!reader.meta().benchmark.empty())
+        config.benchmark = reader.meta().benchmark;
+    config.workloadSeed = reader.meta().seed;
+
+    TPRE_OBS_WALL_SPAN("sim", "replay");
+    TPRE_OBS_COUNT("sim.replays");
+    const auto start = std::chrono::steady_clock::now();
+    const FastSimConfig fastConfig = config.toFastConfig();
+    FastSim sim(reader.program(), fastConfig);
+    bool flushed = false;
+    const FastSimStats &st =
+        sim.replay(reader, config.maxInsts, &flushed);
+    if (!reader.ok())
+        fatal("replay %s: %s", tptPath.c_str(),
+              reader.error().c_str());
+
+    publishSupply(st, fastConfig.preconEnabled);
+    publishStream(st.instructions, st.traces - flushed, flushed);
+
+    SimResult result = makeFastResult(config, st);
+    finishResult(result, config, secondsSince(start), false, "");
+    return result;
+}
 
 std::shared_ptr<const GeneratedWorkload>
 Simulator::workload(const std::string &benchmark,

@@ -79,8 +79,7 @@ TimingBackend::dispatch(const Trace &trace,
         flight.insts.push_back(inst);
     }
     flight.remaining = static_cast<unsigned>(flight.insts.size());
-    if (config_.inOrderPe)
-        refreshWake(flight);
+    refreshWake(flight);
     return handle;
 }
 
@@ -126,18 +125,6 @@ TimingBackend::refreshWake(InflightTrace &t)
         at = std::max(at, avail);
     }
     t.wakeAt = at;
-}
-
-bool
-TimingBackend::operandsReady(const InflightInst &inst, Cycle now) const
-{
-    if (inst.notBefore > now)
-        return false;
-    for (const Operand &op : inst.src) {
-        if (op.handle != 0 && availableAt(op) > now)
-            return false;
-    }
-    return true;
 }
 
 bool
@@ -232,24 +219,6 @@ TimingBackend::tickInOrder(InflightTrace &t, Cycle now,
 }
 
 void
-TimingBackend::tickOutOfOrder(InflightTrace &t, Cycle now,
-                              unsigned &busNow, unsigned &portsUsed)
-{
-    unsigned issued = 0;
-    unsigned pe_ports = 0;
-    for (std::size_t i = 0;
-         i < t.insts.size() && issued < config_.issuePerPe; ++i) {
-        InflightInst &inst = t.insts[i];
-        if (inst.completion != noCompletion ||
-            !operandsReady(inst, now) ||
-            !claimResources(inst, busNow, portsUsed, pe_ports))
-            continue;
-        issue(t, inst, now);
-        ++issued;
-    }
-}
-
-void
 TimingBackend::rollBusRing(Cycle now)
 {
     // Clear the entries of cycles that fell out of the window, in
@@ -276,26 +245,16 @@ TimingBackend::tick(Cycle now)
 
     // Oldest first: the shared buses, ports and data cache are
     // claimed in program order.
-    for (std::uint64_t h = headHandle_; h < nextHandle_; ++h) {
-        InflightTrace &flight = slot(h);
-        if (config_.inOrderPe)
-            tickInOrder(flight, now, bus_now, dcache_ports_used);
-        else
-            tickOutOfOrder(flight, now, bus_now, dcache_ports_used);
-    }
+    for (std::uint64_t h = headHandle_; h < nextHandle_; ++h)
+        tickInOrder(slot(h), now, bus_now, dcache_ports_used);
 }
 
 Cycle
 TimingBackend::nextEvent(Cycle now) const
 {
     Cycle next = noCompletion;
-    for (std::uint64_t h = headHandle_; h < nextHandle_; ++h) {
-        const InflightTrace &t = slot(h);
-        if (config_.inOrderPe)
-            next = std::min(next, t.wakeAt);
-        else if (t.remaining > 0)
-            next = now + 1; // no wake bookkeeping: poll every cycle
-    }
+    for (std::uint64_t h = headHandle_; h < nextHandle_; ++h)
+        next = std::min(next, slot(h).wakeAt);
     if (!empty() && slot(headHandle_).remaining == 0)
         next = std::min(next, slot(headHandle_).lastCompletion);
     return next == noCompletion ? next : std::max(next, now + 1);
@@ -336,8 +295,6 @@ TimingBackend::retireHead()
     // read as available since cycle 0, which can only move the wake
     // time of a PE whose cursor instruction reads it earlier (or
     // release a PE parked on an instruction retired unissued).
-    if (!config_.inOrderPe)
-        return;
     const std::uint64_t dropped = headHandle_ - retainedTraces - 1;
     for (std::uint64_t h = headHandle_; h < nextHandle_; ++h) {
         InflightTrace &t = slot(h);
@@ -372,7 +329,7 @@ TimingBackend::delayInst(std::uint64_t handle, unsigned idx,
     tpre_assert(idx < t.insts.size());
     t.insts[idx].notBefore =
         std::max(t.insts[idx].notBefore, notBefore);
-    if (config_.inOrderPe && handle >= headHandle_)
+    if (handle >= headHandle_)
         refreshWake(t);
 }
 

@@ -33,13 +33,6 @@ struct BackendConfig
 {
     unsigned numPes = 4;
     unsigned issuePerPe = 2;
-    /**
-     * PEs issue in program order within their trace (stalling at
-     * the first non-ready instruction). This is what makes the
-     * preprocessing pipeline's intra-trace scheduling valuable;
-     * set false for an out-of-order-PE ablation.
-     */
-    bool inOrderPe = true;
     unsigned resultBuses = 8;
     /** Extra cycles for a result to cross PEs via a bus. */
     unsigned crossPeLatency = 2;
@@ -70,10 +63,11 @@ struct BackendConfig
  *  - each operand's producer is resolved once, at dispatch, and a
  *    PE whose next instruction waits on an unissued producer is
  *    parked on that producer and woken when it issues;
- *  - an in-order PE only ever issues at its first unissued
- *    instruction, so each PE keeps an issue cursor and the earliest
- *    cycle that instruction's operands and not-before constraint
- *    allow.
+ *  - a PE issues in program order within its trace, stalling at
+ *    the first non-ready instruction (which is what makes the
+ *    preprocessing pipeline's intra-trace scheduling valuable), so
+ *    each PE keeps an issue cursor and the earliest cycle that
+ *    instruction's operands and not-before constraint allow.
  */
 class TimingBackend
 {
@@ -195,13 +189,13 @@ class TimingBackend
     {
         unsigned pe = 0;
         unsigned remaining = 0;
-        /** In-order PEs: position of the first unissued instruction. */
+        /** Position of the first unissued instruction. */
         unsigned cursor = 0;
         /**
-         * In-order PEs: earliest cycle the cursor instruction's
-         * operands and not-before constraint allow it to issue;
-         * noCompletion while it waits on an unissued producer or
-         * when every instruction has issued.
+         * Earliest cycle the cursor instruction's operands and
+         * not-before constraint allow it to issue; noCompletion
+         * while it waits on an unissued producer or when every
+         * instruction has issued.
          */
         Cycle wakeAt = noCompletion;
         /** Running max of the issued instructions' completions. */
@@ -223,7 +217,6 @@ class TimingBackend
     Cycle availableAt(const Operand &op) const;
     /** Recompute @p t's wakeAt, parking it on an unissued producer. */
     void refreshWake(InflightTrace &t);
-    bool operandsReady(const InflightInst &inst, Cycle now) const;
     /**
      * Claim result buses and data-cache ports for @p inst; false
      * (a structural stall) when either is exhausted this cycle.
@@ -233,8 +226,6 @@ class TimingBackend
     void issue(InflightTrace &t, InflightInst &inst, Cycle now);
     void tickInOrder(InflightTrace &t, Cycle now, unsigned &busNow,
                      unsigned &portsUsed);
-    void tickOutOfOrder(InflightTrace &t, Cycle now, unsigned &busNow,
-                        unsigned &portsUsed);
     void rollBusRing(Cycle now);
 
     BackendConfig config_;

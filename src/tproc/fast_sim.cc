@@ -263,7 +263,7 @@ FastFrontend::FastFrontend(const Program &program,
     : config_(config),
       supply_(program, config.traceCacheEntries, config.traceCacheAssoc,
               config.icache, config.selection,
-              config.preconEnabled ? &config.precon : nullptr, nullptr)
+              config.preconEnabled ? &config.precon : nullptr, false)
 {}
 
 void
@@ -417,7 +417,8 @@ FastSim::runUntil(InstCount coreInsts)
 }
 
 const FastSimStats &
-FastSim::replay(DynInstSource &source, InstCount maxInsts)
+FastSim::replay(DynInstSource &source, InstCount maxInsts,
+                bool *flushed)
 {
     // Mirror run()'s loop exactly — same segmentation, same trace
     // processing — with the recorded stream standing in for the
@@ -426,7 +427,10 @@ FastSim::replay(DynInstSource &source, InstCount maxInsts)
     while (frontend_.stats().instructions < maxInsts &&
            source.next(dyn))
         serve(stream_.commit(dyn));
-    serve(stream_.flush(), true);
+    Trace *partial = stream_.flush();
+    if (flushed)
+        *flushed = partial != nullptr;
+    serve(partial, true);
     return frontend_.finishRun(stream_.blockCache());
 }
 

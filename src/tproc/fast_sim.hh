@@ -82,19 +82,6 @@ struct FastSimStats : SupplyStats
     }
 };
 
-/**
- * Abstract producer of a recorded committed instruction stream, the
- * contract between FastSim::replay() and trace-file decoders
- * (tracefmt::ReplayFrontend). next() yields instructions in commit
- * order and returns false at end of stream.
- */
-class DynInstSource
-{
-  public:
-    virtual ~DynInstSource() = default;
-    virtual bool next(DynInst &out) = 0;
-};
-
 class FastFrontend;
 
 /**
@@ -317,9 +304,13 @@ class FastSim
      * preconstruction and predictor training all take the exact
      * same path as run(), so a replay of the stream a live run
      * committed reproduces its statistics field by field.
+     * @p flushed, when given, receives whether the replay ended
+     * mid-trace and flushed that partial trace (counted among the
+     * traces).
      */
     const FastSimStats &replay(DynInstSource &source,
-                               InstCount maxInsts);
+                               InstCount maxInsts,
+                               bool *flushed = nullptr);
 
     /**
      * Functional fast-forward (sampling skip): advance the

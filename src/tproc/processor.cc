@@ -17,7 +17,7 @@ TraceProcessor::TraceProcessor(const Program &program,
       supply_(program, config.traceCacheEntries, config.traceCacheAssoc,
               config.icache, config.selection,
               config.preconEnabled ? &config.precon : nullptr,
-              config.prepEnabled ? &config.prep : nullptr),
+              config.prepEnabled),
       ntp_(config.ntp), backend_(config.backend)
 {}
 

@@ -53,7 +53,6 @@ struct ProcessorConfig
     bool preconEnabled = false;
     PreconConfig precon;
     bool prepEnabled = false;
-    PrepConfig prep;
     /** Commit/trace taps for the tpre::check differential oracle. */
     check::SimHooks hooks;
 };

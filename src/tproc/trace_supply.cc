@@ -12,7 +12,7 @@ TraceSupply::TraceSupply(const Program &program,
                          const ICacheConfig &icache,
                          const SelectionPolicy &selection,
                          const PreconConfig *precon,
-                         const PrepConfig *prep)
+                         bool prep)
     : traceCache_(traceCacheEntries, traceCacheAssoc), icache_(icache),
       bimodal_(16 * 1024)
 {
@@ -23,7 +23,7 @@ TraceSupply::TraceSupply(const Program &program,
             program, icache_, bimodal_, traceCache_, config);
     }
     if (prep)
-        prep_ = std::make_unique<Preprocessor>(*prep);
+        prep_ = std::make_unique<Preprocessor>();
 }
 
 const Trace *

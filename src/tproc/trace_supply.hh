@@ -72,12 +72,12 @@ class TraceSupply
     /**
      * @param precon Engine configuration, or null for no engine;
      *        its selection policy is replaced by @p selection.
-     * @param prep Fill-path preprocessing passes, or null for none.
+     * @param prep Run the fill-path preprocessor.
      */
     TraceSupply(const Program &program, std::size_t traceCacheEntries,
                 unsigned traceCacheAssoc, const ICacheConfig &icache,
                 const SelectionPolicy &selection,
-                const PreconConfig *precon, const PrepConfig *prep);
+                const PreconConfig *precon, bool prep);
     TraceSupply(const TraceSupply &) = delete;
     TraceSupply &operator=(const TraceSupply &) = delete;
 

@@ -30,8 +30,8 @@
 namespace tpre::tracefmt
 {
 
-/** Streaming `.tpt` decoder. */
-class TptReader
+/** Streaming `.tpt` decoder; FastSim::replay() reads it directly. */
+class TptReader : public DynInstSource
 {
   public:
     /** Parse @p bytes (the whole file image). Check ok() after. */
@@ -57,7 +57,7 @@ class TptReader
      * false at the clean end of the stream *or* on a decode error —
      * distinguish with ok(). After a clean end, done() is true.
      */
-    bool next(DynInst &out);
+    bool next(DynInst &out) override;
 
     /** Dynamic instructions decoded so far. */
     InstCount decoded() const { return decoded_; }

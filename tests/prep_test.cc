@@ -517,23 +517,5 @@ TEST(PreprocessorTest, PreparedImagesPinnedOnDemandTraces)
                          << st.instsMoved;
 }
 
-TEST(PreprocessorTest, PassesCanBeDisabled)
-{
-    PrepConfig cfg;
-    cfg.constProp = false;
-    cfg.fuse = false;
-    cfg.schedule = false;
-    Preprocessor prep(cfg);
-    Trace t = traceOf({
-        makeInst(Opcode::Slli, 5, 2, 0, 3),
-        makeInst(Opcode::Add, 5, 5, 3, 0),
-    });
-    Trace before = t;
-    prep.process(t);
-    EXPECT_EQ(t.insts.size(), before.insts.size());
-    EXPECT_EQ(t.insts[0].inst, before.insts[0].inst);
-    EXPECT_TRUE(t.preprocessed);
-}
-
 } // namespace
 } // namespace tpre

@@ -753,11 +753,11 @@ TEST(RowCountersTest, FamiliesMoveByTheRecordedRowDeltas)
          {4261, 1818, 2443, 2315, 2443, 379, 60008, 4261, 0, 0, 0,
           580, 565, 4268, 3908, 2114, 0, 0, 0, 0}},
         {"tpt-replay",
-         {4261, 1818, 2443, 2315, 2443, 379, 60008, 4261, 0, 4261,
-          4261, 580, 565, 4268, 3908, 2114, 0, 0, 0, 0}},
+         {4261, 1818, 2443, 2315, 2443, 379, 60008, 4261, 0, 0, 0,
+          580, 565, 4268, 3908, 2114, 0, 0, 0, 0}},
         {"tpt-replay-flush",
-         {5183, 1236, 3947, 3943, 0, 0, 60008, 5182, 1, 5183, 5183, 0,
-          0, 0, 0, 0, 0, 0, 0, 0}},
+         {5183, 1236, 3947, 3943, 0, 0, 60008, 5182, 1, 0, 0, 0, 0, 0,
+          0, 0, 0, 0, 0, 0}},
     };
     const std::vector<Deltas> got = {
         delta([&] { sim.run(tc); }),

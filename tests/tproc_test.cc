@@ -165,7 +165,9 @@ TEST(BackendTest, DcachePortsLimitMemOpsPerCycle)
     BackendConfig cfg;
     cfg.dcachePorts = 4;
     cfg.dcachePortsPerPe = 2;
-    cfg.inOrderPe = false;
+    // Issue 4 wide, so the per-PE ports, not the issue width, are
+    // what hold the independent loads to 2 a cycle.
+    cfg.issuePerPe = 4;
     TimingBackend be(cfg);
     std::vector<Instruction> loads;
     for (int i = 0; i < 4; ++i)
@@ -212,9 +214,7 @@ TEST(BackendTest, PeCapacity)
 
 TEST(BackendTest, InOrderPeStallsAtNotReady)
 {
-    BackendConfig cfg;
-    cfg.inOrderPe = true;
-    TimingBackend be(cfg);
+    TimingBackend be;
     auto [t, dyn] = traceAndDyn({
         makeInst(Opcode::Mul, 1, 2, 3),     // 5 cycles
         makeInst(Opcode::Addi, 4, 1, 0, 1), // dependent
@@ -225,13 +225,6 @@ TEST(BackendTest, InOrderPeStallsAtNotReady)
     be.tick(2);
     // In-order: the independent op must NOT have issued yet.
     EXPECT_EQ(be.completionOf(1, 2), TimingBackend::noCompletion);
-
-    BackendConfig ooo = cfg;
-    ooo.inOrderPe = false;
-    TimingBackend be2(ooo);
-    be2.dispatch(t, dyn, 0);
-    be2.tick(1);
-    EXPECT_NE(be2.completionOf(1, 2), TimingBackend::noCompletion);
 }
 
 TEST(BackendTest, DelayInstHoldsIssue)
@@ -490,8 +483,6 @@ driveBackend(const BackendConfig &cfg, const SkipWorkload &w,
 TEST(BackendTest, EventSkippingMatchesTickingEveryCycle)
 {
     BackendConfig in_order;
-    BackendConfig out_of_order;
-    out_of_order.inOrderPe = false;
     // Scarce buses and ports: structural stalls on most cycles (two
     // buses, the fewest an instruction with two cross-PE operands
     // can ever issue with).
@@ -508,7 +499,6 @@ TEST(BackendTest, EventSkippingMatchesTickingEveryCycle)
     wide.crossPeLatency = 1;
     const std::pair<const char *, BackendConfig> configs[] = {
         {"in-order", in_order},
-        {"out-of-order", out_of_order},
         {"tight", tight},
         {"wide", wide},
     };
@@ -529,9 +519,7 @@ TEST(BackendTest, EventSkippingMatchesTickingEveryCycle)
             EXPECT_EQ(skip.stats.dcacheMisses, full.stats.dcacheMisses);
             EXPECT_EQ(skip.stats.busTransfers, full.stats.busTransfers);
             EXPECT_EQ(skip.stats.busStalls, full.stats.busStalls);
-            if (cfg.inOrderPe) {
-                EXPECT_LT(skip.ticks, full.ticks);
-            }
+            EXPECT_LT(skip.ticks, full.ticks);
         }
     }
 }

@@ -21,8 +21,8 @@
 #include "func/core.hh"
 #include "sim/config.hh"
 #include "sim/simulator.hh"
+#include "telemetry/prometheus.hh"
 #include "tracefmt/reader.hh"
-#include "tracefmt/replay.hh"
 #include "tracefmt/writer.hh"
 #include "workload/generator.hh"
 #include "workload/profile.hh"
@@ -293,7 +293,7 @@ TEST(TptRoundTripTest, EmptyStreamEncodesToHeaderAndProgramOnly)
 /**
  * The tentpole property on a Figure 5 configuration: record a live
  * fast-frontend run's committed stream, replay the file through
- * ReplayFrontend, and demand every statistic — trace cache,
+ * FastSim::replay, and demand every statistic — trace cache,
  * I-cache, preconstruction, provenance — matches field by field.
  */
 TEST(TptReplayTest, ReplayReproducesLiveFig5StatsFieldByField)
@@ -324,22 +324,14 @@ TEST(TptReplayTest, ReplayReproducesLiveFig5StatsFieldByField)
 
     TptReader reader(writer.finish());
     ASSERT_TRUE(reader.ok()) << reader.error();
-    ReplayFrontend replay(reader, cfg.toFastConfig());
-    const ReplayStats &rs = replay.run(maxInsts);
-    ASSERT_TRUE(replay.ok()) << replay.error();
-    EXPECT_EQ(rs.decoded, liveStats.instructions);
+    FastSim replay(reader.program(), cfg.toFastConfig());
+    const FastSimStats &replayed = replay.replay(reader, maxInsts);
+    ASSERT_TRUE(reader.ok()) << reader.error();
+    EXPECT_EQ(reader.decoded(), liveStats.instructions);
 
     const check::Violation v =
-        check::fastStatsEqual(liveStats, rs.fast);
+        check::fastStatsEqual(liveStats, replayed);
     EXPECT_FALSE(v.has_value()) << *v;
-
-    // The replay-side next-trace predictor actually measured
-    // something over the trace stream.
-    EXPECT_GT(rs.ntpPredictions, 0u);
-    // One measurement per demanded trace (demand can exceed the
-    // committed-trace count: partial last traces still demand).
-    EXPECT_GE(rs.ntpPredictions + rs.ntpNoPrediction,
-              liveStats.traces);
 }
 
 TEST(TptReplayTest, ReplayHonoursMaxInstsCutoff)
@@ -347,11 +339,11 @@ TEST(TptReplayTest, ReplayHonoursMaxInstsCutoff)
     SmallFile f = makeSmallFile(4, 400, 32);
     TptReader reader(f.bytes);
     ASSERT_TRUE(reader.ok()) << reader.error();
-    ReplayFrontend replay(reader);
-    const ReplayStats &rs = replay.run(100);
-    ASSERT_TRUE(replay.ok()) << replay.error();
-    EXPECT_LE(rs.fast.instructions, f.stream.size());
-    EXPECT_LT(rs.fast.instructions, 100 + maxTraceLen);
+    FastSim replay(reader.program());
+    const FastSimStats &replayed = replay.replay(reader, 100);
+    ASSERT_TRUE(reader.ok()) << reader.error();
+    EXPECT_LE(replayed.instructions, f.stream.size());
+    EXPECT_LT(replayed.instructions, 100 + maxTraceLen);
 }
 
 /**
@@ -394,16 +386,59 @@ TEST(TptReplayTest, FlushedPartialTraceIsNeverServedALongerImage)
                 stored && demanded.len() < maxLen &&
                 demanded.endReason == TraceEndReason::MaxLength;
         };
-        ReplayFrontend replay(reader, fcfg);
-        const ReplayStats &rs = replay.run(cfg.maxInsts);
-        ASSERT_TRUE(replay.ok()) << replay.error();
-        EXPECT_EQ(rs.flushes, 1u) << "maxLen " << maxLen;
+        FastSim replay(reader.program(), fcfg);
+        bool flushed = false;
+        const FastSimStats &replayed =
+            replay.replay(reader, cfg.maxInsts, &flushed);
+        ASSERT_TRUE(reader.ok()) << reader.error();
+        EXPECT_TRUE(flushed) << "maxLen " << maxLen;
         EXPECT_EQ(mismatches, 0u) << "maxLen " << maxLen;
         EXPECT_EQ(partialServed, 0u) << "maxLen " << maxLen;
-        const check::Violation v = check::statsConserved(rs.fast);
+        const check::Violation v = check::statsConserved(replayed);
         EXPECT_FALSE(v.has_value()) << *v;
     }
     std::remove(tpt.c_str());
+}
+
+/**
+ * A replayTrace row finishes like every other row: its trace-cache
+ * ledger reaches the process-wide aggregate a /metrics scrape
+ * serves, exactly once, and its MIPS counts the instructions it
+ * simulated.
+ */
+TEST(TptReplayTest, ReplayRowPublishesItsOwnLedger)
+{
+    SimConfig dump;
+    dump.benchmark = "compress";
+    dump.maxInsts = 20'000;
+    dump.sampleEvery = dump.sampleWindow = dump.sampleWarmup = 0;
+    const std::string tpt =
+        ::testing::TempDir() + "tracefmt_test_replay_ledger.tpt";
+    dump.tptDump = tpt;
+    Simulator sim;
+    const SimResult live = sim.run(dump);
+
+    // Start from a nonempty aggregate, as a scrape would see after
+    // the live row: the replay must add its own ledger to it.
+    telemetry::resetPublishedLedgers();
+    telemetry::publishRunLedgers(live.attrib);
+    SimConfig cfg;
+    cfg.traceCacheEntries = 256;
+    cfg.preconBufferEntries = 128;
+    const SimResult r = replayTrace(tpt, cfg);
+    std::remove(tpt.c_str());
+    ASSERT_GT(r.traces, 0u);
+
+    AttribTable expected = live.attrib;
+    expected.add(r.attrib);
+    EXPECT_EQ(telemetry::renderPublishedLedgers(),
+              telemetry::renderProvenancePrometheus(
+                  expected.provenance()) +
+                  telemetry::renderAttribPrometheus(expected));
+    EXPECT_GT(r.wallSeconds, 0.0);
+    EXPECT_DOUBLE_EQ(r.mips, static_cast<double>(r.instructions) /
+                                 1e6 / r.wallSeconds);
+    telemetry::resetPublishedLedgers();
 }
 
 TEST(TptReplayDeathTest, ReplayTraceDiesCleanlyOnMissingFile)

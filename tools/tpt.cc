@@ -46,7 +46,6 @@
 #include "isa/disasm.hh"
 #include "sim/simulator.hh"
 #include "tracefmt/reader.hh"
-#include "tracefmt/replay.hh"
 #include "tracefmt/writer.hh"
 
 using namespace tpre;
