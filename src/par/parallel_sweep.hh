@@ -79,9 +79,9 @@ runParallelGrid(Simulator &sim,
                 const SweepOptions &opts = {});
 
 /**
- * Parallel analogue of runSweep(): same rows, same order. The
- * serial helper remains the reference implementation that
- * par_test.cc compares against.
+ * runParallelGrid over one benchmark's size points: @p base with
+ * each point's trace-cache and preconstruction-buffer entries, in
+ * order.
  */
 std::vector<SimResult>
 runParallelSweep(Simulator &sim, const SimConfig &base,

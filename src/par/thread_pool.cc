@@ -27,6 +27,12 @@ defaultJobs()
     return hw ? hw : 1;
 }
 
+bool
+onPoolWorker()
+{
+    return tCurrentPool != nullptr;
+}
+
 ThreadPool::ThreadPool(unsigned threads)
 {
     // Queue 0 doubles as the deferred-task queue of the inline pool.

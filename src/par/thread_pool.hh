@@ -36,6 +36,9 @@ namespace tpre::par
  */
 unsigned defaultJobs();
 
+/** Whether the calling thread is a worker of some ThreadPool. */
+bool onPoolWorker();
+
 class ThreadPool
 {
   public:

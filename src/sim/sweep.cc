@@ -23,27 +23,4 @@ figure5Grid()
     return grid;
 }
 
-std::vector<SimResult>
-runSweep(Simulator &sim, const SimConfig &base,
-         const std::vector<SizePoint> &points,
-         const std::function<void(const SimResult &)> &onResult)
-{
-    std::vector<SimResult> results;
-    results.reserve(points.size());
-    for (const SizePoint &point : points) {
-        // The base config is copied whole, so warm-state reuse
-        // (base.warmupInsts) applies to every point of the sweep:
-        // all rows fork from the same shared warm-up checkpoint,
-        // which is valid because the grid only varies frontend
-        // shape (tc/pb entries), not the committed stream.
-        SimConfig config = base;
-        config.traceCacheEntries = point.tcEntries;
-        config.preconBufferEntries = point.pbEntries;
-        results.push_back(sim.run(config));
-        if (onResult)
-            onResult(results.back());
-    }
-    return results;
-}
-
 } // namespace tpre

@@ -1,14 +1,12 @@
 /**
  * @file
- * Parameter-sweep helpers shared by the benchmark harnesses:
- * build the paper's standard configuration grids and run them
- * through a Simulator.
+ * The paper's standard configuration grids, shared by the benchmark
+ * harnesses; par::runParallelSweep runs them through a Simulator.
  */
 
 #ifndef TPRE_SIM_SWEEP_HH
 #define TPRE_SIM_SWEEP_HH
 
-#include <functional>
 #include <vector>
 
 #include "sim/simulator.hh"
@@ -28,13 +26,6 @@ struct SizePoint
  * equal-split preconstruction configurations at each combined size.
  */
 std::vector<SizePoint> figure5Grid();
-
-/** Run one benchmark over a set of size points. */
-std::vector<SimResult>
-runSweep(Simulator &sim, const SimConfig &base,
-         const std::vector<SizePoint> &points,
-         const std::function<void(const SimResult &)> &onResult =
-             nullptr);
 
 } // namespace tpre
 

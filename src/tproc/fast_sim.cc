@@ -1,8 +1,16 @@
 #include "tproc/fast_sim.hh"
 
 #include <algorithm>
+#include <array>
+#include <atomic>
 #include <cstring>
 #include <deque>
+#include <exception>
+#include <thread>
+
+#ifdef __linux__
+#include <sched.h>
+#endif
 
 #include "check/check.hh"
 #include "check/invariants.hh"
@@ -10,6 +18,7 @@
 #include "common/logging.hh"
 #include "common/random.hh"
 #include "obs/obs.hh"
+#include "par/thread_pool.hh"
 
 namespace tpre
 {
@@ -85,16 +94,185 @@ checkSignature(const char *who, const mem::Checkpoint &checkpoint,
     }
 }
 
-/** The per-trace check every segmented trace passes, once. */
-void
-checkSegmented([[maybe_unused]] const Trace &trace,
-               [[maybe_unused]] const SelectionPolicy &selection,
-               [[maybe_unused]] bool partial)
+/** Where a segmented trace's violation is reported. */
+constexpr const char *kSegmentedTrace = "segmented trace";
+
+/** The per-trace check every segmented trace passes, once; never a
+ *  violation in a build without TPRE_CHECK. */
+check::Violation
+segmentViolation([[maybe_unused]] const Trace &trace,
+                 [[maybe_unused]] const SelectionPolicy &selection,
+                 [[maybe_unused]] bool partial)
 {
-    tpre_check_run(check::enforce(
-        check::traceWellFormed(trace, selection, partial),
-        "segmented trace"));
+#if TPRE_CHECK
+    return check::traceWellFormed(trace, selection, partial);
+#else
+    return std::nullopt;
+#endif
 }
+
+/**
+ * Hardware threads this process may run on: its CPU affinity mask
+ * where there is one (taskset and cpusets narrow it, which
+ * hardware_concurrency() does not see), else the host's count.
+ */
+unsigned
+usableHardwareThreads()
+{
+#ifdef __linux__
+    cpu_set_t set;
+    if (sched_getaffinity(0, sizeof(set), &set) == 0)
+        return static_cast<unsigned>(CPU_COUNT(&set));
+#endif
+    return std::thread::hardware_concurrency();
+}
+
+/**
+ * Whether runBlocks may run the stream on a helper thread: only
+ * when the caller leaves a hardware thread idle. A ThreadPool
+ * worker does not, since a sweep's pool already has a worker per
+ * hardware thread, and neither does a process with one hardware
+ * thread, where the helper would take turns with its consumer.
+ */
+bool
+helperThreadIdle()
+{
+    return !par::onPoolWorker() && usableHardwareThreads() > 1;
+}
+
+/**
+ * The bounded buffer between a stream run on a helper thread and
+ * the frontends on the calling thread (DESIGN.md section 5): a
+ * single-producer, single-consumer ring of checked traces. Each
+ * side hands slots over in batches, so the other side's counter
+ * moves once per batch, and hands over what it holds back before
+ * it waits, so neither side waits on slots the other has not
+ * passed on. A wait spins briefly, then sleeps on the counter.
+ */
+class TraceRing
+{
+  public:
+    struct Slot
+    {
+        Trace trace;
+        /** The trace's check, enforced where it is served. */
+        check::Violation violation;
+    };
+
+    // Producer side.
+    /** The next free slot; null once the consumer has cancelled. */
+    Slot *
+    claim()
+    {
+        while (written_ - (tailSeen_ >> 1) == kSlots) {
+            if (tailSeen_ & 1)
+                return nullptr;
+            publish();
+            tailSeen_ = waitPast(tail_, tailSeen_);
+        }
+        return &slots_[written_ % kSlots];
+    }
+    /** Hand the claimed slot over, with its batch. */
+    void
+    push()
+    {
+        if (++written_ - published_ == kBatch)
+            publish();
+    }
+    /** Hand every slot over and mark the end of the stream. */
+    void
+    close()
+    {
+        head_.store(written_ << 1 | 1, std::memory_order_release);
+        head_.notify_one();
+    }
+
+    // Consumer side.
+    /** The oldest filled slot; null at the end of the stream. */
+    Slot *
+    front()
+    {
+        while (read_ == headSeen_ >> 1) {
+            if (headSeen_ & 1)
+                return nullptr;
+            release();
+            headSeen_ = waitPast(head_, headSeen_);
+        }
+        return &slots_[read_ % kSlots];
+    }
+    /** Give the slot front() returned back, with its batch. */
+    void
+    pop()
+    {
+        if (++read_ - released_ == kBatch)
+            release();
+    }
+    /** Make every later claim() return null. */
+    void
+    cancel()
+    {
+        tail_.store(read_ << 1 | 1, std::memory_order_release);
+        tail_.notify_one();
+    }
+
+  private:
+    static constexpr std::uint64_t kSlots = 1024;
+    static constexpr std::uint64_t kBatch = 32;
+    /** Loads before a wait sleeps: enough to bridge the usual gap
+     *  between two batches without a system call. */
+    static constexpr int kSpins = 4096;
+
+    void
+    publish()
+    {
+        if (published_ == written_)
+            return;
+        published_ = written_;
+        head_.store(published_ << 1, std::memory_order_release);
+        head_.notify_one();
+    }
+
+    void
+    release()
+    {
+        if (released_ == read_)
+            return;
+        released_ = read_;
+        tail_.store(released_ << 1, std::memory_order_release);
+        tail_.notify_one();
+    }
+
+    /** Wait until @p word no longer holds @p seen; its new value. */
+    static std::uint64_t
+    waitPast(const std::atomic<std::uint64_t> &word, std::uint64_t seen)
+    {
+        for (int i = 0; i < kSpins; ++i) {
+            const std::uint64_t now =
+                word.load(std::memory_order_acquire);
+            if (now != seen)
+                return now;
+#if defined(__x86_64__) || defined(__i386__)
+            __builtin_ia32_pause();
+#endif
+        }
+        word.wait(seen, std::memory_order_acquire);
+        return word.load(std::memory_order_acquire);
+    }
+
+    std::array<Slot, kSlots> slots_;
+    // Each counter is twice the slots handed over, plus a flag: the
+    // stream ended (head_) or the consumer cancelled (tail_).
+    alignas(64) std::atomic<std::uint64_t> head_{0};
+    alignas(64) std::atomic<std::uint64_t> tail_{0};
+    // The producer's own counts.
+    alignas(64) std::uint64_t written_ = 0;
+    std::uint64_t published_ = 0;
+    std::uint64_t tailSeen_ = 0;
+    // The consumer's own counts.
+    alignas(64) std::uint64_t read_ = 0;
+    std::uint64_t released_ = 0;
+    std::uint64_t headSeen_ = 0;
+};
 
 } // namespace
 
@@ -111,19 +289,29 @@ TraceStream::TraceStream(const Program &program,
 }
 
 void
-TraceStream::complete(const Trace &trace, bool partial)
+TraceStream::closeWindow()
 {
-    checkSegmented(trace, segmenter_.policy(), partial);
     completed_.swap(window_);
     window_.clear();
+}
+
+void
+TraceStream::checkTrace([[maybe_unused]] const Trace &trace,
+                        [[maybe_unused]] bool partial) const
+{
+    tpre_check_run(check::enforce(
+        segmentViolation(trace, segmenter_.policy(), partial),
+        kSegmentedTrace));
 }
 
 Trace *
 TraceStream::flush()
 {
     Trace *trace = segmenter_.flush();
-    if (trace)
-        complete(*trace, true);
+    if (trace) {
+        closeWindow();
+        checkTrace(*trace, true);
+    }
     return trace;
 }
 
@@ -160,7 +348,7 @@ TraceStream::run(InstCount coreLimit)
             bodyDone_ += chunk;
             if constexpr (Segment) {
                 if (Trace *trace = segmenter_.feedRun(insts, pc, chunk)) {
-                    complete(*trace, false);
+                    closeWindow();
                     return trace;
                 }
             }
@@ -174,7 +362,7 @@ TraceStream::run(InstCount coreLimit)
         if (block.end == BlockEnd::Clipped)
             continue;
         if constexpr (Segment) {
-            if (Trace *trace = commit(core_.step()))
+            if (Trace *trace = segment(core_.step()))
                 return trace;
         } else {
             core_.step();
@@ -186,7 +374,10 @@ TraceStream::run(InstCount coreLimit)
 Trace *
 TraceStream::next(InstCount coreLimit)
 {
-    return run<true>(coreLimit);
+    Trace *trace = run<true>(coreLimit);
+    if (trace)
+        checkTrace(*trace, false);
+    return trace;
 }
 
 void
@@ -196,13 +387,68 @@ TraceStream::runBlocks(std::span<FastFrontend *const> frontends,
     // A frontend's instruction count only advances inside
     // processTrace, so the budget is checked after each trace.
     const FastSimStats &lead = frontends.front()->stats();
-    while (lead.instructions < maxInsts) {
-        Trace *trace = next();
-        if (!trace)
-            return;
-        for (FastFrontend *frontend : frontends)
-            frontend->processTrace(*trace);
+    if (!helperThreadIdle()) {
+        while (lead.instructions < maxInsts) {
+            Trace *trace = next();
+            if (!trace)
+                return;
+            for (FastFrontend *frontend : frontends)
+                frontend->processTrace(*trace);
+        }
+        return;
     }
+
+    // The helper stops where the loop above stops: the lead's count
+    // after a trace is its count before the run plus the lengths of
+    // the traces served so far. It stops early only after a trace
+    // that fails its check, which the calling thread then enforces.
+    const auto ring = std::make_unique<TraceRing>();
+    std::exception_ptr failure;
+    std::thread helper([&, served = lead.instructions]() mutable {
+        try {
+            while (served < maxInsts) {
+                Trace *trace = run<true>(noLimit);
+                if (!trace)
+                    break;
+                TraceRing::Slot *slot = ring->claim();
+                if (!slot)
+                    break;
+                slot->trace = *trace;
+                slot->violation =
+                    segmentViolation(*trace, segmenter_.policy(), false);
+                served += trace->len();
+                const bool failed = slot->violation.has_value();
+                ring->push();
+                if (failed)
+                    break;
+            }
+        } catch (...) {
+            failure = std::current_exception();
+        }
+        ring->close();
+    });
+    // Join the helper on every exit, a frontend's exception included.
+    struct Joiner
+    {
+        TraceRing &ring;
+        std::thread &helper;
+        ~Joiner()
+        {
+            ring.cancel();
+            helper.join();
+        }
+    };
+    {
+        const Joiner joiner{*ring, helper};
+        while (TraceRing::Slot *slot = ring->front()) {
+            check::enforce(slot->violation, kSegmentedTrace);
+            for (FastFrontend *frontend : frontends)
+                frontend->processTrace(slot->trace);
+            ring->pop();
+        }
+    }
+    if (failure)
+        std::rethrow_exception(failure);
 }
 
 InstCount

@@ -123,6 +123,13 @@ class TraceStream
      * frontends.front() has processed @p maxInsts instructions.
      * Every frontend must have processed as many instructions as
      * the first, so all of them stop at the same trace boundary.
+     * When the calling thread leaves a hardware thread idle (it is
+     * no ThreadPool worker, and the process may run on more than
+     * one), the block loop runs on a helper thread and hands its
+     * traces over through a bounded ring (DESIGN.md section 5);
+     * the stream stops at the same trace either way, and a trace
+     * that fails its check fails on the calling thread, before any
+     * frontend sees it.
      */
     void runBlocks(std::span<FastFrontend *const> frontends,
                    InstCount maxInsts);
@@ -134,11 +141,9 @@ class TraceStream
     [[gnu::always_inline]] Trace *
     commit(const DynInst &dyn)
     {
-        if (recordWindows_)
-            window_.push_back(dyn);
-        Trace *trace = segmenter_.feed(dyn);
+        Trace *trace = segment(dyn);
         if (trace)
-            complete(*trace, false);
+            checkTrace(*trace, false);
         return trace;
     }
 
@@ -166,11 +171,27 @@ class TraceStream
 
   private:
     /** The block loop of next() and, with Segment false (no
-     *  segmenter, no window), of fastForward(). */
+     *  segmenter, no window), of fastForward(); its traces are
+     *  not checked yet. */
     template <bool Segment>
     Trace *run(InstCount coreLimit);
-    /** Check @p trace, then move the commit window into completed_. */
-    void complete(const Trace &trace, bool partial);
+    /** Record @p dyn in the window and segment it: the trace it
+     *  completes, not checked yet, or null. */
+    [[gnu::always_inline]] Trace *
+    segment(const DynInst &dyn)
+    {
+        if (recordWindows_)
+            window_.push_back(dyn);
+        Trace *trace = segmenter_.feed(dyn);
+        if (trace)
+            closeWindow();
+        return trace;
+    }
+    /** Move the commit window into completed_. */
+    void closeWindow();
+    /** The per-trace check every trace the stream cuts passes,
+     *  once (TPRE_CHECK builds). */
+    void checkTrace(const Trace &trace, bool partial) const;
 
     FunctionalCore core_;
     FillUnit segmenter_;

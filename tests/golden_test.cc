@@ -23,8 +23,8 @@
 #include <string>
 #include <vector>
 
+#include "par/parallel_sweep.hh"
 #include "sim/simulator.hh"
-#include "sim/sweep.hh"
 #include "tproc/processor.hh"
 
 namespace tpre
@@ -116,7 +116,7 @@ TEST(GoldenTest, Fig5GridBitIdenticalToPreOverhaulCapture)
         base.benchmark = name;
         base.maxInsts = 50000;
         const std::vector<SimResult> results =
-            runSweep(sim, base, grid);
+            par::runParallelSweep(sim, base, grid);
         ASSERT_EQ(results.size(), grid.size());
         for (const SimResult &r : results) {
             ASSERT_LT(row, std::size(kGolden));

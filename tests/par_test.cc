@@ -13,8 +13,11 @@
 #include <stdexcept>
 #include <thread>
 
+#include "check/stats_check.hh"
 #include "par/parallel_sweep.hh"
 #include "par/thread_pool.hh"
+#include "tproc/fast_sim.hh"
+#include "workload/generator.hh"
 
 namespace tpre
 {
@@ -239,6 +242,10 @@ TEST(ParallelSweepTest, Figure5GridBitIdenticalToSerialSweep)
     // The acceptance bar of the parallel engine: for two profiles,
     // the Figure 5 grid run with jobs=4 must match the serial
     // reference path field-by-field (doubles compared exactly).
+    // The serial grid runs on the test thread, which pipelines its
+    // stream on a helper thread when the process may run on more
+    // than one hardware thread; the pool's workers run theirs
+    // inline.
     const std::vector<SizePoint> grid = figure5Grid();
     for (const char *name : {"compress", "gcc"}) {
         SimConfig base;
@@ -247,7 +254,7 @@ TEST(ParallelSweepTest, Figure5GridBitIdenticalToSerialSweep)
 
         Simulator serialSim;
         const std::vector<SimResult> serial =
-            runSweep(serialSim, base, grid);
+            par::runParallelSweep(serialSim, base, grid);
 
         Simulator parallelSim;
         par::SweepOptions opts;
@@ -290,7 +297,7 @@ TEST(ParallelSweepTest, TimingModeAlsoBitIdentical)
 
     Simulator serialSim;
     const std::vector<SimResult> serial =
-        runSweep(serialSim, base, points);
+        par::runParallelSweep(serialSim, base, points);
 
     Simulator parallelSim;
     par::SweepOptions opts;
@@ -375,6 +382,123 @@ TEST(ParallelSweepTest, MixedGridGroupsBitIdenticalToSerial)
             EXPECT_GT(grid[i].wallSeconds, 0.0);
         }
     }
+}
+
+/**
+ * runBlocks pipelines its stream on a helper thread when the caller
+ * is no pool worker (and the process may run on more than one
+ * hardware thread), and runs it inline on a worker. Every row must agree
+ * between the two, the block-cache counters included: a helper that
+ * ran one trace past the budget would decode or hit more blocks.
+ */
+TEST(PipelinedStreamTest, PipelinedRowsEqualInlineRows)
+{
+    std::vector<SimConfig> rows;
+    for (const char *name : {"gcc", "compress"}) {
+        for (const SizePoint &p : figure5Grid()) {
+            SimConfig c;
+            c.benchmark = name;
+            c.maxInsts = 200000;
+            c.traceCacheEntries = p.tcEntries;
+            c.preconBufferEntries = p.pbEntries;
+            rows.push_back(c);
+        }
+    }
+    SimConfig warm = rows[8];
+    warm.warmupInsts = 100000;
+    rows.push_back(warm);
+    // Not a block boundary: the stream still stops at the trace
+    // boundary the lead frontend reaches first.
+    SimConfig midBlock = rows[20];
+    midBlock.maxInsts = 100003;
+    rows.push_back(midBlock);
+
+    Simulator pipelinedSim;
+    std::vector<SimResult> pipelined;
+    for (const SimConfig &c : rows)
+        pipelined.push_back(pipelinedSim.run(c));
+    EXPECT_TRUE(pipelined[26].warm);
+
+    Simulator inlineSim;
+    par::SweepOptions opts;
+    opts.jobs = 2;
+    const std::vector<SimResult> inlined =
+        par::runParallelGrid(inlineSim, rows, opts);
+    ASSERT_EQ(inlined.size(), rows.size());
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        SCOPED_TRACE("row " + std::to_string(i));
+        expectSameResult(pipelined[i], inlined[i]);
+        EXPECT_GT(pipelined[i].blocksDecoded, 0u);
+    }
+
+    // The 13 gcc rows as one group: one pipelined stream serving
+    // 13 frontends.
+    const std::vector<SimConfig> gcc(rows.begin(), rows.begin() + 13);
+    const std::vector<SimResult> grouped = pipelinedSim.runGroup(gcc);
+    ASSERT_EQ(grouped.size(), gcc.size());
+    for (std::size_t i = 0; i < gcc.size(); ++i) {
+        SCOPED_TRACE("grouped row " + std::to_string(i));
+        expectSameResult(pipelined[i], grouped[i]);
+    }
+}
+
+TEST(PipelinedStreamTest, HaltBeforeTheBudgetStopsBothLoopsAtTheHalt)
+{
+    // One outer repeat: the program halts after a few hundred
+    // thousand instructions, well inside the budget.
+    BenchmarkProfile profile = namedProfile("compress");
+    profile.outerRepeats = 1;
+    const GeneratedWorkload wl = WorkloadGenerator(profile).generate();
+    std::vector<FastSimConfig> configs(2);
+    configs[1].traceCacheEntries = 128;
+    configs[1].preconEnabled = true;
+    const InstCount budget = 100'000'000;
+
+    InstCount pipelinedInsts = 0;
+    const std::vector<FastSimStats> pipelined = runSharedStream(
+        wl.program, configs, budget, nullptr, &pipelinedInsts);
+    std::vector<std::vector<FastSimStats>> inlined(2);
+    std::vector<InstCount> inlinedInsts(2);
+    par::runJobs(2, 2, 0, [&](std::size_t i, Rng &) {
+        inlined[i] = runSharedStream(wl.program, configs, budget,
+                                     nullptr, &inlinedInsts[i]);
+    });
+
+    ASSERT_LT(pipelinedInsts, budget);
+    for (std::size_t job = 0; job < 2; ++job) {
+        EXPECT_EQ(inlinedInsts[job], pipelinedInsts);
+        for (std::size_t i = 0; i < configs.size(); ++i) {
+            SCOPED_TRACE("job " + std::to_string(job) + " config " +
+                         std::to_string(i));
+            const FastSimStats &a = pipelined[i];
+            const FastSimStats &b = inlined[job][i];
+            EXPECT_EQ(check::fastStatsEqual(a, b), std::nullopt);
+            EXPECT_EQ(a.blocks.decoded, b.blocks.decoded);
+            EXPECT_EQ(a.blocks.hits, b.blocks.hits);
+            EXPECT_EQ(a.blocks.invalidations, b.blocks.invalidations);
+        }
+    }
+    EXPECT_EQ(pipelined[0].instructions, pipelinedInsts);
+}
+
+TEST(PipelinedStreamTest, FrontendExceptionStopsTheHelper)
+{
+    // A frontend that throws mid-run, with the helper blocked on a
+    // full ring: the ring is cancelled, the helper joined, and the
+    // exception reaches the caller as it does from the inline loop.
+    Simulator sim;
+    const std::shared_ptr<const GeneratedWorkload> wl =
+        sim.workload("gcc", 1);
+    std::vector<FastSimConfig> configs(1);
+    std::uint64_t served = 0;
+    configs[0].hooks.onTrace = [&served](const Trace &, const Trace &,
+                                         bool) {
+        if (++served == 5000)
+            throw std::runtime_error("frontend failed");
+    };
+    EXPECT_THROW(runSharedStream(wl->program, configs, 1'000'000),
+                 std::runtime_error);
+    EXPECT_EQ(served, 5000u);
 }
 
 } // namespace

@@ -15,8 +15,8 @@
 #include <string>
 #include <vector>
 
+#include "par/parallel_sweep.hh"
 #include "sample/sample.hh"
-#include "sim/sweep.hh"
 
 namespace tpre
 {
@@ -306,14 +306,14 @@ TEST(SampleContractTest, GoldenGridMissRatesWithinTwoPercent)
         base.benchmark = name;
         base.maxInsts = sample::contractBudget;
         const std::vector<SimResult> detailed =
-            runSweep(sim, base, grid);
+            par::runParallelSweep(sim, base, grid);
 
         SimConfig sampledBase = base;
         sampledBase.sampleEvery = spec.every;
         sampledBase.sampleWindow = spec.window;
         sampledBase.sampleWarmup = spec.warmup;
         const std::vector<SimResult> sampled =
-            runSweep(sim, sampledBase, grid);
+            par::runParallelSweep(sim, sampledBase, grid);
 
         ASSERT_EQ(detailed.size(), grid.size());
         ASSERT_EQ(sampled.size(), grid.size());

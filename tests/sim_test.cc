@@ -6,10 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include "par/parallel_sweep.hh"
 #include "sim/json_report.hh"
 #include "sim/report.hh"
 #include "sim/simulator.hh"
-#include "sim/sweep.hh"
 
 namespace tpre
 {
@@ -173,10 +173,9 @@ TEST(SweepTest, RunSweepProducesOneResultPerPoint)
     base.maxInsts = 60000;
     std::vector<SizePoint> points{{64, 0}, {64, 32}};
     unsigned callbacks = 0;
-    auto results = runSweep(sim, base, points,
-                            [&](const SimResult &) {
-                                ++callbacks;
-                            });
+    par::SweepOptions opts;
+    opts.onResult = [&](const SimResult &) { ++callbacks; };
+    auto results = par::runParallelSweep(sim, base, points, opts);
     ASSERT_EQ(results.size(), 2u);
     EXPECT_EQ(callbacks, 2u);
     EXPECT_EQ(results[0].config.traceCacheEntries, 64u);

@@ -29,7 +29,9 @@
  *   replay FILE [--tc N] [--pb N] [--max-insts N]
  *       Drive the fill unit, trace cache and preconstruction
  *       engine from the recorded stream — no functional execution
- *       — and print the frontend statistics.
+ *       — and print the frontend statistics (default --tc 256
+ *       --pb 128; --pb 0 runs no engine, as encode does by
+ *       default). Both commands print misses/KI to 3 decimals.
  *
  * Exit status: 0 on success, 1 on file/config errors (via fatal),
  * 2 on usage errors.
@@ -66,6 +68,16 @@ usage()
         << "  verify FILE\n"
         << "  replay FILE [--tc N] [--pb N] [--max-insts N]\n";
     return 2;
+}
+
+/** A count where 0 is meaningful (--pb 0: no engine; --max 0:
+ *  everything); anything else must parse as a positive integer. */
+std::uint64_t
+parseCount(const char *text, const char *what)
+{
+    if (text[0] == '0' && text[1] == '\0')
+        return 0;
+    return static_cast<std::uint64_t>(parsePositiveInt(text, what));
 }
 
 tracefmt::TptReader
@@ -106,7 +118,7 @@ cmdEncode(int argc, char **argv)
                 parsePositiveInt(value(), "--tc"));
         else if (arg == "--pb")
             cfg.preconBufferEntries = static_cast<std::size_t>(
-                parsePositiveInt(value(), "--pb"));
+                parseCount(value(), "--pb"));
         else
             return usage();
     }
@@ -120,7 +132,7 @@ cmdEncode(int argc, char **argv)
     Simulator sim;
     const SimResult r = sim.run(cfg);
     std::printf("%s: encoded %llu insts from %s (seed %llu), "
-                "%.2f misses/KI live\n",
+                "%.3f misses/KI live\n",
                 out.c_str(),
                 static_cast<unsigned long long>(r.instructions),
                 cfg.benchmark.c_str(),
@@ -279,7 +291,7 @@ cmdReplay(const std::string &path, int argc, char **argv)
                 parsePositiveInt(value(), "--tc"));
         else if (arg == "--pb")
             cfg.preconBufferEntries = static_cast<std::size_t>(
-                parsePositiveInt(value(), "--pb"));
+                parseCount(value(), "--pb"));
         else if (arg == "--max-insts")
             cfg.maxInsts = static_cast<InstCount>(
                 parsePositiveInt(value(), "--max-insts"));
@@ -326,11 +338,7 @@ main(int argc, char **argv)
         std::uint64_t maxPrint = 64;
         for (int i = 3; i < argc; ++i) {
             if (!std::strcmp(argv[i], "--max") && i + 1 < argc) {
-                const char *v = argv[++i];
-                maxPrint = (v[0] == '0' && v[1] == '\0')
-                               ? 0
-                               : static_cast<std::uint64_t>(
-                                     parsePositiveInt(v, "--max"));
+                maxPrint = parseCount(argv[++i], "--max");
             } else {
                 return usage();
             }
