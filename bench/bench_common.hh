@@ -74,8 +74,8 @@ verified(const SimResult &r)
 }
 
 /**
- * Per-binary harness: parses --jobs N (or TPRE_JOBS, or all
- * hardware threads by default), --trace-out FILE (enable the
+ * Per-binary harness: parses --jobs N (or TPRE_JOBS, or the CPUs
+ * the process may run on by default), --trace-out FILE (enable the
  * tpre::obs tracer and export Chrome trace_event JSON on finish —
  * open the file in Perfetto) and --telemetry-port N (or
  * TPRE_TELEMETRY_PORT: serve /metrics, /healthz and /runs on

@@ -4,6 +4,10 @@
 #include <exception>
 #include <utility>
 
+#ifdef __linux__
+#include <sched.h>
+#endif
+
 #include "common/parse.hh"
 #include "obs/obs.hh"
 
@@ -19,12 +23,23 @@ thread_local const ThreadPool *tCurrentPool = nullptr;
 } // namespace
 
 unsigned
+usableHardwareThreads()
+{
+#ifdef __linux__
+    cpu_set_t set;
+    if (sched_getaffinity(0, sizeof(set), &set) == 0)
+        return static_cast<unsigned>(CPU_COUNT(&set));
+#endif
+    const unsigned hw = std::thread::hardware_concurrency();
+    return hw ? hw : 1;
+}
+
+unsigned
 defaultJobs()
 {
     if (const char *env = std::getenv("TPRE_JOBS"))
         return parseJobs(env, "TPRE_JOBS");
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw ? hw : 1;
+    return usableHardwareThreads();
 }
 
 bool

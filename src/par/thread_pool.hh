@@ -31,8 +31,16 @@ namespace tpre::par
 {
 
 /**
+ * Hardware threads this process may run on: its CPU affinity mask
+ * where there is one (taskset and cpusets narrow it, which
+ * std::thread::hardware_concurrency() does not see), else the
+ * host's count; at least 1.
+ */
+unsigned usableHardwareThreads();
+
+/**
  * Default worker count: TPRE_JOBS when set (fatal on garbage),
- * otherwise std::thread::hardware_concurrency() (minimum 1).
+ * otherwise usableHardwareThreads().
  */
 unsigned defaultJobs();
 

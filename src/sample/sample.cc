@@ -63,7 +63,7 @@ defaultSpec(InstCount budget)
     // spend a large fraction detailed (accuracy where the cold-start
     // transient dominates totals) while long budgets approach the
     // steady ~9% duty cycle (speed). The fractions are pinned by the
-    // fig5 sampled-vs-detailed comparison: measured 3.5x the
+    // fig5 sampled-vs-detailed comparison: measured ~4x the
     // detailed MIPS at the CI budget (the acceptance bar is 3x),
     // with the wider per-window spread reported honestly through
     // the ci95 fields. The error *contract* is contractSpec()'s
@@ -175,6 +175,166 @@ windowDelta(const FastSimStats &s0, const FastSimStats &s1)
     return w;
 }
 
+/** What a sampling step was, named by the mark that ends it. */
+enum Step : unsigned
+{
+    /** Detailed and measured. */
+    kMeasure,
+    /** Detailed warm-up, executed but not measured. */
+    kWarmup,
+    /** Functional fast-forward. */
+    kSkip,
+    /** No step: the stratum ends here. */
+    kStratumEnd,
+};
+
+/**
+ * The stratum schedule, the stream side of a sampled run: it reads
+ * only the core's instruction count and halt flag. Strata ramp
+ * geometrically from one fully-measured window up to the steady
+ * period: the run prefix, where miss density concentrates on cold
+ * frontends, is captured exactly, and the steady state is sampled
+ * at the configured duty cycle.
+ */
+void
+schedule(StreamSteps &steps, const SampleSpec &spec, InstCount goal)
+{
+    const InstCount overhead = spec.warmup + spec.window;
+    InstCount stratumLen = spec.window;
+    while (!steps.halted() && steps.instsExecuted() < goal) {
+        const InstCount stratumStart = steps.instsExecuted();
+        const InstCount len =
+            std::min(stratumLen, goal - stratumStart);
+
+        if (len <= overhead) {
+            // Ramp stratum: measure the whole span. These only
+            // occur before the first skip (strata never shrink), so
+            // the frontend is detailed-warm from instruction 0 and
+            // the measurement is exact.
+            steps.detailed(stratumStart + len, kMeasure);
+        } else {
+            // Steady stratum: functionally skip to a centered
+            // warmup+window slice (midpoint rule — first-order
+            // drift within the stratum cancels), then skip out.
+            steps.skip((len - overhead) / 2, kSkip);
+            if (!steps.halted()) {
+                steps.detailed(steps.instsExecuted() + spec.warmup,
+                               kWarmup);
+            }
+            if (!steps.halted()) {
+                steps.detailed(steps.instsExecuted() + spec.window,
+                               kMeasure);
+            }
+            if (!steps.halted()) {
+                steps.skip(stratumStart + len - steps.instsExecuted(),
+                           kSkip);
+            }
+        }
+        steps.mark(kStratumEnd);
+
+        stratumLen = stratumLen >= spec.every - stratumLen
+                         ? spec.every
+                         : stratumLen * 2;
+    }
+}
+
+/**
+ * The reducer, the frontend side of a sampled run: it turns the
+ * frontend's statistics at each mark into the run's tallies and one
+ * observation per metric per stratum.
+ */
+class Reducer
+{
+  public:
+    Reducer(SampledRun &run, InstCount start, const FastSimStats &stats)
+        : run_(run), core_(start), stratumStart_(start), last_(stats)
+    {}
+
+    void
+    mark(const StreamMark &mark, const FastSimStats &stats)
+    {
+        const InstCount step = mark.coreInsts - core_;
+        core_ = mark.coreInsts;
+        switch (mark.tag) {
+        case kMeasure:
+            window_ = windowDelta(last_, stats);
+            break;
+        case kWarmup:
+            run_.warmInsts += step;
+            break;
+        case kSkip:
+            run_.skippedInsts += step;
+            break;
+        case kStratumEnd:
+            endStratum();
+            break;
+        }
+        last_ = stats;
+    }
+
+    /** The stratified estimates of the strata so far. */
+    void
+    finish()
+    {
+        run_.missesPerKi = estimateStratified(misses_);
+        run_.tracesPerKi = estimateStratified(traces_);
+        run_.pbHitsPerKi = estimateStratified(pbs_);
+        run_.cyclesPerKi = estimateStratified(cycles_);
+        run_.coverage = estimateStratified(cover_);
+        run_.icacheMissesPerKi = estimateStratified(icMiss_);
+        run_.icacheSupplyPerKi = estimateStratified(icSupply_);
+        run_.icacheMissSupplyPerKi = estimateStratified(icMissSupply_);
+    }
+
+  private:
+    void
+    endStratum()
+    {
+        // Window boundaries are core-instruction exact; committed
+        // counters trail by at most one in-flight trace, which is
+        // noise well below a window's length.
+        const WindowSample w = window_;
+        const InstCount span = core_ - stratumStart_;
+        window_ = {};
+        stratumStart_ = core_;
+        if (w.insts == 0 || span == 0)
+            return;
+        const double ki = static_cast<double>(w.insts) / 1000.0;
+        const double sp = static_cast<double>(span);
+        const double un =
+            static_cast<double>(span - std::min(span, w.insts));
+        const auto rate = [&](double count) {
+            return Stratum{count / ki, sp, un};
+        };
+        misses_.push_back(rate(static_cast<double>(w.tcMisses)));
+        traces_.push_back(rate(static_cast<double>(w.traces)));
+        pbs_.push_back(rate(static_cast<double>(w.pbHits)));
+        cycles_.push_back(rate(static_cast<double>(w.cycles)));
+        cover_.push_back({static_cast<double>(w.insts - w.slowPathInsts) /
+                              static_cast<double>(w.insts),
+                          sp, un});
+        icMiss_.push_back(rate(static_cast<double>(w.icacheMisses)));
+        icSupply_.push_back(rate(static_cast<double>(w.slowPathInsts)));
+        icMissSupply_.push_back(
+            rate(static_cast<double>(w.slowPathInstsFromMisses)));
+
+        run_.sampledInsts += w.insts;
+        ++run_.windows;
+    }
+
+    SampledRun &run_;
+    /** The core count at the last mark. */
+    InstCount core_;
+    InstCount stratumStart_;
+    /** The frontend's statistics at the last mark. */
+    FastSimStats last_;
+    /** The stratum's measured window, if it had one. */
+    WindowSample window_;
+    // Per-stratum observations, one vector per metric.
+    std::vector<Stratum> misses_, traces_, pbs_, cycles_, cover_,
+        icMiss_, icSupply_, icMissSupply_;
+};
+
 } // namespace
 
 SampledRun
@@ -203,101 +363,17 @@ runSampled(FastSim &sim, const SampleSpec &rawSpec, InstCount budget)
     TPRE_OBS_COUNT("sample.runs");
 
     const InstCount start = sim.instsExecuted();
-    const InstCount goal = start + budget;
-    const InstCount overhead = spec.warmup + spec.window;
+    Reducer reducer(run, start, sim.syncStats());
+    sim.runScheduled(
+        [&](StreamSteps &steps) { schedule(steps, spec, start + budget); },
+        [&](const StreamMark &mark, const FastSimStats &stats) {
+            reducer.mark(mark, stats);
+        });
+    reducer.finish();
 
-    // Per-stratum observations, one vector per metric.
-    std::vector<Stratum> misses, traces, pbs, cycles, cover, icMiss,
-        icSupply, icMissSupply;
-
-    // Strata ramp geometrically from one fully-measured window up
-    // to the steady period: the run prefix — where miss density
-    // concentrates on cold frontends — is captured exactly, and the
-    // steady state is sampled at the configured duty cycle.
-    InstCount stratumLen = spec.window;
-    while (!sim.halted() && sim.instsExecuted() < goal) {
-        const InstCount stratumStart = sim.instsExecuted();
-        const InstCount len =
-            std::min(stratumLen, goal - stratumStart);
-
-        WindowSample w;
-        if (len <= overhead) {
-            // Ramp stratum: measure the whole span. These only
-            // occur before the first skip (strata never shrink), so
-            // the frontend is detailed-warm from instruction 0 and
-            // the measurement is exact.
-            const FastSimStats s0 = sim.syncStats();
-            sim.runUntil(stratumStart + len);
-            w = windowDelta(s0, sim.syncStats());
-        } else {
-            // Steady stratum: functionally skip to a centered
-            // warmup+window slice (midpoint rule — first-order
-            // drift within the stratum cancels), then skip out.
-            const InstCount lead = len - overhead;
-            run.skippedInsts += sim.fastForward(lead / 2);
-            if (!sim.halted()) {
-                const InstCount before = sim.instsExecuted();
-                sim.runUntil(before + spec.warmup);
-                run.warmInsts += sim.instsExecuted() - before;
-            }
-            if (!sim.halted()) {
-                const FastSimStats s0 = sim.syncStats();
-                sim.runUntil(sim.instsExecuted() + spec.window);
-                w = windowDelta(s0, sim.syncStats());
-            }
-            if (!sim.halted()) {
-                run.skippedInsts += sim.fastForward(
-                    stratumStart + len - sim.instsExecuted());
-            }
-        }
-
-        // Window boundaries are core-instruction exact; committed
-        // counters trail by at most one in-flight trace, which is
-        // noise well below a window's length.
-        const InstCount span = sim.instsExecuted() - stratumStart;
-        if (w.insts > 0 && span > 0) {
-            const double ki = static_cast<double>(w.insts) / 1000.0;
-            const double sp = static_cast<double>(span);
-            const double un =
-                static_cast<double>(span - std::min(span, w.insts));
-            const auto rate = [&](double count) {
-                return Stratum{count / ki, sp, un};
-            };
-            misses.push_back(
-                rate(static_cast<double>(w.tcMisses)));
-            traces.push_back(rate(static_cast<double>(w.traces)));
-            pbs.push_back(rate(static_cast<double>(w.pbHits)));
-            cycles.push_back(rate(static_cast<double>(w.cycles)));
-            cover.push_back(
-                {static_cast<double>(w.insts - w.slowPathInsts) /
-                     static_cast<double>(w.insts),
-                 sp, un});
-            icMiss.push_back(
-                rate(static_cast<double>(w.icacheMisses)));
-            icSupply.push_back(
-                rate(static_cast<double>(w.slowPathInsts)));
-            icMissSupply.push_back(rate(
-                static_cast<double>(w.slowPathInstsFromMisses)));
-
-            run.sampledInsts += w.insts;
-            ++run.windows;
-        }
-
-        stratumLen = stratumLen >= spec.every - stratumLen
-                         ? spec.every
-                         : stratumLen * 2;
-    }
-
+    // The stream is at rest again, so its block counters can be read.
     run.instructions = sim.instsExecuted() - start;
     run.raw = sim.syncStats();
-    run.missesPerKi = estimateStratified(misses);
-    run.tracesPerKi = estimateStratified(traces);
-    run.pbHitsPerKi = estimateStratified(pbs);
-    run.cyclesPerKi = estimateStratified(cycles);
-    run.coverage = estimateStratified(cover);
-    run.icacheMissesPerKi = estimateStratified(icMiss);
-    run.icacheSupplyPerKi = estimateStratified(icSupply);
-    run.icacheMissSupplyPerKi = estimateStratified(icMissSupply);
     TPRE_OBS_COUNT("sample.windows", run.windows);
     TPRE_OBS_COUNT("sample.skipped_insts", run.skippedInsts);
     return run;

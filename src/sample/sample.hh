@@ -2,9 +2,9 @@
  * @file
  * SMARTS-style sampled simulation (DESIGN.md section 16, ROADMAP
  * item 2c). The controller alternates cheap functional fast-forward
- * (FastSim::fastForward — architectural state advances, frontend
- * structures frozen) with detailed measurement windows driven by
- * FastSim::runUntil(). The run is divided into strata whose lengths
+ * (architectural state advances, frontend structures frozen) with
+ * detailed measurement windows, both steps of
+ * FastSim::runScheduled(). The run is divided into strata whose lengths
  * grow geometrically from `window` up to the steady period `every`:
  * the earliest strata are measured in full (capturing the cold-start
  * transient, where miss density concentrates, exactly), and each
@@ -182,6 +182,15 @@ struct SampledRun
  * spec.window >= budget the run degenerates to a plain detailed
  * sim.run(budget) — bit-identical to an unsampled run — with
  * fallback naming the reason. @p spec must be enabled.
+ *
+ * Otherwise the stratum schedule, which reads only the core's
+ * instruction count and halt flag, steps the stream through
+ * FastSim::runScheduled(), and a reducer turns the frontend's
+ * statistics at each step's mark into the strata. When the calling
+ * thread leaves a hardware thread idle, the schedule runs on a
+ * helper thread, so the frontend serves one window while the
+ * stream skips on to the next (DESIGN.md section 16); the result
+ * is bit-identical to the inline run either way.
  */
 SampledRun runSampled(FastSim &sim, const SampleSpec &spec,
                       InstCount budget);

@@ -6,11 +6,8 @@
 #include <cstring>
 #include <deque>
 #include <exception>
+#include <optional>
 #include <thread>
-
-#ifdef __linux__
-#include <sched.h>
-#endif
 
 #include "check/check.hh"
 #include "check/invariants.hh"
@@ -112,51 +109,39 @@ segmentViolation([[maybe_unused]] const Trace &trace,
 }
 
 /**
- * Hardware threads this process may run on: its CPU affinity mask
- * where there is one (taskset and cpusets narrow it, which
- * hardware_concurrency() does not see), else the host's count.
- */
-unsigned
-usableHardwareThreads()
-{
-#ifdef __linux__
-    cpu_set_t set;
-    if (sched_getaffinity(0, sizeof(set), &set) == 0)
-        return static_cast<unsigned>(CPU_COUNT(&set));
-#endif
-    return std::thread::hardware_concurrency();
-}
-
-/**
- * Whether runBlocks may run the stream on a helper thread: only
- * when the caller leaves a hardware thread idle. A ThreadPool
- * worker does not, since a sweep's pool already has a worker per
- * hardware thread, and neither does a process with one hardware
- * thread, where the helper would take turns with its consumer.
+ * Whether a stream may run on a helper thread: only when the
+ * caller leaves a hardware thread idle. A ThreadPool worker does
+ * not, since a sweep's pool already has a worker per hardware
+ * thread, and neither does a process with one hardware thread,
+ * where the helper would take turns with its consumer.
  */
 bool
 helperThreadIdle()
 {
-    return !par::onPoolWorker() && usableHardwareThreads() > 1;
+    return !par::onPoolWorker() && par::usableHardwareThreads() > 1;
 }
 
 /**
  * The bounded buffer between a stream run on a helper thread and
  * the frontends on the calling thread (DESIGN.md section 5): a
- * single-producer, single-consumer ring of checked traces. Each
- * side hands slots over in batches, so the other side's counter
- * moves once per batch, and hands over what it holds back before
- * it waits, so neither side waits on slots the other has not
- * passed on. A wait spins briefly, then sleeps on the counter.
+ * single-producer, single-consumer ring of checked traces and
+ * schedule marks. Each side hands slots over in batches, so the
+ * other side's counter moves once per batch, and hands over what
+ * it holds back before it waits, so neither side waits on slots
+ * the other has not passed on. A wait spins briefly, then sleeps
+ * on the counter.
  */
 class TraceRing
 {
   public:
+    /** A trace and its check, or a mark. */
     struct Slot
     {
         Trace trace;
         /** The trace's check, enforced where it is served. */
         check::Violation violation;
+        /** Set: the slot is this mark, not a trace. */
+        std::optional<StreamMark> mark;
     };
 
     // Producer side.
@@ -178,6 +163,16 @@ class TraceRing
     {
         if (++written_ - published_ == kBatch)
             publish();
+    }
+    /** Hand every pushed slot over now. */
+    void
+    publish()
+    {
+        if (published_ == written_)
+            return;
+        published_ = written_;
+        head_.store(published_ << 1, std::memory_order_release);
+        head_.notify_one();
     }
     /** Hand every slot over and mark the end of the stream. */
     void
@@ -223,16 +218,6 @@ class TraceRing
     static constexpr int kSpins = 4096;
 
     void
-    publish()
-    {
-        if (published_ == written_)
-            return;
-        published_ = written_;
-        head_.store(published_ << 1, std::memory_order_release);
-        head_.notify_one();
-    }
-
-    void
     release()
     {
         if (released_ == read_)
@@ -273,6 +258,71 @@ class TraceRing
     std::uint64_t released_ = 0;
     std::uint64_t headSeen_ = 0;
 };
+
+/**
+ * Claim a slot for @p trace and hand it over with its check; false
+ * once the producer must stop: the consumer cancelled, or the trace
+ * failed its check (the consumer enforces it when it gets there).
+ */
+bool
+pushTrace(TraceRing &ring, const Trace &trace,
+          const SelectionPolicy &selection)
+{
+    TraceRing::Slot *slot = ring.claim();
+    if (!slot)
+        return false;
+    slot->trace = trace;
+    slot->violation = segmentViolation(trace, selection, false);
+    slot->mark.reset();
+    const bool failed = slot->violation.has_value();
+    ring.push();
+    return !failed;
+}
+
+/**
+ * Run @p produce, which fills a TraceRing, on a helper thread while
+ * the calling thread hands each slot to @p consume, in order; a
+ * trace's check is enforced before @p consume sees it. The helper
+ * is joined on every exit, an exception from @p consume included,
+ * which cancels the ring first; an exception on the helper is
+ * rethrown here.
+ */
+template <typename Produce, typename Consume>
+void
+pipeline(Produce &&produce, Consume &&consume)
+{
+    const auto ring = std::make_unique<TraceRing>();
+    std::exception_ptr failure;
+    std::thread helper([&] {
+        try {
+            produce(*ring);
+        } catch (...) {
+            failure = std::current_exception();
+        }
+        ring->close();
+    });
+    struct Joiner
+    {
+        TraceRing &ring;
+        std::thread &helper;
+        ~Joiner()
+        {
+            ring.cancel();
+            helper.join();
+        }
+    };
+    {
+        const Joiner joiner{*ring, helper};
+        while (TraceRing::Slot *slot = ring->front()) {
+            if (!slot->mark)
+                check::enforce(slot->violation, kSegmentedTrace);
+            consume(*slot);
+            ring->pop();
+        }
+    }
+    if (failure)
+        std::rethrow_exception(failure);
+}
 
 } // namespace
 
@@ -402,53 +452,20 @@ TraceStream::runBlocks(std::span<FastFrontend *const> frontends,
     // after a trace is its count before the run plus the lengths of
     // the traces served so far. It stops early only after a trace
     // that fails its check, which the calling thread then enforces.
-    const auto ring = std::make_unique<TraceRing>();
-    std::exception_ptr failure;
-    std::thread helper([&, served = lead.instructions]() mutable {
-        try {
+    pipeline(
+        [&, served = lead.instructions](TraceRing &ring) mutable {
             while (served < maxInsts) {
                 Trace *trace = run<true>(noLimit);
-                if (!trace)
-                    break;
-                TraceRing::Slot *slot = ring->claim();
-                if (!slot)
-                    break;
-                slot->trace = *trace;
-                slot->violation =
-                    segmentViolation(*trace, segmenter_.policy(), false);
+                if (!trace ||
+                    !pushTrace(ring, *trace, segmenter_.policy()))
+                    return;
                 served += trace->len();
-                const bool failed = slot->violation.has_value();
-                ring->push();
-                if (failed)
-                    break;
             }
-        } catch (...) {
-            failure = std::current_exception();
-        }
-        ring->close();
-    });
-    // Join the helper on every exit, a frontend's exception included.
-    struct Joiner
-    {
-        TraceRing &ring;
-        std::thread &helper;
-        ~Joiner()
-        {
-            ring.cancel();
-            helper.join();
-        }
-    };
-    {
-        const Joiner joiner{*ring, helper};
-        while (TraceRing::Slot *slot = ring->front()) {
-            check::enforce(slot->violation, kSegmentedTrace);
+        },
+        [&](TraceRing::Slot &slot) {
             for (FastFrontend *frontend : frontends)
-                frontend->processTrace(slot->trace);
-            ring->pop();
-        }
-    }
-    if (failure)
-        std::rethrow_exception(failure);
+                frontend->processTrace(slot.trace);
+        });
 }
 
 InstCount
@@ -569,9 +586,16 @@ FastFrontend::processTrace(Trace &trace, bool partial)
 }
 
 const FastSimStats &
-FastFrontend::syncStats(const BlockCache &blocks)
+FastFrontend::syncSupplyStats()
 {
     supply_.syncStats(stats_);
+    return stats_;
+}
+
+const FastSimStats &
+FastFrontend::syncStats(const BlockCache &blocks)
+{
+    syncSupplyStats();
     stats_.blocks = blocks.stats();
     return stats_;
 }
@@ -720,6 +744,92 @@ InstCount
 FastSim::fastForward(InstCount coreInsts)
 {
     return stream_.fastForward(coreInsts);
+}
+
+void
+FastSim::runScheduled(const std::function<void(StreamSteps &)> &schedule,
+                      const MarkSink &onMark)
+{
+    // Inline: each step serves its traces as it cuts them, and
+    // each mark reaches onMark at once.
+    class InlineSteps final : public StreamSteps
+    {
+      public:
+        InlineSteps(FastSim &sim, const MarkSink &onMark)
+            : StreamSteps(sim.stream_), sim_(sim), onMark_(onMark)
+        {}
+        void
+        detailed(InstCount coreInsts, unsigned tag) override
+        {
+            sim_.runUntil(coreInsts);
+            mark(tag);
+        }
+        void
+        mark(unsigned tag) override
+        {
+            onMark_({tag, instsExecuted()},
+                    sim_.frontend_.syncSupplyStats());
+        }
+
+      private:
+        FastSim &sim_;
+        const MarkSink &onMark_;
+    };
+    if (frontend_.config().hooks.onCommit || !helperThreadIdle()) {
+        InlineSteps steps(*this, onMark);
+        schedule(steps);
+        return;
+    }
+
+    // Pipelined: each step hands its traces and its mark over
+    // through the ring, and publishes the mark at once, so the
+    // frontend can finish a window while the helper skips on.
+    struct Stopped
+    {};
+    class RingSteps final : public StreamSteps
+    {
+      public:
+        RingSteps(TraceStream &stream, TraceRing &ring)
+            : StreamSteps(stream), ring_(ring)
+        {}
+        void
+        detailed(InstCount coreInsts, unsigned tag) override
+        {
+            while (Trace *trace = stream_.run<true>(coreInsts)) {
+                if (!pushTrace(ring_, *trace,
+                               stream_.segmenter_.policy()))
+                    throw Stopped{};
+            }
+            mark(tag);
+        }
+        void
+        mark(unsigned tag) override
+        {
+            TraceRing::Slot *slot = ring_.claim();
+            if (!slot)
+                throw Stopped{};
+            slot->mark = StreamMark{tag, instsExecuted()};
+            ring_.push();
+            ring_.publish();
+        }
+
+      private:
+        TraceRing &ring_;
+    };
+    pipeline(
+        [&](TraceRing &ring) {
+            RingSteps steps(stream_, ring);
+            try {
+                schedule(steps);
+            } catch (const Stopped &) {
+            }
+        },
+        [&](TraceRing::Slot &slot) {
+            if (slot.mark)
+                onMark(*slot.mark, frontend_.syncSupplyStats());
+            else
+                frontend_.processTrace(slot.trace);
+        });
 }
 
 const FastSimStats &

@@ -18,6 +18,7 @@
 #ifndef TPRE_TPROC_FAST_SIM_HH
 #define TPRE_TPROC_FAST_SIM_HH
 
+#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -170,6 +171,11 @@ class TraceStream
     const BlockCache &blockCache() const { return blocks_; }
 
   private:
+    /** FastSim::runScheduled's helper cuts traces with run() and
+     *  leaves their checks to the calling thread, as runBlocks'
+     *  does. */
+    friend class FastSim;
+
     /** The block loop of next() and, with Segment false (no
      *  segmenter, no window), of fastForward(); its traces are
      *  not checked yet. */
@@ -244,6 +250,9 @@ class FastFrontend
      * block cache) into stats() and return it.
      */
     const FastSimStats &syncStats(const BlockCache &blocks);
+    /** syncStats() but for the block counters, which stay as they
+     *  were: it reads nothing of the stream. */
+    const FastSimStats &syncSupplyStats();
     /** syncStats() plus the end-of-run conservation check. */
     const FastSimStats &finishRun(const BlockCache &blocks);
 
@@ -269,11 +278,64 @@ class FastFrontend
     FastSimStats stats_;
 };
 
+/**
+ * A boundary in a scheduled run (FastSim::runScheduled). It reaches
+ * the frontend's side after every trace of the step it ends.
+ */
+struct StreamMark
+{
+    /** The schedule's name for the step that ended here. */
+    unsigned tag = 0;
+    /** Core instructions executed (absolute) when it ended. */
+    InstCount coreInsts = 0;
+};
+
+/**
+ * The stream side of FastSim::runScheduled(): what a schedule may
+ * read (the core's instruction count and halt flag) and the steps
+ * it may take. Each step ends with a mark. A schedule reads nothing
+ * else, so it can run on a helper thread while the calling thread
+ * serves the frontend.
+ */
+class StreamSteps
+{
+  public:
+    /** Core instructions executed (absolute). */
+    InstCount instsExecuted() const
+    { return stream_.core().instsExecuted(); }
+    bool halted() const { return stream_.core().halted(); }
+
+    /** Segment the stream for the frontend until the core has
+     *  executed @p coreInsts instructions or halts, as
+     *  FastSim::runUntil() does, then mark @p tag. */
+    virtual void detailed(InstCount coreInsts, unsigned tag) = 0;
+    /** Fast-forward up to @p coreInsts instructions, as
+     *  FastSim::fastForward() does, then mark @p tag. */
+    void
+    skip(InstCount coreInsts, unsigned tag)
+    {
+        stream_.fastForward(coreInsts);
+        mark(tag);
+    }
+    /** Mark @p tag without a step. */
+    virtual void mark(unsigned tag) = 0;
+
+  protected:
+    explicit StreamSteps(TraceStream &stream) : stream_(stream) {}
+    ~StreamSteps() = default;
+
+    TraceStream &stream_;
+};
+
 /** Frontend-only trace processor simulation: one TraceStream
  *  feeding one FastFrontend. */
 class FastSim
 {
   public:
+    /** Where runScheduled() delivers each mark. */
+    using MarkSink = std::function<void(const StreamMark &,
+                                        const FastSimStats &)>;
+
     FastSim(const Program &program, FastSimConfig config = {});
     ~FastSim();
 
@@ -346,10 +408,27 @@ class FastSim
     InstCount fastForward(InstCount coreInsts);
 
     /**
+     * Run @p schedule, which steps the stream, while the frontend
+     * serves every trace the steps segment (sample::runSampled).
+     * @p onMark gets each mark, in stream order, once the frontend
+     * has served every trace before it, with the frontend's
+     * statistics synced as FastFrontend::syncSupplyStats() syncs
+     * them. When the calling thread leaves a hardware thread idle
+     * (as for runBlocks) and no onCommit hook is armed, the
+     * schedule runs on a helper thread and its traces and marks
+     * reach the calling thread through runBlocks' ring (DESIGN.md
+     * section 16); otherwise it runs inline. The frontend sees the
+     * same traces and marks either way, a trace that fails its
+     * check fails on the calling thread, and the helper is joined
+     * before this returns or throws.
+     */
+    void runScheduled(const std::function<void(StreamSteps &)> &schedule,
+                      const MarkSink &onMark);
+
+    /**
      * Refresh the component statistics (I-cache, engine, blocks,
      * provenance) into stats() and return it — the end of run()
-     * without the conservation check, safe mid-run. The sampling
-     * controller snapshots this around each measurement window.
+     * without the conservation check, safe mid-run.
      */
     const FastSimStats &syncStats();
 

@@ -10,12 +10,20 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
+#include <optional>
 #include <stdexcept>
+#include <string>
 #include <thread>
+
+#ifdef __linux__
+#include <sched.h>
+#endif
 
 #include "check/stats_check.hh"
 #include "par/parallel_sweep.hh"
 #include "par/thread_pool.hh"
+#include "sample/sample.hh"
 #include "tproc/fast_sim.hh"
 #include "workload/generator.hh"
 
@@ -95,6 +103,43 @@ TEST(ThreadPoolTest, SubmitAndDrainOnInlinePool)
     EXPECT_EQ(ran, 0); // deferred until drained
     pool.drain();
     EXPECT_EQ(ran, 2);
+}
+
+TEST(ThreadPoolTest, DefaultJobsCountsTheAffinityMask)
+{
+#ifdef __linux__
+    // Narrow this thread's own affinity to one CPU: the pool must
+    // size itself to the CPUs the process may use, not the host's.
+    cpu_set_t saved;
+    ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+    const char *env = std::getenv("TPRE_JOBS");
+    const std::optional<std::string> savedJobs =
+        env ? std::optional<std::string>(env) : std::nullopt;
+    struct Restore
+    {
+        const cpu_set_t &mask;
+        const std::optional<std::string> &jobs;
+        ~Restore()
+        {
+            sched_setaffinity(0, sizeof(mask), &mask);
+            if (jobs)
+                setenv("TPRE_JOBS", jobs->c_str(), 1);
+        }
+    } restore{saved, savedJobs};
+    unsetenv("TPRE_JOBS");
+
+    int cpu = 0;
+    while (!CPU_ISSET(cpu, &saved))
+        ++cpu;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpu, &one);
+    ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+    EXPECT_EQ(par::usableHardwareThreads(), 1u);
+    EXPECT_EQ(par::defaultJobs(), 1u);
+#else
+    GTEST_SKIP() << "no CPU affinity mask on this platform";
+#endif
 }
 
 TEST(ParallelSweepTest, JobSeedsAreDecorrelated)
@@ -499,6 +544,244 @@ TEST(PipelinedStreamTest, FrontendExceptionStopsTheHelper)
     EXPECT_THROW(runSharedStream(wl->program, configs, 1'000'000),
                  std::runtime_error);
     EXPECT_EQ(served, 5000u);
+}
+
+/** Every field of two metric estimates. */
+void
+expectSameEstimate(const sample::MetricEstimate &a,
+                   const sample::MetricEstimate &b)
+{
+    EXPECT_EQ(a.mean, b.mean);
+    EXPECT_EQ(a.sd, b.sd);
+    EXPECT_EQ(a.ci95, b.ci95);
+    EXPECT_EQ(a.windows, b.windows);
+    EXPECT_EQ(a.sampledWindows, b.sampledWindows);
+}
+
+/** Every field of two sampled runs, the raw statistics' block
+ *  counters included. */
+void
+expectSameSampledRun(const sample::SampledRun &a,
+                     const sample::SampledRun &b)
+{
+    EXPECT_EQ(a.sampled, b.sampled);
+    EXPECT_EQ(a.fallback, b.fallback);
+    EXPECT_EQ(a.windows, b.windows);
+    EXPECT_EQ(a.instructions, b.instructions);
+    EXPECT_EQ(a.sampledInsts, b.sampledInsts);
+    EXPECT_EQ(a.skippedInsts, b.skippedInsts);
+    EXPECT_EQ(a.warmInsts, b.warmInsts);
+    EXPECT_EQ(check::fastStatsEqual(a.raw, b.raw), std::nullopt);
+    EXPECT_EQ(a.raw.blocks.decoded, b.raw.blocks.decoded);
+    EXPECT_EQ(a.raw.blocks.hits, b.raw.blocks.hits);
+    EXPECT_EQ(a.raw.blocks.invalidations, b.raw.blocks.invalidations);
+    expectSameEstimate(a.missesPerKi, b.missesPerKi);
+    expectSameEstimate(a.tracesPerKi, b.tracesPerKi);
+    expectSameEstimate(a.pbHitsPerKi, b.pbHitsPerKi);
+    expectSameEstimate(a.cyclesPerKi, b.cyclesPerKi);
+    expectSameEstimate(a.coverage, b.coverage);
+    expectSameEstimate(a.icacheMissesPerKi, b.icacheMissesPerKi);
+    expectSameEstimate(a.icacheSupplyPerKi, b.icacheSupplyPerKi);
+    expectSameEstimate(a.icacheMissSupplyPerKi,
+                       b.icacheMissSupplyPerKi);
+}
+
+/** A sampled row whose spec is @p spec. */
+SimConfig
+sampledRow(const char *name, InstCount budget,
+           const sample::SampleSpec &spec)
+{
+    SimConfig c;
+    c.benchmark = name;
+    c.maxInsts = budget;
+    c.sampleEvery = spec.every;
+    c.sampleWindow = spec.window;
+    c.sampleWarmup = spec.warmup;
+    return c;
+}
+
+/**
+ * runSampled pipelines its schedule on a helper thread when the
+ * caller is no pool worker (and the process may run on more than
+ * one hardware thread), and runs it inline on a worker. Every row
+ * must agree between the two, its estimates and block counters
+ * included.
+ */
+TEST(PipelinedSampledTest, PipelinedRowsEqualInlineRows)
+{
+    std::vector<SimConfig> rows;
+    for (const char *name : {"gcc", "compress"}) {
+        for (const InstCount budget : {InstCount(300'000),
+                                       InstCount(1'000'000)}) {
+            for (const SizePoint &p : {SizePoint{256, 0},
+                                       SizePoint{128, 128}}) {
+                SimConfig c = sampledRow(name, budget,
+                                         sample::defaultSpec(budget));
+                c.traceCacheEntries = p.tcEntries;
+                c.preconBufferEntries = p.pbEntries;
+                rows.push_back(c);
+            }
+        }
+    }
+    rows.push_back(sampledRow("gcc", sample::contractBudget,
+                              sample::contractSpec()));
+    sample::SampleSpec degenerate;
+    degenerate.every = 200'000;
+    degenerate.window = 200'000;
+    rows.push_back(sampledRow("compress", 200'000, degenerate));
+    SimConfig warm = sampledRow("gcc", 600'000,
+                                sample::defaultSpec(500'000));
+    warm.warmupInsts = 100'000;
+    rows.push_back(warm);
+
+    Simulator pipelinedSim;
+    std::vector<SimResult> pipelined;
+    for (const SimConfig &c : rows)
+        pipelined.push_back(pipelinedSim.run(c));
+    EXPECT_TRUE(pipelined[8].sampled);
+    EXPECT_FALSE(pipelined[9].sampled);
+    EXPECT_EQ(pipelined[9].sampleFallback, "window>=maxInsts");
+    EXPECT_TRUE(pipelined[10].sampled);
+    EXPECT_TRUE(pipelined[10].warm);
+
+    Simulator inlineSim;
+    par::SweepOptions opts;
+    opts.jobs = 2;
+    const std::vector<SimResult> inlined =
+        par::runParallelGrid(inlineSim, rows, opts);
+    ASSERT_EQ(inlined.size(), rows.size());
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        SCOPED_TRACE("row " + std::to_string(i));
+        expectSameResult(pipelined[i], inlined[i]);
+        EXPECT_GT(pipelined[i].blocksDecoded, 0u);
+        if (i != 9) {
+            EXPECT_GT(pipelined[i].sampleWindows, 1u);
+            EXPECT_GT(pipelined[i].skippedInsts, 0u);
+        }
+    }
+
+    // The cold rows once more through runSampled itself, for the
+    // raw statistics a SimResult does not carry.
+    const auto runRow = [&](const SimConfig &c) {
+        FastSim sim(pipelinedSim.workload(c.benchmark, c.workloadSeed)
+                        ->program,
+                    c.toFastConfig());
+        return sample::runSampled(sim, c.sampleSpec(), c.maxInsts);
+    };
+    const std::size_t cold = rows.size() - 1;
+    std::vector<sample::SampledRun> inlineRuns(cold);
+    par::runJobs(cold, 2, 0, [&](std::size_t i, Rng &) {
+        inlineRuns[i] = runRow(rows[i]);
+    });
+    for (std::size_t i = 0; i < cold; ++i) {
+        SCOPED_TRACE("runSampled row " + std::to_string(i));
+        expectSameSampledRun(runRow(rows[i]), inlineRuns[i]);
+    }
+}
+
+TEST(PipelinedSampledTest, HaltInASkipOrAWindowStopsBothPathsThere)
+{
+    // One outer repeat: the program halts after a few hundred
+    // thousand instructions, well inside the budget.
+    BenchmarkProfile profile = namedProfile("compress");
+    profile.outerRepeats = 1;
+    const GeneratedWorkload wl = WorkloadGenerator(profile).generate();
+    InstCount halt = 0;
+    {
+        FastSim sim(wl.program);
+        halt = sim.fastForward(100'000'000);
+        ASSERT_TRUE(sim.halted());
+        ASSERT_GT(halt, 200'000u);
+    }
+
+    // Strata of 1000 (measured in full), 2000, 4000, ..., 32000,
+    // then 64000 each: the stratum at 127000 skips to 158250, warms
+    // up to 158750, measures to 159750 and skips to 191000. A run
+    // started that far before the halt stops in that skip or in
+    // that window.
+    sample::SampleSpec spec;
+    spec.every = 64'000;
+    spec.window = 1'000;
+    spec.warmup = 500;
+    struct Case
+    {
+        const char *where;
+        InstCount haltAt;
+        InstCount skipped;
+        InstCount warm;
+    };
+    // The six strata before it skip 117000 and warm up 3000.
+    for (const Case &c : {Case{"skip", 140'000, 130'000, 3'000},
+                          Case{"window", 159'000, 148'250, 3'500}}) {
+        SCOPED_TRACE(c.where);
+        const auto runFrom = [&](InstCount start) {
+            FastSim sim(wl.program);
+            sim.fastForward(start);
+            sample::SampledRun run =
+                sample::runSampled(sim, spec, 10'000'000);
+            EXPECT_TRUE(sim.halted());
+            EXPECT_EQ(sim.instsExecuted(), halt);
+            return run;
+        };
+        const InstCount start = halt - c.haltAt;
+        const sample::SampledRun pipelined = runFrom(start);
+        std::vector<sample::SampledRun> inlined(2);
+        par::runJobs(2, 2, 0, [&](std::size_t i, Rng &) {
+            inlined[i] = runFrom(start);
+        });
+        EXPECT_EQ(pipelined.instructions, c.haltAt);
+        EXPECT_EQ(pipelined.skippedInsts, c.skipped);
+        EXPECT_EQ(pipelined.warmInsts, c.warm);
+        for (const sample::SampledRun &run : inlined)
+            expectSameSampledRun(pipelined, run);
+    }
+}
+
+TEST(PipelinedSampledTest, FrontendExceptionInAWindowStopsTheHelper)
+{
+    // A hook that throws at a trace served inside a measured window,
+    // with the helper running ahead: the ring is cancelled, the
+    // helper joined, and the exception reaches the caller as it
+    // does from the inline loop.
+    Simulator sim;
+    const std::shared_ptr<const GeneratedWorkload> wl =
+        sim.workload("gcc", 1);
+    constexpr std::uint64_t kThrowAt = 20'000;
+    // With @p coreAtThrow, the run must be inline: the hook reads
+    // the core's count, which a helper would be moving.
+    const auto runThrowing = [&](InstCount *coreAtThrow) {
+        std::uint64_t served = 0;
+        const FastSim *self = nullptr;
+        FastSimConfig config;
+        config.hooks.onTrace = [&](const Trace &, const Trace &, bool) {
+            if (++served < kThrowAt)
+                return;
+            if (coreAtThrow)
+                *coreAtThrow = self->instsExecuted();
+            throw std::runtime_error("frontend failed");
+        };
+        FastSim fast(wl->program, config);
+        self = &fast;
+        EXPECT_THROW(sample::runSampled(fast, sample::contractSpec(),
+                                        sample::contractBudget),
+                     std::runtime_error);
+        EXPECT_EQ(served, kThrowAt);
+    };
+
+    // Under contractSpec the first stratum measures [0, 46000) and
+    // each later one [start + 3250, start + 49250) of its 50000.
+    std::vector<InstCount> cores(2);
+    par::runJobs(2, 2, 0, [&](std::size_t i, Rng &) {
+        runThrowing(&cores[i]);
+    });
+    const InstCount core = cores[0];
+    EXPECT_EQ(cores[1], core);
+    ASSERT_GT(core, 46'000u);
+    const InstCount offset = (core - 46'000) % 50'000;
+    EXPECT_GE(offset, 3'250u);
+    EXPECT_LT(offset, 49'250u);
+
+    runThrowing(nullptr);
 }
 
 } // namespace

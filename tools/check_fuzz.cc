@@ -17,7 +17,7 @@
  *                  reruns exactly one case, e.g. a reproducer
  *   --max-insts N  committed-instruction budget per case
  *   --jobs N       worker threads for the campaign (default:
- *                  TPRE_JOBS, else all hardware threads); the
+ *                  TPRE_JOBS, else the CPUs it may run on); the
  *                  report is identical at any job count
  *   --no-shrink    report the original failing case unshrunk
  *   --quiet        suppress per-case progress output
